@@ -1,9 +1,9 @@
 """Exact rational algebra for the tautological-ring engine.
 
-Sparse multivariate polynomials over Fraction, exact Lagrange interpolation,
-closed-form power sums, and finite-difference coefficient extraction.  No
-floating-point number is ever produced: every coefficient in the system is a
-Fraction, so equality tests are exact.
+Sparse multivariate polynomials over Fraction, exact Lagrange interpolation
+and finite-difference coefficient extraction.  No floating-point number is
+ever produced: every coefficient in the system is a Fraction, so equality
+tests are exact.
 """
 
 from __future__ import annotations
@@ -216,13 +216,8 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()!r})"
 
 
-def poly_substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly | int | Fraction]) -> MultiPoly:
-    return p.substitute(bindings)
-
-
-def lagrange_interpolate(samples: Sequence[tuple], degree_bound: int,
-                         variable: str = "r") -> MultiPoly:
-    """Unique polynomial of degree <= degree_bound through the samples.
+def lagrange_interpolate(samples: Sequence[tuple], degree_bound: int) -> MultiPoly:
+    """Unique polynomial in r of degree <= degree_bound through the samples.
 
     Extra samples beyond degree_bound + 1 are used as a consistency check; a
     mismatch raises InterpolationError (the caller's degree bound was wrong).
@@ -232,10 +227,10 @@ def lagrange_interpolate(samples: Sequence[tuple], degree_bound: int,
         raise AlgebraError("duplicated sample points")
     if len(samples) < degree_bound + 1:
         raise AlgebraError("not enough samples for the requested degree bound")
-    vars_ = (variable,)
+    vars_ = ("r",)
     base = samples[: degree_bound + 1]
     result = MultiPoly(vars_)
-    x = MultiPoly.variable(vars_, variable)
+    x = MultiPoly.variable(vars_, "r")
     for i, (xi, yi) in enumerate(base):
         term = MultiPoly.constant(vars_, _coerce(yi))
         for j, (xj, _) in enumerate(base):
@@ -244,23 +239,10 @@ def lagrange_interpolate(samples: Sequence[tuple], degree_bound: int,
             term = term * (x - Fraction(xj)) * Fraction(1, xi - xj)
         result = result + term
     for xi, yi in samples[degree_bound + 1:]:
-        if result.evaluate({variable: Fraction(xi)}) != _coerce(yi):
+        if result.evaluate({"r": Fraction(xi)}) != _coerce(yi):
             raise InterpolationError(
                 f"sample at {xi} disagrees with degree-{degree_bound} interpolant")
     return result
-
-
-def faulhaber_sum(k: int, variable: str = "x") -> MultiPoly:
-    """Closed form of sum(a**k for a in 1..x) as a degree-(k+1) polynomial."""
-    if k < 0:
-        raise AlgebraError("power must be non-negative")
-    samples = []
-    running = Fraction(0)
-    for m in range(k + 2):
-        if m:
-            running += Fraction(m) ** k
-        samples.append((m, running))
-    return lagrange_interpolate(samples, k + 1, variable)
 
 
 def _stirling2(m: int, k: int) -> int:
@@ -276,20 +258,15 @@ def _stirling2(m: int, k: int) -> int:
     return row[k]
 
 
-def _bounded_exponents(lower: tuple, total_bound: int):
-    """All exponent tuples >= lower componentwise with total <= total_bound."""
-    slack = total_bound - sum(lower)
-    n = len(lower)
-
-    def rec(i, remaining):
-        if i == n:
-            yield ()
-            return
-        for extra in range(remaining + 1):
-            for rest in rec(i + 1, remaining - extra):
-                yield (lower[i] + extra,) + rest
-
-    yield from rec(0, slack)
+def bounded_tuples(length: int, bound: int):
+    """Every tuple of `length` non-negative integers with sum <= bound, in
+    lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for head in range(bound + 1):
+        for rest in bounded_tuples(length - 1, bound - head):
+            yield (head,) + rest
 
 
 def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[int],
@@ -326,7 +303,10 @@ def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[i
             acc = piece if acc is None else acc + piece
         return acc
 
-    higher = sorted(_bounded_exponents(monomial, total_degree),
+    # every exponent tuple >= monomial componentwise, of total <= total_degree
+    higher = sorted((tuple(m + x for m, x in zip(monomial, extra))
+                     for extra in bounded_tuples(len(monomial),
+                                                 total_degree - sum(monomial))),
                     key=lambda e: -sum(e))
     coeffs: dict = {}
     for key in higher:

@@ -70,8 +70,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_omega(args) -> int:
     A = args.ramification
-    if sum(A) != 0:
-        raise ValueError("ramification entries must sum to zero")
     _progress(f"computing the constant-term class for A={A} up to degree {args.degree}")
     if args.r_samples:
         cls = omega_constant_term_from_samples(args.genus, A, args.degree,

@@ -16,6 +16,7 @@ a handful of vertices, so certified exactness is cheap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,7 +90,22 @@ def stable_graph(genera, legs, edges) -> StableGraph:
     for a, b in graph.edges:
         if not (0 <= a < nv and 0 <= b < nv):
             raise InvalidGraphError("edge attached to a missing vertex")
-    # connectivity
+    # connectivity: a spanning forest is a tree exactly when it has nv - 1 edges
+    _, tree = union_find(nv, graph.edges)
+    if len(tree) != nv - 1:
+        raise InvalidGraphError("graph is not connected")
+    for v in range(nv):
+        if 2 * graph.genera[v] - 2 + graph.valence(v) <= 0:
+            raise InvalidGraphError(f"vertex {v} is unstable")
+    return graph
+
+
+def union_find(nv: int, edges):
+    """Join vertices 0..nv-1 along the given (a, b) edges.
+
+    Returns (find, tree): find maps a vertex to the root of its component,
+    and tree lists the indices of the edges that joined two components, i.e.
+    a spanning forest; the other edges close cycles."""
     parent = list(range(nv))
 
     def find(x):
@@ -98,14 +114,13 @@ def stable_graph(genera, legs, edges) -> StableGraph:
             x = parent[x]
         return x
 
-    for a, b in graph.edges:
-        parent[find(a)] = find(b)
-    if len({find(v) for v in range(nv)}) != 1:
-        raise InvalidGraphError("graph is not connected")
-    for v in range(nv):
-        if 2 * graph.genera[v] - 2 + graph.valence(v) <= 0:
-            raise InvalidGraphError(f"vertex {v} is unstable")
-    return graph
+    tree = []
+    for i, (a, b) in enumerate(edges):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(i)
+    return find, tree
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:
@@ -180,10 +195,6 @@ def _encode_hex(encoding) -> str:
     return text.encode().hex()
 
 
-def canonical_form(graph: StableGraph) -> str:
-    return graph.canonical_key()
-
-
 def canonical_graph(graph: StableGraph) -> StableGraph:
     encoding, _ = _canonical(graph)
     genera, legs, edges = encoding
@@ -225,51 +236,26 @@ def graph_transports(graph: StableGraph):
                 yield order, final
 
 
-def _vertex_automorphisms(graph: StableGraph):
-    """Vertex permutations (old -> image) preserving genus, legs pointwise
-    and the edge multiset."""
-    inv = [_vertex_invariant(graph, v) for v in range(graph.n_vertices)]
-    groups: dict = {}
-    for v, key in enumerate(inv):
-        groups.setdefault(key, []).append(v)
-    keys = sorted(groups)
-    base_edges = sorted((min(a, b), max(a, b)) for a, b in graph.edges)
-    for images in itertools.product(
-            *[itertools.permutations(groups[k]) for k in keys]):
-        pos = [0] * graph.n_vertices
-        for k, image_block in zip(keys, images):
-            for old, new in zip(groups[k], image_block):
-                pos[old] = new
-        if any(pos[v] != v for v in graph.legs):
-            continue
-        mapped = sorted((min(pos[a], pos[b]), max(pos[a], pos[b]))
-                        for a, b in graph.edges)
-        if mapped != base_edges:
-            continue
-        yield tuple(pos)
-
-
 @lru_cache(maxsize=None)
 def automorphism_count(graph: StableGraph) -> int:
     """Order of the automorphism group (vertex and half-edge permutations
-    preserving incidence, involution and genera, fixing legs pointwise)."""
+    preserving incidence, involution and genera, fixing legs pointwise).
+
+    Every vertex automorphism preserves the refinement invariants, so the
+    orderings achieving the canonical encoding are exactly one coset of the
+    vertex automorphism group; each vertex automorphism lifts to the
+    half-edges in a fixed number of ways (parallel edges permute, loops
+    flip)."""
     classes: dict = {}
     for a, b in graph.edges:
         key = (min(a, b), max(a, b))
         classes[key] = classes.get(key, 0) + 1
     lifts = 1
     for (a, b), m in classes.items():
-        lifts *= _factorial(m)
+        lifts *= math.factorial(m)
         if a == b:
             lifts *= 2 ** m
-    return sum(lifts for _ in _vertex_automorphisms(graph))
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
+    return lifts * len(_canonical(graph)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +292,7 @@ def edge_profile(graph: StableGraph, e: int):
     edge except e: ('irr',) for a non-separating edge, else
     ('sep', h, sorted legs of the smaller side)."""
     nv = graph.n_vertices
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (a, b) in enumerate(graph.edges):
-        if i != e:
-            parent[find(a)] = find(b)
+    find, _ = union_find(nv, graph.edges[:e] + graph.edges[e + 1:])
     a, b = graph.edges[e]
     if find(a) == find(b):
         return ("irr",)

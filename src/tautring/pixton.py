@@ -15,9 +15,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import InterpolationError, lagrange_interpolate
+from .algebra import InterpolationError, bounded_tuples, lagrange_interpolate
 from .graphs import StableGraph, enumerate_stable_graphs, vertex_attachments, \
-    automorphism_count
+    automorphism_count, union_find
 from .strata import TautClass, canonical_term
 
 
@@ -34,23 +34,8 @@ def validate_ramification(A) -> tuple:
 
 def _spanning_tree(graph: StableGraph):
     """Edge indices of a spanning tree (loops and extra edges excluded)."""
-    parent = list(range(graph.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    rest = []
-    for e, (a, b) in enumerate(graph.edges):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            rest.append(e)
-        else:
-            parent[ra] = rb
-            tree.append(e)
+    _, tree = union_find(graph.n_vertices, graph.edges)
+    rest = [e for e in range(graph.n_edges) if e not in tree]
     return tree, rest
 
 
@@ -149,13 +134,12 @@ def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int) -> TautC
     # Accumulate, over all weightings, the coefficient of each vector of edge
     # series orders; weightings are never materialized as a list.
     edge_orders: dict = {}
+    order_vectors = list(bounded_tuples(ne, budget))
     for w in enumerate_weightings(graph, A, r):
         u = [Fraction(w[("h", e, 0)] * w[("h", e, 1)], 2) for e in range(ne)]
         if any(x == 0 for x in u):
             continue
-        for orders in itertools.product(range(budget + 1), repeat=ne):
-            if sum(orders) > budget:
-                continue
+        for orders in order_vectors:
             coeff = Fraction(1)
             for ue, j in zip(u, orders):
                 coeff *= (-1) ** j * ue ** (j + 1) / math.factorial(j + 1)
@@ -186,7 +170,7 @@ def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int) -> TautC
                 if s1:
                     base_psi_edge[(e, 1)] = s1
                 bcoeff *= c
-            for leg_exps in _bounded_tuples(n, room):
+            for leg_exps in bounded_tuples(n, room):
                 coeff = bcoeff
                 skip = False
                 psi_leg = {}
@@ -206,24 +190,17 @@ def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int) -> TautC
     return out
 
 
-def _bounded_tuples(length: int, bound: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for rest in _bounded_tuples(length - 1, bound - head):
-            yield (head,) + rest
-
-
 def minimum_modulus(A) -> int:
     """Smallest safe sampling modulus: r > sum |a_i| / 2 bounds every subset
     sum, which keeps all edge residues in their eventual linear regime."""
     return sum(abs(a) for a in A) // 2 + 2
 
 
-def omega_constant_term(g: int, A, max_degree: int, r_min: int | None = None,
-                        degree_bound: int | None = None,
-                        max_retries: int = 2) -> TautClass:
+# Enlargements of the degree bound tried after the two sample sets disagree.
+_MAX_RETRIES = 2
+
+
+def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
     """Constant term in r of the modulus-r class, stratum by stratum.
 
     Coefficients are sampled at 2*(bound+1) consecutive large moduli split
@@ -232,11 +209,9 @@ def omega_constant_term(g: int, A, max_degree: int, r_min: int | None = None,
     retried.
     """
     A = validate_ramification(A)
-    if r_min is None:
-        r_min = minimum_modulus(A)
-    if degree_bound is None:
-        degree_bound = 2 * max_degree + max_degree
-    for attempt in range(max_retries + 1):
+    r_min = minimum_modulus(A)
+    degree_bound = 2 * max_degree + max_degree
+    for attempt in range(_MAX_RETRIES + 1):
         m = degree_bound + 1
         first = [r_min + i for i in range(m)]
         second = [r_min + m + i for i in range(m)]
@@ -244,7 +219,7 @@ def omega_constant_term(g: int, A, max_degree: int, r_min: int | None = None,
             return _interpolated_constant_term(g, A, max_degree, first, second,
                                                degree_bound)
         except InterpolationError:
-            if attempt == max_retries:
+            if attempt == _MAX_RETRIES:
                 raise
             degree_bound = 2 * degree_bound + 2
             r_min = 2 * r_min

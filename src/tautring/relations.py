@@ -20,11 +20,12 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import MultiPoly, finite_difference_extract
+from .algebra import MultiPoly, bounded_tuples, finite_difference_extract
 from .graphs import stable_graph, vertex_attachments
 from .pixton import omega_constant_term, validate_ramification
 from .strata import (
     TautClass,
+    _kappa_pullback_expansions,
     boundary_divisor_class,
     gluing_pushforward,
     normalize_divisor,
@@ -190,8 +191,7 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     return finite_difference_extract(f, a_monomial, 2 * g + 2)
 
 
-def pushforward_relation(g: int, n: int, psi_multiplier, a_monomial,
-                         check_boundary_control: bool = True) -> TautClass:
+def pushforward_relation(g: int, n: int, psi_multiplier, a_monomial) -> TautClass:
     """Pushed relation on the n-marked space with the boundary-control check:
     the part of the relation supported on the boundary upstairs must push to
     classes supported on the boundary downstairs."""
@@ -206,16 +206,16 @@ def pushforward_relation(g: int, n: int, psi_multiplier, a_monomial,
             raise ValueError("multiplier must contain psi_i for i = n+1..2g+2")
     forget = range(n + 1, 2 * g + 4)
     out = dr_relation_coefficient(g, a_monomial, mult, forget)
-    if check_boundary_control:
-        def f_boundary(point):
-            A = point + (-sum(point),)
-            rel = dr_relation(g, A)
-            rel = rel - rel.restrict("open")
-            return rel.mul_monomial(psi_exps=mult).pushforward_to(n)
-        leak = finite_difference_extract(f_boundary, a_monomial, 2 * g + 2)
-        if not leak.restrict("open").is_zero():
-            raise RelationPipelineError(
-                "boundary terms leaked into the open locus after pushforward")
+
+    def f_boundary(point):
+        A = point + (-sum(point),)
+        rel = dr_relation(g, A)
+        rel = rel - rel.restrict("open")
+        return rel.mul_monomial(psi_exps=mult).pushforward_to(n)
+    leak = finite_difference_extract(f_boundary, a_monomial, 2 * g + 2)
+    if not leak.restrict("open").is_zero():
+        raise RelationPipelineError(
+            "boundary terms leaked into the open locus after pushforward")
     return out
 
 
@@ -314,21 +314,31 @@ class RelationDatabase:
         self.records: dict = {}
         if path is not None:
             try:
-                handle = open(path, "r", encoding="utf-8")
+                # bytes: json.loads decodes each line, so an undecodable line
+                # is reported like every other corrupt record
+                handle = open(path, "rb")
             except FileNotFoundError:
                 handle = None
             if handle is not None:
                 with handle:
-                    for line in handle:
+                    for lineno, line in enumerate(handle, start=1):
                         line = line.strip()
                         if not line:
                             continue
-                        rec = json.loads(line)
-                        if _record_hash(rec["key"], rec["value"]) != rec["sha256"]:
+                        # a torn or hand-edited line is corruption, not bad input
+                        try:
+                            rec = json.loads(line)
+                            if _record_hash(rec["key"], rec["value"]) != rec["sha256"]:
+                                raise CacheIntegrityError(
+                                    f"corrupt record for key {rec['key']}")
+                            key = (rec["key"]["g"], rec["key"]["n"],
+                                   rec["key"]["monomial"])
+                            self.records[key] = BoundaryExpression.from_json(rec)
+                        except (ValueError, KeyError, TypeError,
+                                RelationPipelineError) as exc:
                             raise CacheIntegrityError(
-                                f"corrupt record for key {rec['key']}")
-                        key = (rec["key"]["g"], rec["key"]["n"], rec["key"]["monomial"])
-                        self.records[key] = BoundaryExpression.from_json(rec)
+                                f"unreadable record on line {lineno} of {path}: "
+                                f"{exc!r}") from exc
 
     def get(self, g: int, n: int, monomial: str):
         return self.records.get((g, n, monomial))
@@ -456,12 +466,9 @@ def psi_boundary_lemma(g: int, db: RelationDatabase | None = None) -> dict:
 
 
 def _compositions(total: int, width: int):
-    if width == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, width - 1):
-            yield (head,) + rest
+    """Exponent tuples of the given width summing to total, in
+    lexicographic order."""
+    return (t for t in bounded_tuples(width, total) if sum(t) == total)
 
 
 def _psi_exps_from_key(key: str, n: int) -> tuple:
@@ -539,12 +546,12 @@ def _substitute_open(g, n, c: TautClass, db, _active, provenance):
 
 
 def _boundary_expression_route(g, n, psi, kappa, key, db, _active) -> BoundaryExpression:
+    if g <= 1 and psi:
+        return _peel_psi_route(g, n, psi, kappa, db, _active)
     if g == 0:
-        return _genus0_route(n, psi, kappa, db, _active)
+        return _genus0_kappa_route(n, kappa, db, _active)
     if n == 0:
         return _unmarked_route(g, kappa, db, _active)
-    if g == 1 and psi:
-        return _peel_psi_route(g, n, psi, kappa, db, _active)
     if psi and all(psi.get(i, 0) >= 1 for i in range(1, n + 1)):
         return _p_route(g, n, psi, kappa, db, _active)
     if any(psi.get(i, 0) == 0 for i in range(1, n + 1)) and n >= 2:
@@ -578,17 +585,9 @@ def _psi_expression(g, n, i, db, _active) -> BoundaryExpression:
     return db.store(g, n, key, be)
 
 
-def _genus0_route(n, psi, kappa, db, _active) -> BoundaryExpression:
-    if psi:
-        i = min(i for i, e in psi.items() if e)
-        base = _psi_expression(0, n, i, db, _active)
-        rest_psi = dict(psi)
-        rest_psi[i] -= 1
-        value = base.value.mul_monomial(psi_exps=rest_psi, kappas=kappa)
-        return BoundaryExpression(value, base.provenance +
-                                  [f"multiply by {monomial_key(rest_psi, kappa)}"])
-    # kappa-only: kappa_a = pushforward of psi_{n+1}^{a+1}; re-express the
-    # open spill recursively (its degree drops)
+def _genus0_kappa_route(n, kappa, db, _active) -> BoundaryExpression:
+    """kappa-monomials in genus 0: kappa_a = pushforward of psi_{n+1}^{a+1};
+    the open spill is re-expressed recursively (its degree drops)."""
     a = min(kappa)
     rest = dict(kappa)
     rest[a] -= 1
@@ -602,6 +601,8 @@ def _genus0_route(n, psi, kappa, db, _active) -> BoundaryExpression:
 
 
 def _peel_psi_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
+    """Genus 0 and 1: one psi factor as a boundary class (by pullback
+    induction) times the rest of the monomial."""
     i = min(i for i, e in psi.items() if e)
     base = _psi_expression(g, n, i, db, _active)
     rest_psi = dict(psi)
@@ -619,17 +620,7 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
     vanishes on the smaller space for dimension reasons (the expansion is
     then a relation)."""
     out = TautClass(g, n)
-    entries = sorted(kappa.items())
-    choices = [range(x + 1) for _, x in entries]
-    for picks in itertools.product(*choices):
-        kept = {}
-        j_total = 0
-        coeff = Fraction(1)
-        for (a, x), j in zip(entries, picks):
-            coeff *= Fraction((-1) ** j * math.comb(x, j))
-            j_total += a * j
-            if x - j:
-                kept[a] = x - j
+    for kept, (j_total, coeff) in _kappa_pullback_expansions(sorted(kappa.items())):
         exps = dict(psi)
         if j_total:
             exps[n] = exps.get(n, 0) + j_total
@@ -797,14 +788,19 @@ def _p_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     direct = TautClass.monomial(g, width, psi_exps={
         i + 1: e for i, e in enumerate(exps) if e}).pushforward_to(n)
     relation = direct - pushed        # Chow-zero with edgeless lead terms
+    return _solve_for_target(g, n, relation, monomial_key(psi, kappa),
+                             provenance, db, _active)
+
+
+def _solve_for_target(g, n, relation, target_key, provenance, db,
+                      _active) -> BoundaryExpression:
+    """Solve a Chow-zero relation for its edgeless target monomial, with
+    every other edgeless monomial replaced by its boundary expression."""
     open_part, boundary = open_monomial_decomposition(relation)
-    target_key = monomial_key(psi, kappa)
-    if target_key not in open_part:
-        raise RelationPipelineError(
-            f"pushforward route lost its target {target_key}")
-    pivot = open_part.pop(target_key)
+    pivot = open_part.pop(target_key, 0)
     if pivot == 0:
-        raise RelationPipelineError("pushforward route pivot vanished")
+        raise RelationPipelineError(
+            f"relation lost its target {target_key} (zero pivot)")
     acc = -boundary
     for mkey, coeff in open_part.items():
         sub = boundary_expression(g, n, mkey, db, _active)
@@ -842,35 +838,24 @@ def _unmarked_route(g, kappa, db, _active) -> BoundaryExpression:
     direct = TautClass.monomial(g, 1, psi_exps={1: 1},
                                 kappas=kappa).forget_pushforward()
     relation = direct - pushed_lhs
-    open_part, boundary = open_monomial_decomposition(relation)
-    target_key = monomial_key({}, kappa)
-    if target_key not in open_part:
-        raise RelationPipelineError("unmarked route lost its target")
-    pivot = open_part.pop(target_key)
-    acc = -boundary
-    for mkey, coeff in open_part.items():
-        sub = boundary_expression(g, 0, mkey, db, _active)
-        provenance = provenance + sub.provenance
-        acc = acc - sub.value * coeff
-    return BoundaryExpression(acc * (Fraction(1) / pivot), provenance)
+    return _solve_for_target(g, 0, relation, monomial_key({}, kappa),
+                             provenance, db, _active)
 
 
 # ---------------------------------------------------------------------------
 # Property-star reduction
 # ---------------------------------------------------------------------------
 
-def _needs_rewrite(genus: int, degree: int) -> bool:
-    if genus == 0:
-        return degree > 0
-    return degree >= genus
+def _unstarred_vertex(term):
+    """The first vertex whose decoration degree exceeds max(genus-1, 0), or
+    None when the term has property star."""
+    return next((v for v in range(term.graph.n_vertices)
+                 if term.vertex_degree(v) > max(term.graph.genera[v] - 1, 0)),
+                None)
 
 
 def has_property_star(term) -> bool:
-    for v in range(term.graph.n_vertices):
-        d = term.vertex_degree(v)
-        if d > max(term.graph.genera[v] - 1, 0):
-            return False
-    return True
+    return _unstarred_vertex(term) is None
 
 
 def theorem_star_reduce(c: TautClass, db: RelationDatabase | None = None) -> TautClass:
@@ -882,12 +867,8 @@ def theorem_star_reduce(c: TautClass, db: RelationDatabase | None = None) -> Tau
     work = list(c.terms.items())
     while work:
         term, coeff = work.pop()
-        bad = next((v for v in range(term.graph.n_vertices)
-                    if _needs_rewrite(term.graph.genera[v], term.vertex_degree(v))),
-                   None)
+        bad = _unstarred_vertex(term)
         if bad is None:
-            if not has_property_star(term):
-                raise RelationPipelineError("rewrite finished without property star")
             expected = term.degree - c.g + 1
             rational = sum(1 for gv in term.graph.genera if gv == 0)
             if rational < expected:
@@ -901,33 +882,27 @@ def theorem_star_reduce(c: TautClass, db: RelationDatabase | None = None) -> Tau
     return out
 
 
-def _rewrite_vertex(term, v, db) -> TautClass:
-    graph = term.graph
+def _vertex_monomial(term, v):
+    """The decoration at vertex v as (psi by local marking rank, kappa), the
+    markings ranked as in vertex_attachments."""
     psi = {}
-    for rank, tag in enumerate(vertex_attachments(graph, v), start=1):
-        if tag[0] == "l":
-            e = term.psi_leg[tag[1] - 1]
-        else:
-            e = term.psi_edge[tag[1]][tag[2]]
+    for rank, tag in enumerate(vertex_attachments(term.graph, v), start=1):
+        e = term.psi_at(tag)
         if e:
             psi[rank] = e
-    kappa = {a: x for a, x in term.kappa[v]}
+    return psi, {a: x for a, x in term.kappa[v]}
+
+
+def _rewrite_vertex(term, v, db) -> TautClass:
+    graph = term.graph
     local = boundary_expression(graph.genera[v], graph.valence(v),
-                                (psi, kappa), db)
+                                _vertex_monomial(term, v), db)
     classes = []
     for u in range(graph.n_vertices):
         if u == v:
             classes.append(local.value)
             continue
-        upsi = {}
-        for rank, tag in enumerate(vertex_attachments(graph, u), start=1):
-            if tag[0] == "l":
-                e = term.psi_leg[tag[1] - 1]
-            else:
-                e = term.psi_edge[tag[1]][tag[2]]
-            if e:
-                upsi[rank] = e
-        ukappa = {a: x for a, x in term.kappa[u]}
+        upsi, ukappa = _vertex_monomial(term, u)
         classes.append(TautClass.monomial(graph.genera[u], graph.valence(u),
                                           psi_exps=upsi, kappas=ukappa))
     return gluing_pushforward(graph, classes)

@@ -80,6 +80,12 @@ class StrataTerm:
         d += sum(self.psi_edge[e][s] for e, s in self.graph.half_edges_at(v))
         return d
 
+    def psi_at(self, tag) -> int:
+        """Psi exponent at an attachment tag of graphs.vertex_attachments."""
+        if tag[0] == "l":
+            return self.psi_leg[tag[1] - 1]
+        return self.psi_edge[tag[1]][tag[2]]
+
     def sort_key(self):
         return (self.graph.n_edges, self.degree, self.graph.genera,
                 self.graph.legs, self.graph.edges, self.kappa,
@@ -157,22 +163,23 @@ def _term_dicts(term: StrataTerm):
     """Mutable decoration dictionaries for surgery on a term."""
     kappa = {v: {a: x for a, x in vk} for v, vk in enumerate(term.kappa)}
     psi_leg = {lab: e for lab, e in enumerate(term.psi_leg, start=1) if e}
+    return kappa, psi_leg, _psi_edge_dict(term.psi_edge)
+
+
+def _psi_edge_dict(psi_edge_pairs):
+    """{(edge, side): exponent} for the nonzero per-edge exponent pairs."""
     psi_edge = {}
-    for e, (p, q) in enumerate(term.psi_edge):
+    for e, (p, q) in enumerate(psi_edge_pairs):
         if p:
             psi_edge[(e, 0)] = p
         if q:
             psi_edge[(e, 1)] = q
-    return kappa, psi_leg, psi_edge
+    return psi_edge
 
 
 # ---------------------------------------------------------------------------
 # Tautological classes
 # ---------------------------------------------------------------------------
-
-def _is_zero_coeff(c) -> bool:
-    return c == 0
-
 
 class TautClass:
     """Formal linear combination of canonical decorated strata on one
@@ -188,14 +195,10 @@ class TautClass:
         self.terms = {}
         if terms:
             for term, coeff in terms.items():
-                if not _is_zero_coeff(coeff):
+                if coeff != 0:
                     self.terms[term] = coeff
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, g, n):
-        return cls(g, n)
 
     @classmethod
     def fundamental(cls, g, n):
@@ -228,11 +231,11 @@ class TautClass:
         return out
 
     def _accumulate(self, term, coeff):
-        if _is_zero_coeff(coeff):
+        if coeff == 0:
             return
         current = self.terms.get(term)
         total = coeff if current is None else current + coeff
-        if _is_zero_coeff(total):
+        if total == 0:
             self.terms.pop(term, None)
         else:
             self.terms[term] = total
@@ -316,14 +319,8 @@ class TautClass:
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
             graph = relabel_legs(term.graph, perm)
-            psi_leg = {perm[lab]: e for lab, e in enumerate(term.psi_leg, start=1) if e}
-            kappa = {v: {a: x for a, x in vk} for v, vk in enumerate(term.kappa)}
-            psi_edge = {}
-            for e, (p, q) in enumerate(term.psi_edge):
-                if p:
-                    psi_edge[(e, 0)] = p
-                if q:
-                    psi_edge[(e, 1)] = q
+            kappa, psi_leg, psi_edge = _term_dicts(term)
+            psi_leg = {perm[lab]: e for lab, e in psi_leg.items()}
             new = canonical_term(graph, kappa, psi_leg, psi_edge)
             if new is not None:
                 out._accumulate(new, coeff)
@@ -441,8 +438,7 @@ class TautClass:
                         out._accumulate(new, coeff * sign_coeff)
                 # bubble corrections, one per decorated marking at v
                 for tag in vertex_attachments(graph, v):
-                    y = (term.psi_leg[tag[1] - 1] if tag[0] == "l"
-                         else term.psi_edge[tag[1]][tag[2]])
+                    y = term.psi_at(tag)
                     if y == 0:
                         continue
                     bubbled, new_e, bubble = _bubble_off(graph, v, tag, new_n)
@@ -505,12 +501,7 @@ class TautClass:
             kappa = {v: {int(a): x for a, x in vk.items()}
                      for v, vk in enumerate(dec["kappa"])}
             psi_leg = {i + 1: e for i, e in enumerate(dec["psi_legs"]) if e}
-            psi_edge = {}
-            for e, (p, q) in enumerate(dec["psi_edges"]):
-                if p:
-                    psi_edge[(e, 0)] = p
-                if q:
-                    psi_edge[(e, 1)] = q
+            psi_edge = _psi_edge_dict(dec["psi_edges"])
             term = canonical_term(graph, kappa, psi_leg, psi_edge)
             if term is not None:
                 out._accumulate(term, decode_coeff(item["coeff"]))
@@ -663,8 +654,7 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
             for tag in vertex_attachments(graph, v):
                 if tag[0] == "l" and tag[1] == lab:
                     continue
-                y = (term.psi_leg[tag[1] - 1] if tag[0] == "l"
-                     else term.psi_edge[tag[1]][tag[2]])
+                y = term.psi_at(tag)
                 if y == 0:
                     continue
                 kappa2, psi_leg2, psi_edge2 = _term_dicts(term)
@@ -846,44 +836,3 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
         if new is not None:
             out._accumulate(new, coeff)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Functional wrappers over the class methods
-# ---------------------------------------------------------------------------
-
-def normalize(g: int, n: int, raw_terms) -> TautClass:
-    """Build a class in normal form from raw (graph, kappa, psi_leg,
-    psi_edge, coeff) tuples."""
-    out = TautClass(g, n)
-    for graph, kappa, psi_leg, psi_edge, coeff in raw_terms:
-        out = out.add_term(graph, kappa, psi_leg, psi_edge, coeff)
-    return out
-
-
-def mul_psi(c: TautClass, i: int) -> TautClass:
-    return c.mul_psi(i)
-
-
-def mul_kappa(c: TautClass, a: int) -> TautClass:
-    return c.mul_kappa(a)
-
-
-def mul_boundary_divisor(c: TautClass, divisor) -> TautClass:
-    return c.mul_boundary(divisor)
-
-
-def forgetful_pullback(c: TautClass) -> TautClass:
-    return c.forget_pullback()
-
-
-def forgetful_pushforward(c: TautClass) -> TautClass:
-    return c.forget_pushforward()
-
-
-def restrict_locus(c: TautClass, locus: str) -> TautClass:
-    return c.restrict(locus)
-
-
-def degree_part(c: TautClass, d: int) -> TautClass:
-    return c.degree_part(d)

@@ -90,9 +90,29 @@ def test_corrupt_cache_exits_three(tmp_path):
     db = tmp_path / "db.jsonl"
     run(["boundary-expression", "--genus", "0", "--markings", "4",
          "--monomial", "psi1", "--db", str(db)])
-    db.write_text(db.read_text().replace('"psi1"', '"psi9"', 1))
-    assert run(["boundary-expression", "--genus", "0", "--markings", "4",
-                "--monomial", "psi1", "--db", str(db)]) == 3
+    good = db.read_text()
+    argv = ["boundary-expression", "--genus", "0", "--markings", "4",
+            "--monomial", "psi1", "--db", str(db)]
+    # a record whose content no longer matches its hash
+    db.write_text(good.replace('"psi1"', '"psi9"', 1))
+    assert run(argv) == 3
+    # a torn last line, as left by an interrupted append
+    db.write_text(good + good.splitlines()[-1][:40])
+    assert run(argv) == 3
+    # a record missing its value
+    record = json.loads(good.splitlines()[-1])
+    del record["value"]
+    db.write_text(good + json.dumps(record) + "\n")
+    assert run(argv) == 3
+    # a nonzero value whose unhashed provenance was emptied
+    record = json.loads(good.splitlines()[-1])
+    assert record["value"]["terms"]
+    record["provenance"] = []
+    db.write_text(json.dumps(record) + "\n")
+    assert run(argv) == 3
+    # bytes that are not text at all
+    db.write_bytes(good.encode() + b"\x80\xff\n")
+    assert run(argv) == 3
 
 
 def test_verify_m11(tmp_path):

@@ -168,7 +168,8 @@ def test_automorphism_examples():
 
 
 def test_automorphisms_match_brute_force():
-    for g, n in [(1, 1), (1, 2), (2, 0), (0, 4), (0, 5), (2, 1)]:
+    for g, n in [(1, 1), (1, 2), (2, 0), (0, 4), (0, 5), (2, 1),
+                 (1, 3), (3, 0), (0, 6), (2, 2)]:
         for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
             if 2 * graph.n_edges > 6:
                 continue

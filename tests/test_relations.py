@@ -145,8 +145,7 @@ def test_pushforward_relation_checks_preconditions():
 
 
 def test_pushforward_relation_boundary_control():
-    rel = pushforward_relation(1, 1, {2: 1, 3: 1, 4: 1}, (1, 1, 1, 1),
-                               check_boundary_control=True)
+    rel = pushforward_relation(1, 1, {2: 1, 3: 1, 4: 1}, (1, 1, 1, 1))
     assert rel == TautClass.kappa(1, 1, 1) * 144 - dirr(1, 1) * 12
 
 

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph, \
     vertex_attachments
@@ -11,7 +12,6 @@ from tautring.strata import (
     TautClass,
     boundary_divisor_class,
     gluing_pushforward,
-    normalize,
     normalize_divisor,
 )
 
@@ -42,10 +42,8 @@ def test_normalize_drops_over_dimension():
 def test_normalize_identifies_isomorphic_presentations():
     banana_a = stable_graph((0, 0), (0, 1), ((0, 1), (0, 1)))
     banana_b = stable_graph((0, 0), (1, 0), ((1, 0), (0, 1)))
-    c = normalize(1, 2, [
-        (banana_a, {}, {}, {}, Fraction(1)),
-        (banana_b, {}, {}, {}, Fraction(1)),
-    ])
+    c = TautClass(1, 2).add_term(banana_a, {}, {}, {}, Fraction(1)) \
+        .add_term(banana_b, {}, {}, {}, Fraction(1))
     assert len(c.terms) == 1
     assert next(iter(c.terms.values())) == 2
 
@@ -394,3 +392,59 @@ def test_vanishing_lemma_formally():
                     for i in picks:
                         c = c.mul_psi(i)
                     assert c.is_zero(), (g, I, picks)
+
+
+# -- properties of the decoration transport -----------------------------------
+
+_PROPERTY_SPACES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3)]
+
+
+@st.composite
+def _relabeled_classes(draw):
+    """A small class with random psi/kappa decorations (total degree within
+    the dimension), a leg permutation sigma as {old: new}, and a leg."""
+    g, n = draw(st.sampled_from(_PROPERTY_SPACES))
+    dim = 3 * g - 3 + n
+    graphs = enumerate_stable_graphs(g, n, dim)
+    c = TautClass(g, n)
+    for _ in range(draw(st.integers(1, 3))):
+        graph = draw(st.sampled_from(graphs))
+        slots = [("l", i) for i in range(1, n + 1)]
+        slots += [("h", e, s) for e in range(graph.n_edges) for s in (0, 1)]
+        slots += [("k", v, a) for v in range(graph.n_vertices) for a in (1, 2)]
+        kappa, psi_leg, psi_edge = {}, {}, {}
+        for _ in range(draw(st.integers(0, dim - graph.n_edges))):
+            slot = draw(st.sampled_from(slots))
+            if slot[0] == "l":
+                psi_leg[slot[1]] = psi_leg.get(slot[1], 0) + 1
+            elif slot[0] == "h":
+                psi_edge[slot[1:]] = psi_edge.get(slot[1:], 0) + 1
+            else:
+                vk = kappa.setdefault(slot[1], {})
+                vk[slot[2]] = vk.get(slot[2], 0) + 1
+        coeff = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+        c = c + TautClass(g, n).add_term(graph, kappa, psi_leg, psi_edge, coeff)
+    sigma = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    return c, sigma, draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes())
+def test_json_round_trip_property(case):
+    c, _, _ = case
+    assert TautClass.from_json(c.to_json()) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes())
+def test_relabel_legs_inverse_property(case):
+    c, sigma, _ = case
+    inverse = {new: old for old, new in sigma.items()}
+    assert c.relabel_legs(sigma).relabel_legs(inverse) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes())
+def test_mul_psi_commutes_with_relabeling_property(case):
+    c, sigma, i = case
+    assert c.mul_psi(i).relabel_legs(sigma) == c.relabel_legs(sigma).mul_psi(sigma[i])
