@@ -245,6 +245,25 @@ def lagrange_interpolate(samples: Sequence[tuple], degree_bound: int) -> MultiPo
     return result
 
 
+def lagrange_weights(points: Sequence[int], at) -> list:
+    """Weights w with sum(w[i] * y[i]) equal to the value at `at` of the
+    unique polynomial of degree < len(points) through (points[i], y[i]).
+
+    They depend only on the points, so one set serves every sample vector.
+    """
+    if len(set(points)) != len(points):
+        raise AlgebraError("duplicated sample points")
+    at = _coerce(at)
+    weights = []
+    for i, xi in enumerate(points):
+        w = Fraction(1)
+        for j, xj in enumerate(points):
+            if i != j:
+                w *= (at - xj) / (xi - xj)
+        weights.append(w)
+    return weights
+
+
 def _stirling2(m: int, k: int) -> int:
     """Number of partitions of an m-set into k nonempty blocks."""
     if k > m:

@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated integers summing to 0")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--r-samples", type=_ramification, default=None,
-                   help="explicit sampling moduli (two disjoint halves)")
+                   help="explicit sampling moduli, an even count split into "
+                        "two disjoint halves")
     p.add_argument("--out")
     p.set_defaults(func=cmd_omega)
 

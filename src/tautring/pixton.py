@@ -7,6 +7,15 @@ each edge the series (1 - exp(-w(h) w(h') (psi' + psi'') / 2)) / (psi' + psi'').
 The resulting stratum coefficients are polynomials in r for large r; the
 class itself is the constant term, recovered here by exact interpolation over
 two disjoint sample sets that must agree.
+
+In degree <= d a coefficient has degree <= 2d in r: an edge whose series is
+taken to order j contributes u^(j+1) with u = w(h) w(h') / 2 quadratic in
+(w, r), the orders satisfy sum(j_e + 1) <= d, and summing over the r^h1
+weightings raises the degree by h1, which the factor 1 / r^h1 takes back.
+Each window holds 2d + 1 moduli.  The interpolant through the first window
+must reproduce every sample of the second, which proves it right for any
+true degree up to 4d + 1; otherwise the bound is enlarged and the sampling
+retried.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import InterpolationError, bounded_tuples, lagrange_interpolate
+from .algebra import InterpolationError, bounded_tuples, lagrange_weights
 from .graphs import StableGraph, enumerate_stable_graphs, vertex_attachments, \
     automorphism_count, union_find
 from .strata import TautClass, canonical_term
@@ -119,17 +128,18 @@ def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
         raise ValueError("max_degree must be >= 0")
     out = TautClass(g, n)
     for graph in enumerate_stable_graphs(g, n, max_degree):
-        out = out + _graph_contribution(graph, A, r, max_degree)
+        _graph_contribution(graph, A, r, max_degree, out)
     return out
 
 
-def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int) -> TautClass:
-    g, n = graph.genus, graph.n_legs
+def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int,
+                        out: TautClass):
+    """Add the graph's terms of the modulus-r class to out, in place."""
+    n = graph.n_legs
     ne = graph.n_edges
     budget = max_degree - ne
-    out = TautClass(g, n)
     if budget < 0:
-        return out
+        return
 
     # Accumulate, over all weightings, the coefficient of each vector of edge
     # series orders; weightings are never materialized as a list.
@@ -187,7 +197,6 @@ def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int) -> TautC
                 term = canonical_term(graph, {}, psi_leg, base_psi_edge)
                 if term is not None:
                     out._accumulate(term, coeff * scale)
-    return out
 
 
 def minimum_modulus(A) -> int:
@@ -203,21 +212,23 @@ _MAX_RETRIES = 2
 def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
     """Constant term in r of the modulus-r class, stratum by stratum.
 
-    Coefficients are sampled at 2*(bound+1) consecutive large moduli split
-    into two disjoint sets; each set is interpolated separately and the two
-    interpolants must agree, otherwise the bound is enlarged and the sampling
-    retried.
+    Coefficients have degree <= 2*max_degree in r (see the module docstring),
+    so they are sampled at two disjoint windows of 2*max_degree + 1
+    consecutive moduli from minimum_modulus(A).  The first window's
+    interpolant gives the constant term and must reproduce the second
+    window's samples: that is the same as the two windows' interpolants
+    agreeing, and certifies any true degree up to 4*max_degree + 1.  On
+    disagreement the bound is enlarged and the sampling retried.
     """
     A = validate_ramification(A)
     r_min = minimum_modulus(A)
-    degree_bound = 2 * max_degree + max_degree
+    degree_bound = 2 * max_degree
     for attempt in range(_MAX_RETRIES + 1):
         m = degree_bound + 1
         first = [r_min + i for i in range(m)]
         second = [r_min + m + i for i in range(m)]
         try:
-            return _interpolated_constant_term(g, A, max_degree, first, second,
-                                               degree_bound)
+            return _interpolated_constant_term(g, A, max_degree, first, second)
         except InterpolationError:
             if attempt == _MAX_RETRIES:
                 raise
@@ -228,34 +239,40 @@ def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
 
 def omega_constant_term_from_samples(g: int, A, max_degree: int,
                                      r_samples) -> TautClass:
-    """Constant term using caller-provided moduli, split in half into the two
-    consistency sample sets."""
+    """Constant term using caller-provided moduli: an even number of distinct
+    moduli, none below minimum_modulus(A), split in half into the two
+    consistency windows."""
     A = validate_ramification(A)
     r_samples = sorted(set(int(r) for r in r_samples))
-    if len(r_samples) % 2 == 1:
-        r_samples = r_samples[:-1]
+    if len(r_samples) < 2 or len(r_samples) % 2 == 1:
+        raise ValueError("need an even number, at least two, of distinct "
+                         f"sample moduli; got {len(r_samples)}")
+    r_min = minimum_modulus(A)
+    if r_samples[0] < r_min:
+        raise ValueError(f"sample modulus {r_samples[0]} is below the minimum "
+                         f"{r_min} for ramification {A}")
     half = len(r_samples) // 2
-    if half == 0:
-        raise ValueError("need at least two sample moduli")
-    bound = half - 1
     return _interpolated_constant_term(g, A, max_degree, r_samples[:half],
-                                       r_samples[half:], bound)
+                                       r_samples[half:])
 
 
-def _interpolated_constant_term(g, A, max_degree, first, second, bound) -> TautClass:
+def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
+    """Lagrange weights from the first window, at r = 0 and at each
+    second-window modulus, serve every stratum: the constant term is
+    sum(w0[i] * omega_r(first[i])), and sum(w[k][i] * omega_r(first[i]))
+    must equal omega_r(second[k])."""
     n = len(A)
-    per_r = {r: omega_r(g, A, r, max_degree) for r in first + second}
-    strata = set()
-    for cls in per_r.values():
-        strata.update(cls.terms)
+    at_zero = lagrange_weights(first, 0)
+    at_second = [lagrange_weights(first, s) for s in second]
     out = TautClass(g, n)
-    for term in strata:
-        series1 = [(r, per_r[r].coefficient(term)) for r in first]
-        series2 = [(r, per_r[r].coefficient(term)) for r in second]
-        poly1 = lagrange_interpolate(series1, bound)
-        poly2 = lagrange_interpolate(series2, bound)
-        if poly1 != poly2:
+    predicted = [TautClass(g, n) for _ in second]
+    for i, r in enumerate(first):
+        for term, coeff in omega_r(g, A, r, max_degree).terms.items():
+            out._accumulate(term, at_zero[i] * coeff)
+            for cls, weights in zip(predicted, at_second):
+                cls._accumulate(term, weights[i] * coeff)
+    for cls, r in zip(predicted, second):
+        if cls != omega_r(g, A, r, max_degree):
             raise InterpolationError(
                 "disjoint sample sets disagree; enlarge the degree bound")
-        out._accumulate(term, poly1.constant_term())
     return out

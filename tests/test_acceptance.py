@@ -118,6 +118,8 @@ def test_criterion_5_r_polynomiality():
             strata = set()
             for cls in samples.values():
                 strata.update(cls.terms)
+            constant = omega_constant_term(g, A, g + 1)
+            assert set(constant.terms) <= strata
             for term in strata:
                 first = [(r, samples[r].coefficient(term))
                          for r in range(r0, r0 + window)]
@@ -125,8 +127,14 @@ def test_criterion_5_r_polynomiality():
                           for r in range(r0 + window, r0 + 2 * window)]
                 assert lagrange_interpolate(first, bound) == \
                     lagrange_interpolate(second, bound), (g, A, term)
+                # the library's constant term against this test's own
+                # wider-window interpolant
+                assert constant.coefficient(term) == \
+                    lagrange_interpolate(first, bound).constant_term(), \
+                    (g, A, term)
     print("PASS criterion 5: disjoint modulus windows give identical "
-          "interpolants for every stratum coefficient")
+          "interpolants for every stratum coefficient, whose constant terms "
+          "are the constant-term class")
 
 
 def test_criterion_6_dr_sanity_at_zero():

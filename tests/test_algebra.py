@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautring.algebra import (
     AlgebraError,
@@ -9,6 +10,7 @@ from tautring.algebra import (
     MultiPoly,
     finite_difference_extract,
     lagrange_interpolate,
+    lagrange_weights,
 )
 
 V3 = ("a1", "a2", "a3")
@@ -99,6 +101,31 @@ def test_interpolate_errors():
         lagrange_interpolate([(1, 1)], 1)
     with pytest.raises(InterpolationError):
         lagrange_interpolate([(0, 0), (1, 1), (2, 4), (3, 100)], 2)
+    with pytest.raises(AlgebraError):
+        lagrange_weights([1, 2, 1], 0)
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda b: st.tuples(
+    st.lists(_fractions, min_size=b + 1, max_size=b + 1),
+    st.lists(st.integers(min_value=-30, max_value=60), min_size=b + 1,
+             max_size=b + 1, unique=True),
+    _fractions)))
+def test_lagrange_weights_evaluate_the_interpolant(case):
+    coeffs, points, at = case
+
+    def p(x):
+        return sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+
+    samples = [(x, p(x)) for x in points]
+    weights = lagrange_weights(points, at)
+    value = sum(w * y for w, (_, y) in zip(weights, samples))
+    bound = len(points) - 1
+    assert value == lagrange_interpolate(samples, bound).evaluate({"r": at})
+    assert value == p(at)
 
 
 def test_finite_difference_footnote_example():

@@ -69,6 +69,15 @@ def test_omega_with_explicit_samples(tmp_path):
     assert code == 0
 
 
+def test_omega_rejects_unusable_samples():
+    base = ["omega", "--genus", "1", "--ramification", "1,-1", "--degree", "1",
+            "--r-samples"]
+    # an odd count: the largest modulus would be dropped
+    assert run(base + ["3,4,5,6,7,8,1000000"]) == 1
+    # moduli below minimum_modulus((1, -1)) = 3
+    assert run(base + [",".join(str(r) for r in range(1, 11))]) == 1
+
+
 def test_boundary_expression_command_memoizes(tmp_path):
     out1 = tmp_path / "be1.json"
     out2 = tmp_path / "be2.json"

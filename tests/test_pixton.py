@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautring.algebra import lagrange_interpolate
+from tautring.algebra import InterpolationError, lagrange_interpolate
 from tautring.graphs import enumerate_stable_graphs, stable_graph
 from tautring.pixton import (
     enumerate_weightings,
@@ -121,6 +121,24 @@ def test_omega_constant_term_from_custom_samples():
     via_cli_path = omega_constant_term_from_samples(1, (1, -1), 1,
                                                     list(range(3, 17)))
     assert direct == via_cli_path
+
+
+def test_custom_samples_must_be_an_even_count_of_safe_moduli():
+    # an odd count would leave one modulus unused
+    with pytest.raises(ValueError):
+        omega_constant_term_from_samples(1, (1, -1), 1, list(range(3, 16)))
+    # minimum_modulus((1, -1)) is 3
+    with pytest.raises(ValueError):
+        omega_constant_term_from_samples(1, (1, -1), 1, list(range(1, 11)))
+    with pytest.raises(ValueError):
+        omega_constant_term_from_samples(1, (1, -1), 1, list(range(2, 16)))
+
+
+def test_custom_samples_too_few_for_the_degree_are_refused():
+    # windows {3, 4} and {5, 6} fit lines, but the degree-1 coefficients are
+    # quadratic in r, so the first line misses the second window
+    with pytest.raises(InterpolationError):
+        omega_constant_term_from_samples(1, (1, -1), 1, [3, 4, 5, 6])
 
 
 def test_omega_marking_symmetry():
