@@ -8,21 +8,38 @@ The resulting stratum coefficients are polynomials in r for large r; the
 class itself is the constant term, recovered here by exact interpolation over
 two disjoint sample sets that must agree.
 
-In degree <= d a coefficient has degree <= 2d in r: an edge whose series is
-taken to order j contributes u^(j+1) with u = w(h) w(h') / 2 quadratic in
-(w, r), the orders satisfy sum(j_e + 1) <= d, and summing over the r^h1
-weightings raises the degree by h1, which the factor 1 / r^h1 takes back.
-Each window holds 2d + 1 moduli.  The interpolant through the first window
-must reproduce every sample of the second, which proves it right for any
-true degree up to 4d + 1; otherwise the bound is enlarged and the sampling
-retried.
+Only the weightings depend on r.  Expanding each edge series to order j_e,
+a graph contributes, for each vector j of edge orders, the scalar
+
+    S_j(r) = sum over weightings w of prod_e u_e^(j_e + 1) / r^h1,
+    u_e = w(h) w(h') / 2,
+
+times an r-independent combination of strata: the leg series, the binomial
+splits of (psi' + psi'')^j_e and (-1)^j_e / (j_e + 1)! (the graph's layout).
+So each graph's layout is built once, and only the scalars are sampled.
+Janda-Pandharipande-Pixton-Zvonkine ("Double ramification cycles on the
+moduli spaces of curves", Publ. IHES 2017) prove that each S_j, for fixed
+graph and j, is a polynomial in r for large r.
+
+In degree <= d every S_j has degree <= 2d in r: u_e is quadratic in (w, r),
+the orders satisfy sum(j_e + 1) <= d, and summing over the r^h1 weightings
+raises the degree by h1, which the factor 1 / r^h1 takes back.  Each window
+holds 2d + 1 moduli.  For every scalar, the interpolant through the first
+window must reproduce each sample of the second, which proves it right for
+any true degree up to 4d + 1; otherwise the bound is enlarged and the
+sampling retried.  Every stratum coefficient of the class is an
+r-independent linear combination of the scalars, so agreement of all scalars
+implies agreement of the classes: the check is at least as strict as
+comparing the interpolated classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import InterpolationError, bounded_tuples, lagrange_weights
 from .graphs import StableGraph, enumerate_stable_graphs, vertex_attachments, \
@@ -41,11 +58,49 @@ def validate_ramification(A) -> tuple:
     return A
 
 
-def _spanning_tree(graph: StableGraph):
-    """Edge indices of a spanning tree (loops and extra edges excluded)."""
+@lru_cache(maxsize=None)
+def _peel_plan(graph: StableGraph):
+    """The r-independent part of the weighting system, as tuples only.
+
+    Returns (free, steps, attachments): the edges off a spanning tree, whose
+    residues are free; one step (edge, side at the peeled vertex, the other
+    attachments there) per tree edge, leaves inward, each fixing the tree
+    edge's weight from the vertex condition; and every vertex's attachments,
+    for the final check."""
     _, tree = union_find(graph.n_vertices, graph.edges)
-    rest = [e for e in range(graph.n_edges) if e not in tree]
-    return tree, rest
+    free = tuple(e for e in range(graph.n_edges) if e not in tree)
+    attachments = tuple(tuple(vertex_attachments(graph, v))
+                        for v in range(graph.n_vertices))
+    steps = []
+    remaining = set(tree)
+    degree = {v: 0 for v in range(graph.n_vertices)}
+    incident = {v: [] for v in range(graph.n_vertices)}
+    for e in tree:
+        a, b = graph.edges[e]
+        degree[a] += 1
+        degree[b] += 1
+        incident[a].append(e)
+        incident[b].append(e)
+    leaves = [v for v in range(graph.n_vertices) if degree[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        live = [e for e in incident[v] if e in remaining]
+        if not live:
+            continue
+        e = live[0]
+        remaining.discard(e)
+        a, b = graph.edges[e]
+        others = tuple(tag for tag in attachments[v]
+                       if tag != ("h", e, 0) and tag != ("h", e, 1))
+        steps.append((e, 0 if a == v else 1, others))
+        other = b if a == v else a
+        degree[a] -= 1
+        degree[b] -= 1
+        if degree[other] == 1:
+            leaves.append(other)
+    if remaining:
+        raise WeightingSystemError("spanning tree peel failed")
+    return free, tuple(steps), attachments
 
 
 def enumerate_weightings(graph: StableGraph, A, r: int):
@@ -58,145 +113,112 @@ def enumerate_weightings(graph: StableGraph, A, r: int):
         raise ValueError("ramification vector length differs from leg count")
     if r < 1:
         raise ValueError("modulus must be >= 1")
-    tree, rest = _spanning_tree(graph)
-    leg_w = {}
-    for lab, v in enumerate(graph.legs, start=1):
-        leg_w[lab] = A[lab - 1] % r
-
-    # Peel the spanning tree from the leaves inward: each step determines the
-    # weight on one tree edge from the vertex condition.
-    order = []
-    remaining = set(tree)
-    degree = {v: 0 for v in range(graph.n_vertices)}
-    incident = {v: [] for v in range(graph.n_vertices)}
-    for e in tree:
-        a, b = graph.edges[e]
-        degree[a] += 1
-        degree[b] += 1
-        incident[a].append(e)
-        incident[b].append(e)
-    leaves = [v for v in range(graph.n_vertices) if degree[v] == 1]
-    seen_edges = set()
-    while leaves:
-        v = leaves.pop()
-        live = [e for e in incident[v] if e in remaining]
-        if not live:
-            continue
-        e = live[0]
-        order.append((v, e))
-        remaining.discard(e)
-        a, b = graph.edges[e]
-        other = b if a == v else a
-        degree[a] -= 1
-        degree[b] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    if remaining:
-        raise WeightingSystemError("spanning tree peel failed")
-
-    for free in itertools.product(range(r), repeat=len(rest)):
-        w = {}
-        for lab, v in enumerate(graph.legs, start=1):
-            w[("l", lab)] = leg_w[lab]
-        for e, value in zip(rest, free):
+    free, steps, attachments = _peel_plan(graph)
+    legs = [(("l", lab), a % r) for lab, a in enumerate(A, start=1)]
+    for values in itertools.product(range(r), repeat=len(free)):
+        w = dict(legs)
+        for e, value in zip(free, values):
             w[("h", e, 0)] = value
             w[("h", e, 1)] = (-value) % r
-        for v, e in order:
-            total = 0
-            for tag in vertex_attachments(graph, v):
-                if tag == ("h", e, 0) or tag == ("h", e, 1):
-                    continue
-                if tag in w:
-                    total += w[tag]
-            a, b = graph.edges[e]
-            side = 0 if a == v else 1
+        for e, side, others in steps:
+            total = sum(map(w.__getitem__, others))
             w[("h", e, side)] = (-total) % r
             w[("h", e, 1 - side)] = total % r
         # final consistency at every vertex
-        for v in range(graph.n_vertices):
-            total = sum(w[tag] for tag in vertex_attachments(graph, v))
-            if total % r != 0:
+        for tags in attachments:
+            if sum(map(w.__getitem__, tags)) % r != 0:
                 raise WeightingSystemError("vertex condition violated")
         yield w
+
+
+def _graph_layout(graph: StableGraph, A, max_degree: int, orders) -> dict:
+    """The r-independent part of a graph's terms: for each vector j of edge
+    series orders in orders, the list of (canonical stratum, coefficient)
+    that S_j(r) multiplies.  The coefficients fold in the leg series
+    exp(a_i^2 psi_i / 2), the binomial splits of (psi' + psi'')^j_e and
+    (-1)^j_e / (j_e + 1)!."""
+    budget = max_degree - graph.n_edges
+    leg_series = [[Fraction(a * a, 2) ** k / math.factorial(k)
+                   for k in range(budget + 1)] for a in A]
+    layout = {}
+    for js in orders:
+        edge_coeff = Fraction(1)
+        for j in js:
+            edge_coeff *= Fraction((-1) ** j, math.factorial(j + 1))
+        room = budget - sum(js)
+        terms: dict = {}
+        for split in itertools.product(*[range(j + 1) for j in js]):
+            psi_edge = {}
+            split_coeff = edge_coeff
+            for e, (j, s) in enumerate(zip(js, split)):
+                if s:
+                    psi_edge[(e, 0)] = s
+                if j - s:
+                    psi_edge[(e, 1)] = j - s
+                split_coeff *= math.comb(j, s)
+            for leg_exps in bounded_tuples(graph.n_legs, room):
+                coeff = split_coeff
+                for series, k in zip(leg_series, leg_exps):
+                    coeff *= series[k]
+                if coeff == 0:
+                    continue
+                psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
+                term = canonical_term(graph, {}, psi_leg, psi_edge)
+                if term is not None:
+                    terms[term] = terms.get(term, 0) + coeff
+        layout[js] = [(term, coeff) for term, coeff in terms.items() if coeff != 0]
+    return layout
+
+
+def _edge_orders(graph: StableGraph, max_degree: int) -> tuple:
+    """Every vector j of edge series orders that fits in max_degree."""
+    return tuple(bounded_tuples(graph.n_edges, max_degree - graph.n_edges))
+
+
+def _weighting_sums(graph: StableGraph, A, r: int, orders) -> list:
+    """For each order vector j in orders, the integer
+    T_j(r) = sum over weightings w of prod_e (w(h) w(h'))^(j_e + 1),
+    so that S_j(r) = T_j(r) / (2^sum(j_e + 1) r^h1)."""
+    halves = [(("h", e, 0), ("h", e, 1)) for e in range(graph.n_edges)]
+    totals = [0] * len(orders)
+    for w in enumerate_weightings(graph, A, r):
+        products = [w[half0] * w[half1] for half0, half1 in halves]
+        if 0 in products:
+            continue
+        for i, js in enumerate(orders):
+            x = 1
+            for p, j in zip(products, js):
+                x *= p ** (j + 1)
+            totals[i] += x
+    return totals
+
+
+def _add_graph(out: TautClass, graph: StableGraph, A, max_degree: int,
+               values: dict):
+    """Add the graph's terms to out in place: the layout of each order
+    vector j in values, weighted by values[j] = S_j."""
+    if not values:
+        return
+    aut = automorphism_count(graph)
+    for js, entries in _graph_layout(graph, A, max_degree, values).items():
+        value = values[js] / aut
+        for term, coeff in entries:
+            out._accumulate(term, coeff * value)
 
 
 def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
     """The modulus-r class, truncated to total degree max_degree."""
     A = validate_ramification(A)
-    n = len(A)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    out = TautClass(g, n)
-    for graph in enumerate_stable_graphs(g, n, max_degree):
-        _graph_contribution(graph, A, r, max_degree, out)
+    out = TautClass(g, len(A))
+    for graph in enumerate_stable_graphs(g, len(A), max_degree):
+        orders = _edge_orders(graph, max_degree)
+        totals = _weighting_sums(graph, A, r, orders)
+        values = {js: Fraction(t, 2 ** (sum(js) + graph.n_edges) * r ** graph.h1)
+                  for js, t in zip(orders, totals) if t}
+        _add_graph(out, graph, A, max_degree, values)
     return out
-
-
-def _graph_contribution(graph: StableGraph, A, r: int, max_degree: int,
-                        out: TautClass):
-    """Add the graph's terms of the modulus-r class to out, in place."""
-    n = graph.n_legs
-    ne = graph.n_edges
-    budget = max_degree - ne
-    if budget < 0:
-        return
-
-    # Accumulate, over all weightings, the coefficient of each vector of edge
-    # series orders; weightings are never materialized as a list.
-    edge_orders: dict = {}
-    order_vectors = list(bounded_tuples(ne, budget))
-    for w in enumerate_weightings(graph, A, r):
-        u = [Fraction(w[("h", e, 0)] * w[("h", e, 1)], 2) for e in range(ne)]
-        if any(x == 0 for x in u):
-            continue
-        for orders in order_vectors:
-            coeff = Fraction(1)
-            for ue, j in zip(u, orders):
-                coeff *= (-1) ** j * ue ** (j + 1) / math.factorial(j + 1)
-            edge_orders[orders] = edge_orders.get(orders, Fraction(0)) + coeff
-
-    scale = Fraction(1, automorphism_count(graph) * r ** graph.h1)
-
-    # Leg factor exp(a_i^2 psi_i / 2), truncated.
-    leg_series = []
-    for lab in range(1, n + 1):
-        base = Fraction(A[lab - 1] ** 2, 2)
-        leg_series.append([base ** k / math.factorial(k) for k in range(budget + 1)])
-
-    for orders, ocoeff in edge_orders.items():
-        if ocoeff == 0:
-            continue
-        room = budget - sum(orders)
-        # split each edge's (psi'+psi'')^j binomially
-        per_edge = []
-        for e, j in enumerate(orders):
-            per_edge.append([(s, j - s, Fraction(math.comb(j, s))) for s in range(j + 1)])
-        for split in itertools.product(*per_edge):
-            base_psi_edge = {}
-            bcoeff = ocoeff
-            for e, (s0, s1, c) in enumerate(split):
-                if s0:
-                    base_psi_edge[(e, 0)] = s0
-                if s1:
-                    base_psi_edge[(e, 1)] = s1
-                bcoeff *= c
-            for leg_exps in bounded_tuples(n, room):
-                coeff = bcoeff
-                skip = False
-                psi_leg = {}
-                for lab, k in enumerate(leg_exps, start=1):
-                    if k:
-                        c = leg_series[lab - 1][k]
-                        if c == 0:
-                            skip = True
-                            break
-                        coeff *= c
-                        psi_leg[lab] = k
-                if skip or coeff == 0:
-                    continue
-                term = canonical_term(graph, {}, psi_leg, base_psi_edge)
-                if term is not None:
-                    out._accumulate(term, coeff * scale)
 
 
 def minimum_modulus(A) -> int:
@@ -210,15 +232,16 @@ _MAX_RETRIES = 2
 
 
 def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
-    """Constant term in r of the modulus-r class, stratum by stratum.
+    """Constant term in r of the modulus-r class.
 
-    Coefficients have degree <= 2*max_degree in r (see the module docstring),
-    so they are sampled at two disjoint windows of 2*max_degree + 1
-    consecutive moduli from minimum_modulus(A).  The first window's
-    interpolant gives the constant term and must reproduce the second
-    window's samples: that is the same as the two windows' interpolants
-    agreeing, and certifies any true degree up to 4*max_degree + 1.  On
-    disagreement the bound is enlarged and the sampling retried.
+    The per-graph weighting sums have degree <= 2*max_degree in r (see the
+    module docstring), so they are sampled at two disjoint windows of
+    2*max_degree + 1 consecutive moduli from minimum_modulus(A).  For each
+    sum, the first window's interpolant gives the constant term and must
+    reproduce the second window's samples: that is the same as the two
+    windows' interpolants agreeing, and certifies any true degree up to
+    4*max_degree + 1.  On disagreement the bound is enlarged and the
+    sampling retried.
     """
     A = validate_ramification(A)
     r_min = minimum_modulus(A)
@@ -256,23 +279,42 @@ def omega_constant_term_from_samples(g: int, A, max_degree: int,
                                        r_samples[half:])
 
 
+def _integer_weights(points, at, h1: int):
+    """Lagrange weights at `at` for samples T[i] / points[i]**h1, over one
+    common denominator: (numerators, denominator) such that
+    sum(numerators[i] * T[i]) / denominator is the interpolated value."""
+    weights = [w / p ** h1 for w, p in zip(lagrange_weights(points, at), points)]
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
 def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
-    """Lagrange weights from the first window, at r = 0 and at each
-    second-window modulus, serve every stratum: the constant term is
-    sum(w0[i] * omega_r(first[i])), and sum(w[k][i] * omega_r(first[i]))
-    must equal omega_r(second[k])."""
-    n = len(A)
-    at_zero = lagrange_weights(first, 0)
-    at_second = [lagrange_weights(first, s) for s in second]
-    out = TautClass(g, n)
-    predicted = [TautClass(g, n) for _ in second]
-    for i, r in enumerate(first):
-        for term, coeff in omega_r(g, A, r, max_degree).terms.items():
-            out._accumulate(term, at_zero[i] * coeff)
-            for cls, weights in zip(predicted, at_second):
-                cls._accumulate(term, weights[i] * coeff)
-    for cls, r in zip(predicted, second):
-        if cls != omega_r(g, A, r, max_degree):
-            raise InterpolationError(
-                "disjoint sample sets disagree; enlarge the degree bound")
+    """Per graph, sample every weighting sum S_j at both windows.  Lagrange
+    weights from the first window, at r = 0 and at each second-window
+    modulus, serve every scalar: the constant term of S_j is its first-window
+    interpolant at 0, and that interpolant must reproduce S_j at every
+    second-window modulus.  The weights are folded with 1 / r^h1 once per
+    cycle rank, so the check runs on the integer sums T_j.  The class is
+    assembled once, as layout times constant term."""
+    windows = {}
+    out = TautClass(g, len(A))
+    for graph in enumerate_stable_graphs(g, len(A), max_degree):
+        h1 = graph.h1
+        if h1 not in windows:
+            windows[h1] = [_integer_weights(first, at, h1) for at in [0] + second]
+        (zero_num, zero_den), *checks = windows[h1]
+        orders = _edge_orders(graph, max_degree)
+        columns = list(zip(*[_weighting_sums(graph, A, r, orders) for r in first]))
+        for (num, den), r in zip(checks, second):
+            actual = _weighting_sums(graph, A, r, orders)
+            for column, total in zip(columns, actual):
+                if sum(map(operator.mul, num, column)) * r ** h1 != den * total:
+                    raise InterpolationError(
+                        "disjoint sample sets disagree; enlarge the degree bound")
+        values = {}
+        for js, column in zip(orders, columns):
+            total = sum(map(operator.mul, zero_num, column))
+            if total:
+                values[js] = Fraction(total, zero_den * 2 ** (sum(js) + graph.n_edges))
+        _add_graph(out, graph, A, max_degree, values)
     return out

@@ -100,9 +100,9 @@ def theta_divisor(g: int, n: int, A=None) -> TautClass:
     out = TautClass(g, n)
     for key, coeff in theta_generators(g, n, A):
         if key[0] == "psi":
-            out = out + TautClass.psi(g, n, key[1], coeff)
+            out._add_in_place(TautClass.psi(g, n, key[1], coeff))
         else:
-            out = out + boundary_divisor_class(g, n, key) * coeff
+            out._add_in_place(boundary_divisor_class(g, n, key) * coeff)
     return out
 
 
@@ -110,7 +110,7 @@ def mul_divisor_sum(c: TautClass, generators) -> TautClass:
     out = TautClass(c.g, c.n)
     for key, coeff in generators:
         piece = c.mul_psi(key[1]) if key[0] == "psi" else c.mul_boundary(key)
-        out = out + piece * coeff
+        out._add_in_place(piece * coeff)
     return out
 
 
@@ -541,7 +541,7 @@ def _substitute_open(g, n, c: TautClass, db, _active, provenance):
     for mkey, coeff in open_part.items():
         sub = boundary_expression(g, n, mkey, db, _active)
         provenance.extend(sub.provenance)
-        acc = acc + sub.value * coeff
+        acc._add_in_place(sub.value * coeff)
     return acc
 
 
@@ -624,8 +624,8 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
         exps = dict(psi)
         if j_total:
             exps[n] = exps.get(n, 0) + j_total
-        out = out + TautClass.monomial(g, n, psi_exps=exps, kappas=kept,
-                                       coeff=coeff)
+        out._add_in_place(TautClass.monomial(g, n, psi_exps=exps, kappas=kept,
+                                             coeff=coeff))
     # bubble corrections, one per decorated marking
     for i, y in psi.items():
         if y == 0:
@@ -635,9 +635,9 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
                                    for lab in range(1, n + 1)),
                              ((0, 1),))
         rest = {j: e for j, e in psi.items() if j != i}
-        out = out + TautClass(g, n).add_term(
+        out._add_in_place(TautClass(g, n).add_term(
             graph, {0: dict(kappa)},
-            rest, {(0, 0): y - 1} if y > 1 else {}, Fraction(-1))
+            rest, {(0, 0): y - 1} if y > 1 else {}, Fraction(-1)))
     return out
 
 

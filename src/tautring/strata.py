@@ -246,11 +246,16 @@ class TautClass:
         if (self.g, self.n) != (other.g, other.n):
             raise AmbientMismatchError("classes live on different moduli spaces")
 
-    def __add__(self, other):
+    def _add_in_place(self, other):
+        """Add other to this class; for sums built up over a loop, which
+        would copy the partial sum at every step with +."""
         self._check(other)
-        out = TautClass(self.g, self.n, self.terms)
         for term, coeff in other.terms.items():
-            out._accumulate(term, coeff)
+            self._accumulate(term, coeff)
+
+    def __add__(self, other):
+        out = TautClass(self.g, self.n, self.terms)
+        out._add_in_place(other)
         return out
 
     def __neg__(self):

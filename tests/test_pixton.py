@@ -1,10 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from tautring.algebra import InterpolationError, lagrange_interpolate
-from tautring.graphs import enumerate_stable_graphs, stable_graph
+from tautring import pixton
+from tautring.algebra import InterpolationError, bounded_tuples, lagrange_interpolate
+from tautring.graphs import (
+    automorphism_count,
+    enumerate_stable_graphs,
+    stable_graph,
+    vertex_attachments,
+)
 from tautring.pixton import (
     enumerate_weightings,
     minimum_modulus,
@@ -13,7 +20,7 @@ from tautring.pixton import (
     omega_r,
     validate_ramification,
 )
-from tautring.strata import TautClass, boundary_divisor_class
+from tautring.strata import TautClass, boundary_divisor_class, canonical_term
 
 
 def loop_stratum_class(g, n):
@@ -64,6 +71,49 @@ def test_banana_weightings_match_exhaustive_filter():
     assert count == 7
 
 
+def _brute_force_weightings(graph, A, r):
+    """Every assignment of residues to the half-edges that sums to zero over
+    each edge and around each vertex, as sorted item tuples."""
+    halves = [("h", e, s) for e in range(graph.n_edges) for s in (0, 1)]
+    legs = {("l", lab): a % r for lab, a in enumerate(A, start=1)}
+    found = set()
+    for values in itertools.product(range(r), repeat=len(halves)):
+        w = dict(legs)
+        w.update(zip(halves, values))
+        if any((w[("h", e, 0)] + w[("h", e, 1)]) % r for e in range(graph.n_edges)):
+            continue
+        if any(sum(w[tag] for tag in vertex_attachments(graph, v)) % r
+               for v in range(graph.n_vertices)):
+            continue
+        found.add(tuple(sorted(w.items())))
+    return found
+
+
+@pytest.mark.parametrize("g,n,A", [(1, 3, (2, -1, -1)), (2, 1, (0,))])
+def test_weightings_match_exhaustive_filter_on_whole_spaces(g, n, A):
+    graphs = enumerate_stable_graphs(g, n, 3)
+    for warm in (False, True):
+        if not warm:
+            pixton._peel_plan.cache_clear()
+        for graph in graphs:
+            for r in (2, 3, 4):
+                ws = [tuple(sorted(w.items()))
+                      for w in enumerate_weightings(graph, A, r)]
+                assert len(ws) == len(set(ws)) == r ** graph.h1, (graph, r)
+                assert set(ws) == _brute_force_weightings(graph, A, r), (graph, r)
+
+
+def test_peel_plan_holds_only_tuples():
+    def immutable(x):
+        if isinstance(x, tuple):
+            return all(immutable(y) for y in x)
+        return isinstance(x, (int, str))
+
+    for g, n in ((1, 3), (2, 1), (0, 5)):
+        for graph in enumerate_stable_graphs(g, n, 3):
+            assert immutable(pixton._peel_plan(graph)), graph
+
+
 @pytest.mark.parametrize("g,n,A", [(1, 1, (0,)), (1, 2, (1, -1)), (2, 0, ())])
 def test_weighting_counts_scale_with_cycle_rank(g, n, A):
     for graph in enumerate_stable_graphs(g, n, 2):
@@ -95,6 +145,75 @@ def test_omega_zero_edge_weight_contributes_nothing():
     tree_class = TautClass(1, 2).add_term(tree, {}, {}, {}, Fraction(1))
     tree_term = next(iter(tree_class.terms))
     assert c.coefficient(tree_term) == 0
+
+
+def _reference_omega_r(g, A, r, max_degree):
+    """The modulus-r class assembled weighting by weighting, stratum by
+    stratum, independently of the layout and the weighting sums."""
+    out = TautClass(g, len(A))
+    n = len(A)
+    for graph in enumerate_stable_graphs(g, n, max_degree):
+        ne = graph.n_edges
+        budget = max_degree - ne
+        edge_orders = {}
+        order_vectors = list(bounded_tuples(ne, budget))
+        for w in enumerate_weightings(graph, A, r):
+            u = [Fraction(w[("h", e, 0)] * w[("h", e, 1)], 2) for e in range(ne)]
+            if any(x == 0 for x in u):
+                continue
+            for orders in order_vectors:
+                coeff = Fraction(1)
+                for ue, j in zip(u, orders):
+                    coeff *= (-1) ** j * ue ** (j + 1) / math.factorial(j + 1)
+                edge_orders[orders] = edge_orders.get(orders, Fraction(0)) + coeff
+        scale = Fraction(1, automorphism_count(graph) * r ** graph.h1)
+        leg_series = []
+        for lab in range(1, n + 1):
+            base = Fraction(A[lab - 1] ** 2, 2)
+            leg_series.append([base ** k / math.factorial(k)
+                               for k in range(budget + 1)])
+        for orders, ocoeff in edge_orders.items():
+            if ocoeff == 0:
+                continue
+            room = budget - sum(orders)
+            per_edge = [[(s, j - s, Fraction(math.comb(j, s))) for s in range(j + 1)]
+                        for j in orders]
+            for split in itertools.product(*per_edge):
+                base_psi_edge = {}
+                bcoeff = ocoeff
+                for e, (s0, s1, c) in enumerate(split):
+                    if s0:
+                        base_psi_edge[(e, 0)] = s0
+                    if s1:
+                        base_psi_edge[(e, 1)] = s1
+                    bcoeff *= c
+                for leg_exps in bounded_tuples(n, room):
+                    coeff = bcoeff
+                    psi_leg = {}
+                    for lab, k in enumerate(leg_exps, start=1):
+                        if k:
+                            coeff *= leg_series[lab - 1][k]
+                            psi_leg[lab] = k
+                    if coeff == 0:
+                        continue
+                    term = canonical_term(graph, {}, psi_leg, base_psi_edge)
+                    if term is not None:
+                        out._accumulate(term, coeff * scale)
+    return out
+
+
+@pytest.mark.parametrize("g,A,r,d", [
+    (1, (0,), 5, 1),
+    (1, (2, -1, -1), 7, 2),
+    (1, (3, -1, -1, -1, 0), 9, 2),
+    (2, (1, -1), 4, 2),
+    (2, (2, -2), 5, 3),  # includes graphs with h1 = 2
+    (0, (1, 2, -3, 0), 4, 1),
+])
+def test_omega_r_matches_per_weighting_assembly(g, A, r, d):
+    expected = _reference_omega_r(g, A, r, d)
+    assert not expected.is_zero()
+    assert omega_r(g, A, r, d) == expected
 
 
 def test_omega_constant_term_loop_value():
@@ -139,6 +258,21 @@ def test_custom_samples_too_few_for_the_degree_are_refused():
     # quadratic in r, so the first line misses the second window
     with pytest.raises(InterpolationError):
         omega_constant_term_from_samples(1, (1, -1), 1, [3, 4, 5, 6])
+
+
+def test_scalar_check_catches_a_wrong_sample(monkeypatch):
+    # windows 4..8 and 9..13; at r = 11 every weighting is counted twice
+    original = pixton.enumerate_weightings
+
+    def doubled(graph, A, r):
+        for w in original(graph, A, r):
+            yield w
+            if r == 11:
+                yield w
+
+    monkeypatch.setattr(pixton, "enumerate_weightings", doubled)
+    with pytest.raises(InterpolationError):
+        omega_constant_term_from_samples(1, (2, -1, -1), 2, range(4, 14))
 
 
 def test_omega_marking_symmetry():

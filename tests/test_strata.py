@@ -448,3 +448,19 @@ def test_relabel_legs_inverse_property(case):
 def test_mul_psi_commutes_with_relabeling_property(case):
     c, sigma, i = case
     assert c.mul_psi(i).relabel_legs(sigma) == c.relabel_legs(sigma).mul_psi(sigma[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes())
+def test_add_in_place_matches_add_property(case):
+    c, sigma, _ = case
+    other = c.relabel_legs(sigma)
+    before = dict(c.terms), dict(other.terms)
+    acc = TautClass(c.g, c.n)
+    acc._add_in_place(c)
+    acc._add_in_place(other)
+    # same terms in the same order as the copying sum; addends untouched
+    assert list(acc.terms.items()) == list((c + other).terms.items())
+    assert (dict(c.terms), dict(other.terms)) == before
+    acc._add_in_place(-(c + other))
+    assert acc.is_zero()
