@@ -49,7 +49,9 @@ class StableGraph:
 
     @property
     def genus(self) -> int:
-        return self.h1 + sum(self.genera)
+        # h1 + sum of vertex genera, without the property calls: every
+        # TautClass.add_term checks it
+        return len(self.edges) - len(self.genera) + 1 + sum(self.genera)
 
     def legs_at(self, v: int) -> tuple:
         return tuple(i + 1 for i, w in enumerate(self.legs) if w == v)
@@ -374,26 +376,17 @@ def vertex_split_options(graph: StableGraph, v: int):
 
 
 def one_edge_degenerations(graph: StableGraph):
-    """All (graph', new_edge) with one more edge whose contraction at that
-    edge returns the input, up to isomorphism of the pair."""
-    found = {}
+    """Every labeled (graph', new_edge) whose contraction at new_edge returns
+    the input: a loop at each vertex of positive genus, then one split per
+    labeled unordered split of each vertex (vertex_split_options).  Pairs
+    may be isomorphic; callers that need classes dedup by canonical key."""
+    found = []
     for v in range(graph.n_vertices):
         if graph.genera[v] >= 1:
-            candidate, e = add_loop(graph, v)
-            found.setdefault(_pair_key(candidate, e), (candidate, e))
+            found.append(add_loop(graph, v))
         for g1, side1 in vertex_split_options(graph, v):
-            candidate, e = split_vertex(graph, v, g1, side1)
-            found.setdefault(_pair_key(candidate, e), (candidate, e))
-    return [found[k] for k in sorted(found)]
-
-
-def _pair_key(graph: StableGraph, e: int) -> str:
-    best = None
-    for order, edge_map in graph_transports(graph):
-        key = (_relabel_encoding(graph, order)[0], edge_map[e][0])
-        if best is None or key < best:
-            best = key
-    return _encode_hex(best[0]) + f"#{best[1]}"
+            found.append(split_vertex(graph, v, g1, side1))
+    return found
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int):

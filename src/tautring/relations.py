@@ -21,11 +21,11 @@ import re
 from fractions import Fraction
 
 from .algebra import MultiPoly, bounded_tuples, finite_difference_extract
-from .graphs import stable_graph, vertex_attachments
+from .graphs import stable_graph, trivial_graph, vertex_attachments
 from .pixton import omega_constant_term, validate_ramification
 from .strata import (
     TautClass,
-    _kappa_pullback_expansions,
+    _kappa_splits,
     boundary_divisor_class,
     gluing_pushforward,
     normalize_divisor,
@@ -100,7 +100,7 @@ def theta_divisor(g: int, n: int, A=None) -> TautClass:
     out = TautClass(g, n)
     for key, coeff in theta_generators(g, n, A):
         if key[0] == "psi":
-            out._add_in_place(TautClass.psi(g, n, key[1], coeff))
+            out.add_term(trivial_graph(g, n), {}, {key[1]: 1}, {}, coeff)
         else:
             out._add_in_place(boundary_divisor_class(g, n, key) * coeff)
     return out
@@ -459,7 +459,7 @@ def psi_boundary_lemma(g: int, db: RelationDatabase | None = None) -> dict:
                 if exps[-1] < k:
                     raise RelationPipelineError(
                         f"unresolved open monomial {other_key} in step {target_key}")
-                acc = acc - results[other_key].value * coeff
+                acc._add_in_place(results[other_key].value * -coeff)
             record(target, acc * Fraction(1, c_k),
                    [f"dr-coefficient g={g} monomial={m} (stage k={k})"])
     return results
@@ -620,12 +620,13 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
     vanishes on the smaller space for dimension reasons (the expansion is
     then a relation)."""
     out = TautClass(g, n)
-    for kept, (j_total, coeff) in _kappa_pullback_expansions(sorted(kappa.items())):
+    for kept, moved, mult in _kappa_splits(sorted(kappa.items())):
         exps = dict(psi)
+        j_total = sum(a * j for a, j in moved.items())
         if j_total:
             exps[n] = exps.get(n, 0) + j_total
-        out._add_in_place(TautClass.monomial(g, n, psi_exps=exps, kappas=kept,
-                                             coeff=coeff))
+        out.add_term(trivial_graph(g, n), {0: kept}, exps, {},
+                     (-1) ** sum(moved.values()) * mult)
     # bubble corrections, one per decorated marking
     for i, y in psi.items():
         if y == 0:
@@ -635,9 +636,8 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
                                    for lab in range(1, n + 1)),
                              ((0, 1),))
         rest = {j: e for j, e in psi.items() if j != i}
-        out._add_in_place(TautClass(g, n).add_term(
-            graph, {0: dict(kappa)},
-            rest, {(0, 0): y - 1} if y > 1 else {}, Fraction(-1)))
+        out.add_term(graph, {0: dict(kappa)}, rest,
+                     {(0, 0): y - 1} if y > 1 else {}, Fraction(-1))
     return out
 
 
@@ -724,7 +724,7 @@ def solve_monomial_relations(relations) -> dict:
                     other[0].pop(m, None)
                 else:
                     other[0][m] = val
-            other[1] = other[1] - rhs * factor
+            other[1]._add_in_place(rhs * -factor)
             other[2] = other[2] + provenance
         solved[pivot_key] = (coeffs, rhs, provenance)
     out: dict = {}
@@ -735,10 +735,10 @@ def solve_monomial_relations(relations) -> dict:
         if mkey not in solved:
             raise RelationPipelineError(f"system does not determine {mkey}")
         coeffs, rhs, provenance = solved[mkey]
-        acc = rhs
+        acc = TautClass(rhs.g, rhs.n, rhs.terms)    # solved[mkey] stays as it is
         for m, c in coeffs.items():
             sub = resolve(m)
-            acc = acc - sub.value * c
+            acc._add_in_place(sub.value * -c)
             provenance = provenance + sub.provenance
         out[mkey] = BoundaryExpression(acc, provenance)
         return out[mkey]
@@ -805,7 +805,7 @@ def _solve_for_target(g, n, relation, target_key, provenance, db,
     for mkey, coeff in open_part.items():
         sub = boundary_expression(g, n, mkey, db, _active)
         provenance = provenance + sub.provenance
-        acc = acc - sub.value * coeff
+        acc._add_in_place(sub.value * -coeff)
     return BoundaryExpression(acc * (Fraction(1) / pivot), provenance)
 
 
@@ -923,13 +923,13 @@ def trr_report(n: int, i: int = 1, db: RelationDatabase | None = None) -> dict:
     for size in (n - 2,):
         for I in itertools.combinations(range(1, n + 1), size):
             if i in I:
-                literal = literal + boundary_divisor_class(0, n, ("sep", 0, I))
+                literal._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
     j, k = [x for x in range(1, n + 1) if x != i][:2]
     fixed = TautClass(0, n)
     for size in range(2, n - 1):
         for I in itertools.combinations(range(1, n + 1), size):
             if i in I and j not in I and k not in I:
-                fixed = fixed + boundary_divisor_class(0, n, ("sep", 0, I))
+                fixed._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
     return {
         "derived": derived,
         "literal_recursion": literal,

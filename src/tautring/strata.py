@@ -75,10 +75,7 @@ class StrataTerm:
         return dec + self.graph.n_edges
 
     def vertex_degree(self, v: int) -> int:
-        d = sum(a * x for a, x in self.kappa[v])
-        d += sum(self.psi_leg[lab - 1] for lab in self.graph.legs_at(v))
-        d += sum(self.psi_edge[e][s] for e, s in self.graph.half_edges_at(v))
-        return d
+        return _vertex_degree(self.graph, self.kappa, self.psi_leg, self.psi_edge, v)
 
     def psi_at(self, tag) -> int:
         """Psi exponent at an attachment tag of graphs.vertex_attachments."""
@@ -108,12 +105,18 @@ class StrataTerm:
         return f"[{self.graph.genera};{self.graph.legs};{self.graph.edges}]({dec})"
 
 
+def _vertex_degree(graph: StableGraph, kappa, psi_leg, psi_edge, v: int) -> int:
+    """Degree of the decoration at vertex v: kappa, leg psi and half-edge psi."""
+    d = sum(a * x for a, x in kappa[v])
+    d += sum(psi_leg[lab - 1] for lab in graph.legs_at(v))
+    d += sum(psi_edge[e][s] for e, s in graph.half_edges_at(v))
+    return d
+
+
 def _local_dim_ok(graph: StableGraph, kappa, psi_leg, psi_edge) -> bool:
     for v in range(graph.n_vertices):
-        d = sum(a * x for a, x in kappa[v])
-        d += sum(psi_leg[lab - 1] for lab in graph.legs_at(v))
-        d += sum(psi_edge[e][s] for e, s in graph.half_edges_at(v))
-        if d > 3 * graph.genera[v] - 3 + graph.valence(v):
+        if _vertex_degree(graph, kappa, psi_leg, psi_edge, v) > \
+                3 * graph.genera[v] - 3 + graph.valence(v):
             return False
     return True
 
@@ -221,14 +224,16 @@ class TautClass:
         return out
 
     def add_term(self, graph, kappa_by_vertex, psi_leg, psi_edge, coeff):
-        """Return a new class with the given decorated stratum added."""
+        """Add coeff times the canonical form of the decorated stratum to this
+        class in place (nothing if the decoration exceeds the dimension of a
+        vertex moduli) and return this class, so constructors can chain.
+        The arguments are those of canonical_term."""
         if (graph.genus, graph.n_legs) != (self.g, self.n):
             raise AmbientMismatchError("stratum does not live on the ambient space")
         term = canonical_term(graph, kappa_by_vertex, psi_leg, psi_edge)
-        out = TautClass(self.g, self.n, self.terms)
         if term is not None:
-            out._accumulate(term, coeff)
-        return out
+            self._accumulate(term, coeff)
+        return self
 
     def _accumulate(self, term, coeff):
         if coeff == 0:
@@ -326,9 +331,7 @@ class TautClass:
             graph = relabel_legs(term.graph, perm)
             kappa, psi_leg, psi_edge = _term_dicts(term)
             psi_leg = {perm[lab]: e for lab, e in psi_leg.items()}
-            new = canonical_term(graph, kappa, psi_leg, psi_edge)
-            if new is not None:
-                out._accumulate(new, coeff)
+            out.add_term(graph, kappa, psi_leg, psi_edge, coeff)
         return out
 
     # -- products with codimension-one generators ----------------------------
@@ -340,9 +343,7 @@ class TautClass:
         for term, coeff in self.terms.items():
             kappa, psi_leg, psi_edge = _term_dicts(term)
             psi_leg[i] = psi_leg.get(i, 0) + 1
-            new = canonical_term(term.graph, kappa, psi_leg, psi_edge)
-            if new is not None:
-                out._accumulate(new, coeff)
+            out.add_term(term.graph, kappa, psi_leg, psi_edge, coeff)
         return out
 
     def mul_kappa(self, a: int) -> "TautClass":
@@ -353,9 +354,7 @@ class TautClass:
             for v in range(term.graph.n_vertices):
                 kappa, psi_leg, psi_edge = _term_dicts(term)
                 kappa.setdefault(v, {})[a] = kappa[v].get(a, 0) + 1
-                new = canonical_term(term.graph, kappa, psi_leg, psi_edge)
-                if new is not None:
-                    out._accumulate(new, coeff)
+                out.add_term(term.graph, kappa, psi_leg, psi_edge, coeff)
         return out
 
     def mul_monomial(self, psi_exps=None, kappas=None) -> "TautClass":
@@ -391,19 +390,14 @@ class TautClass:
                 for side in (0, 1):
                     kappa, psi_leg, psi_edge = _term_dicts(term)
                     psi_edge[(e, side)] = psi_edge.get((e, side), 0) + 1
-                    new = canonical_term(graph, kappa, psi_leg, psi_edge)
-                    if new is not None:
-                        out._accumulate(new, -coeff)
+                    out.add_term(graph, kappa, psi_leg, psi_edge, -coeff)
             # degenerations: per vertex over labeled local boundary divisors
             # (separating splits with weight 1, a local loop with weight 1/2)
             # so that multiplicity is the honest intersection multiplicity
             for v in range(graph.n_vertices):
                 if kind == ("irr",) and graph.genera[v] >= 1:
-                    degen, new_e = add_loop(graph, v)
-                    kappa, psi_leg, psi_edge = _term_dicts(term)
-                    new = canonical_term(degen, kappa, psi_leg, psi_edge)
-                    if new is not None:
-                        out._accumulate(new, coeff * half)
+                    degen, _ = add_loop(graph, v)
+                    out.add_term(degen, *_term_dicts(term), coeff * half)
                 for g1, side1 in vertex_split_options(graph, v):
                     degen, new_e = split_vertex(graph, v, g1, side1)
                     if edge_profile(degen, new_e) != kind:
@@ -412,13 +406,12 @@ class TautClass:
                     # onto its divisor, like the loop
                     weight = half if (not side1 and graph.valence(v) == 0
                                       and 2 * g1 == graph.genera[v]) else Fraction(1)
-                    for piece, extra in _kappa_distributions(term.kappa[v]):
+                    for kept, moved, mult in _kappa_splits(term.kappa[v]):
                         kappa, psi_leg, psi_edge = _term_dicts(term)
-                        kappa[v] = dict(piece)
-                        kappa[degen.n_vertices - 1] = dict(extra[0])
-                        new = canonical_term(degen, kappa, psi_leg, psi_edge)
-                        if new is not None:
-                            out._accumulate(new, coeff * weight * extra[1])
+                        kappa[v] = kept
+                        kappa[degen.n_vertices - 1] = moved
+                        out.add_term(degen, kappa, psi_leg, psi_edge,
+                                     coeff * weight * mult)
         return out
 
     # -- forgetful maps ------------------------------------------------------
@@ -434,13 +427,12 @@ class TautClass:
                                      graph.legs + (v,), graph.edges)
                 # kappa corrections (kappa_a - psi_new^a)^x at the vertex
                 # acquiring the point
-                for piece, (j_total, sign_coeff) in _kappa_pullback_expansions(term.kappa[v]):
+                for kept, moved, mult in _kappa_splits(term.kappa[v]):
                     kappa, psi_leg, psi_edge = _term_dicts(term)
-                    kappa[v] = dict(piece)
-                    psi_leg[new_n] = j_total
-                    new = canonical_term(placed, kappa, psi_leg, psi_edge)
-                    if new is not None:
-                        out._accumulate(new, coeff * sign_coeff)
+                    kappa[v] = kept
+                    psi_leg[new_n] = sum(a * j for a, j in moved.items())
+                    out.add_term(placed, kappa, psi_leg, psi_edge,
+                                 coeff * ((-1) ** sum(moved.values()) * mult))
                 # bubble corrections, one per decorated marking at v
                 for tag in vertex_attachments(graph, v):
                     y = term.psi_at(tag)
@@ -454,9 +446,7 @@ class TautClass:
                         psi_edge.pop((tag[1], tag[2]), None)
                     if y > 1:
                         psi_edge[(new_e, 0)] = y - 1
-                    new = canonical_term(bubbled, kappa, psi_leg, psi_edge)
-                    if new is not None:
-                        out._accumulate(new, -coeff)
+                    out.add_term(bubbled, kappa, psi_leg, psi_edge, -coeff)
         return out
 
     def forget_pushforward(self) -> "TautClass":
@@ -507,9 +497,7 @@ class TautClass:
                      for v, vk in enumerate(dec["kappa"])}
             psi_leg = {i + 1: e for i, e in enumerate(dec["psi_legs"]) if e}
             psi_edge = _psi_edge_dict(dec["psi_edges"])
-            term = canonical_term(graph, kappa, psi_leg, psi_edge)
-            if term is not None:
-                out._accumulate(term, decode_coeff(item["coeff"]))
+            out.add_term(graph, kappa, psi_leg, psi_edge, decode_coeff(item["coeff"]))
         return out
 
 
@@ -570,15 +558,17 @@ def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
     return TautClass(g, n).add_term(graph, {}, {}, {}, Fraction(1))
 
 
-def _kappa_distributions(vertex_kappa):
-    """Ways to spread a kappa monomial over the two sides of a vertex split.
+def _kappa_splits(vertex_kappa):
+    """Binomial splits of a kappa monomial prod kappa_a^{x_a}, given as
+    (a, x_a) pairs: yields fresh dicts (kept, moved) with kept[a] + moved[a]
+    = x_a, and the multiplicity prod C(x_a, moved[a]) as a Fraction.
 
-    Yields (kept, ((moved, multiplicity))) pairs: `kept` stays on the original
-    vertex, `moved` goes to the new one, with the product of binomials as
-    multiplicity (kappa classes restrict additively to a boundary gluing)."""
+    A vertex split sends `moved` to the new vertex (kappa classes restrict
+    additively to a boundary gluing).  The forgetful pullback expands
+    prod (kappa_a - psi_new^a)^{x_a}: `moved` becomes psi_new^(sum a*j) with
+    sign (-1)^(sum j)."""
     entries = list(vertex_kappa)
-    choices = [range(x + 1) for _, x in entries]
-    for picks in itertools.product(*choices):
+    for picks in itertools.product(*[range(x + 1) for _, x in entries]):
         kept = {}
         moved = {}
         mult = 1
@@ -588,25 +578,7 @@ def _kappa_distributions(vertex_kappa):
                 kept[a] = x - j
             if j:
                 moved[a] = j
-        yield kept, (moved, Fraction(mult))
-
-
-def _kappa_pullback_expansions(vertex_kappa):
-    """Expansion of prod (kappa_a - psi_new^a)^{x_a} for the pullback rule.
-
-    Yields (remaining kappa dict, (psi_new exponent, signed coefficient))."""
-    entries = list(vertex_kappa)
-    choices = [range(x + 1) for _, x in entries]
-    for picks in itertools.product(*choices):
-        kept = {}
-        j_total = 0
-        coeff = Fraction(1)
-        for (a, x), j in zip(entries, picks):
-            coeff *= Fraction((-1) ** j * math.comb(x, j))
-            j_total += a * j
-            if x - j:
-                kept[a] = x - j
-        yield kept, (j_total, coeff)
+        yield kept, moved, Fraction(mult)
 
 
 def _bubble_off(graph: StableGraph, v: int, tag, new_label: int):
@@ -636,23 +608,21 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
     graph = term.graph
     target = StableGraph(graph.genera, graph.legs[:-1], graph.edges)
     kappa0 = 2 * graph.genera[v] - 2 + (graph.valence(v) - 1)
-    for kept, (j_total, _sign) in _kappa_pullback_expansions(term.kappa[v]):
+    for kept, moved, mult in _kappa_splits(term.kappa[v]):
         # conversion kappa_a -> psi_new^a carries no sign on pushforward
-        mult = abs(_sign)
-        k_total = k + j_total
+        k_total = k + sum(a * j for a, j in moved.items())
         kappa, psi_leg, psi_edge = _term_dicts(term)
         psi_leg.pop(lab, None)
-        kappa[v] = dict(kept)
+        kappa[v] = kept
         if k_total >= 1:
+            # psi_new^(d+1) integrates to kappa_d; kappa_0 is the scalar 2g-2+n
             drop = k_total - 1
             scale = Fraction(1)
             if drop == 0:
                 scale = Fraction(kappa0)
-            elif drop >= 1:
+            else:
                 kappa[v][drop] = kappa[v].get(drop, 0) + 1
-            new = canonical_term(target, kappa, psi_leg, psi_edge)
-            if new is not None and scale != 0:
-                out._accumulate(new, coeff * mult * scale)
+            out.add_term(target, kappa, psi_leg, psi_edge, coeff * mult * scale)
         else:
             # k_total == 0 happens only for the pure pullback piece; it
             # integrates to the bubble sum over decorated markings at v
@@ -668,9 +638,7 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
                     psi_leg2[tag[1]] = y - 1
                 else:
                     psi_edge2[(tag[1], tag[2])] = y - 1
-                new = canonical_term(target, kappa2, psi_leg2, psi_edge2)
-                if new is not None:
-                    out._accumulate(new, coeff)
+                out.add_term(target, kappa2, psi_leg2, psi_edge2, coeff)
 
 
 def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
@@ -710,10 +678,8 @@ def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
                 continue
             new_psi_edge[(emap[e2], s2)] = x
         new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
-        target = stable_graph(genera, legs, edges)
-        new = canonical_term(target, new_kappa, new_psi_leg, new_psi_edge)
-        if new is not None:
-            out._accumulate(new, coeff)
+        out.add_term(stable_graph(genera, legs, edges), new_kappa, new_psi_leg,
+                     new_psi_edge, coeff)
         return
     if len(tags_h) != 2:
         raise AssertionError("cannot stabilize: two legs on an unstable vertex")
@@ -738,10 +704,8 @@ def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
         new_psi_edge[(new_e, 1)] = y2
     new_psi_leg = {l: x for l, x in psi_leg.items() if l != lab}
     new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
-    target = stable_graph(genera, legs, edges)
-    new = canonical_term(target, new_kappa, new_psi_leg, new_psi_edge)
-    if new is not None:
-        out._accumulate(new, coeff)
+    out.add_term(stable_graph(genera, legs, edges), new_kappa, new_psi_leg,
+                 new_psi_edge, coeff)
 
 
 def _delete_vertex(graph: StableGraph, v: int, drop_edges):
@@ -836,8 +800,6 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
                 psi_edge[(idx, 0)] = ya
             if yb:
                 psi_edge[(idx, 1)] = yb
-        graph = stable_graph(genera, legs, edges)
-        new = canonical_term(graph, kappa, psi_leg, psi_edge)
-        if new is not None:
-            out._accumulate(new, coeff)
+        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg, psi_edge,
+                     coeff)
     return out

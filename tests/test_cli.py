@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 from tautring.cli import main
+from tautring.relations import _record_hash
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -122,6 +123,16 @@ def test_corrupt_cache_exits_three(tmp_path):
     # bytes that are not text at all
     db.write_bytes(good.encode() + b"\x80\xff\n")
     assert run(argv) == 3
+    # a correctly hashed record whose stratum lives on another moduli space:
+    # the class declares (1, 1), its stratum is the two-leg loop of (1, 2)
+    key = {"g": 1, "n": 1, "monomial": "kappa1"}
+    foreign = boundary_divisor_class(1, 2, ("irr",)).to_json()["terms"]
+    value = {"g": 1, "n": 1, "terms": foreign}
+    record = {"key": key, "value": value, "provenance": ["hand-made"],
+              "sha256": _record_hash(key, value)}
+    db.write_text(json.dumps(record) + "\n")
+    assert run(["boundary-expression", "--genus", "1", "--markings", "1",
+                "--monomial", "kappa1", "--db", str(db)]) == 3
 
 
 def test_verify_m11(tmp_path):

@@ -53,6 +53,11 @@ def test_normalize_rejects_mixed_ambient():
         psi(1, 1, 1) + psi(1, 2, 1)
     with pytest.raises(AmbientMismatchError):
         TautClass(0, 4).add_term(trivial_graph(0, 5), {}, {}, {}, Fraction(1))
+    # a serialized class whose stratum has more legs than the class declares
+    data = boundary_divisor_class(1, 2, ("irr",)).to_json()
+    data["n"] = 1
+    with pytest.raises(AmbientMismatchError):
+        TautClass.from_json(data)
 
 
 # -- products with generators -------------------------------------------------
@@ -400,11 +405,13 @@ _PROPERTY_SPACES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3)]
 
 
 @st.composite
-def _relabeled_classes(draw):
-    """A small class with random psi/kappa decorations (total degree within
-    the dimension), a leg permutation sigma as {old: new}, and a leg."""
-    g, n = draw(st.sampled_from(_PROPERTY_SPACES))
-    dim = 3 * g - 3 + n
+def _relabeled_classes(draw, slack=0):
+    """A small class with random psi/kappa decorations (total degree at most
+    the dimension minus slack), a leg permutation sigma as {old: new}, and a
+    leg."""
+    g, n = draw(st.sampled_from(
+        [(g, n) for g, n in _PROPERTY_SPACES if 3 * g - 3 + n >= slack]))
+    dim = 3 * g - 3 + n - slack
     graphs = enumerate_stable_graphs(g, n, dim)
     c = TautClass(g, n)
     for _ in range(draw(st.integers(1, 3))):
@@ -464,3 +471,25 @@ def test_add_in_place_matches_add_property(case):
     assert (dict(c.terms), dict(other.terms)) == before
     acc._add_in_place(-(c + other))
     assert acc.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes())
+def test_projection_formula_property(case):
+    # pi_*(psi_{n+1} * pi^* c) = (2g - 2 + n) c, pi the forgetful map
+    c, _, _ = case
+    pulled = c.forget_pullback()
+    assert pulled.mul_psi(c.n + 1).forget_pushforward() == c * (2 * c.g - 2 + c.n)
+    # with 1 in place of psi_{n+1}: a pullback pushes forward to zero
+    assert pulled.forget_pushforward().is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes(slack=2))
+def test_boundary_products_commute_property(case):
+    # slack 2 leaves room for both divisors below the dimension; d2 puts
+    # legs i and n on a rational bubble (it is -psi_n when i = n)
+    c, _, i = case
+    d1 = ("irr",) if c.g >= 1 else ("sep", 0, (1, 2))
+    d2 = ("sep", 0, tuple(sorted({i, c.n})))
+    assert c.mul_boundary(d1).mul_boundary(d2) == c.mul_boundary(d2).mul_boundary(d1)
