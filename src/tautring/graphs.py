@@ -53,20 +53,29 @@ class StableGraph:
         # TautClass.add_term checks it
         return len(self.edges) - len(self.genera) + 1 + sum(self.genera)
 
-    def legs_at(self, v: int) -> tuple:
-        return tuple(i + 1 for i, w in enumerate(self.legs) if w == v)
-
-    def half_edges_at(self, v: int) -> tuple:
-        out = []
+    def attachments(self) -> list:
+        """Per vertex, its attachment tags: ('l', label) legs by label, then
+        ('h', edge, side) half-edges by edge and side.  Local markings are
+        ranked in this order (strata.gluing_pushforward).  One pass over
+        legs and edges, not cached: cached graphs (canonical-labeling keys)
+        would keep every table alive."""
+        tags = [[] for _ in self.genera]
+        for i, v in enumerate(self.legs):
+            tags[v].append(("l", i + 1))
         for e, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append((e, 0))
-            if b == v:
-                out.append((e, 1))
-        return tuple(out)
+            tags[a].append(("h", e, 0))
+            tags[b].append(("h", e, 1))
+        return tags
 
-    def valence(self, v: int) -> int:
-        return len(self.legs_at(v)) + len(self.half_edges_at(v))
+    def valences(self) -> list:
+        """Per vertex, the number of legs and half-edges attached there."""
+        count = [0] * len(self.genera)
+        for v in self.legs:
+            count[v] += 1
+        for a, b in self.edges:
+            count[a] += 1
+            count[b] += 1
+        return count
 
     def is_tree(self) -> bool:
         return self.h1 == 0
@@ -96,8 +105,9 @@ def stable_graph(genera, legs, edges) -> StableGraph:
     _, tree = union_find(nv, graph.edges)
     if len(tree) != nv - 1:
         raise InvalidGraphError("graph is not connected")
-    for v in range(nv):
-        if 2 * graph.genera[v] - 2 + graph.valence(v) <= 0:
+    # after the range checks: a negative index would count silently
+    for v, (gv, val) in enumerate(zip(graph.genera, graph.valences())):
+        if 2 * gv - 2 + val <= 0:
             raise InvalidGraphError(f"vertex {v} is unstable")
     return graph
 
@@ -135,17 +145,18 @@ def trivial_graph(g: int, n: int) -> StableGraph:
 # Canonical labeling
 # ---------------------------------------------------------------------------
 
-def _vertex_invariant(graph: StableGraph, v: int):
-    loops = sum(1 for a, b in graph.edges if a == v and b == v)
-    return (graph.genera[v], graph.legs_at(v), graph.valence(v), loops)
-
-
 def _candidate_orders(graph: StableGraph):
-    """Vertex orderings consistent with the sorted invariant refinement."""
-    inv = [_vertex_invariant(graph, v) for v in range(graph.n_vertices)]
+    """Vertex orderings consistent with the sorted refinement by the vertex
+    invariant (genus, attached legs, valence, loops)."""
+    loops = [0] * graph.n_vertices
+    for a, b in graph.edges:
+        if a == b:
+            loops[a] += 1
     groups: dict = {}
-    for v, key in enumerate(inv):
-        groups.setdefault(key, []).append(v)
+    for v, tags in enumerate(graph.attachments()):
+        legs = tuple(tag[1] for tag in tags if tag[0] == "l")
+        groups.setdefault((graph.genera[v], legs, len(tags), loops[v]),
+                          []).append(v)
     keys = sorted(groups)
     for perm_blocks in itertools.product(
             *[itertools.permutations(groups[k]) for k in keys]):
@@ -318,27 +329,18 @@ def separating_spec(g: int, n: int, h: int, legs) -> tuple:
     return ("sep",) + min((h, legs), other)
 
 
-def vertex_attachments(graph: StableGraph, v: int):
-    """Attachment tags at v: ('l', label) legs then ('h', edge, side) halves."""
-    tags = [("l", lab) for lab in graph.legs_at(v)]
-    tags += [("h", e, s) for e, s in graph.half_edges_at(v)]
-    return tags
-
-
-def split_vertex(graph: StableGraph, v: int, g1: int, tags1) -> tuple:
-    """Split v into (g1, tags1) and (g(v)-g1, complement) joined by a new
-    edge; tags1 keeps vertex index v, the complement gets a fresh index.
-    Returns (graph', new_edge_index).  Leg and edge identifiers are stable."""
-    tags1 = set(tags1)
+def split_vertex(graph: StableGraph, v: int, g1: int, moved) -> tuple:
+    """Split v into genus g1, keeping index v and the attachments not in
+    `moved`, and a fresh vertex of genus g(v)-g1 carrying the tags in
+    `moved`, joined by a new edge.  Returns (graph', new_edge_index).  Leg
+    and edge identifiers are stable."""
     nv = graph.n_vertices
     genera = list(graph.genera)
     genera[v] = g1
     genera.append(graph.genera[v] - g1)
     legs = list(graph.legs)
     edges = [list(e) for e in graph.edges]
-    for tag in vertex_attachments(graph, v):
-        if tag in tags1:
-            continue
+    for tag in moved:
         if tag[0] == "l":
             legs[tag[1] - 1] = nv
         else:
@@ -356,12 +358,11 @@ def add_loop(graph: StableGraph, v: int) -> tuple:
     return stable_graph(genera, graph.legs, edges), len(edges) - 1
 
 
-def vertex_split_options(graph: StableGraph, v: int):
-    """Labeled separating splits of v: (g1, tags1) with both sides stable,
-    one per unordered split.  Multiplicities matter for divisor products, so
-    no isomorphism deduplication happens here."""
-    tags = vertex_attachments(graph, v)
-    gv = graph.genera[v]
+def vertex_split_options(gv: int, tags):
+    """Labeled separating splits of a genus-gv vertex with attachment tags,
+    both sides stable, one per unordered split: (g1, moved_tags) for
+    split_vertex.  Multiplicities matter for divisor products, so no
+    isomorphism deduplication happens here."""
     for g1 in range(gv + 1):
         for bits in itertools.product((0, 1), repeat=len(tags)):
             side1 = tuple(t for t, b in zip(tags, bits) if b)
@@ -372,7 +373,7 @@ def vertex_split_options(graph: StableGraph, v: int):
                 continue
             if 2 * (gv - g1) - 2 + len(side2) + 1 <= 0:
                 continue
-            yield g1, side1
+            yield g1, side2
 
 
 def one_edge_degenerations(graph: StableGraph):
@@ -381,11 +382,11 @@ def one_edge_degenerations(graph: StableGraph):
     labeled unordered split of each vertex (vertex_split_options).  Pairs
     may be isomorphic; callers that need classes dedup by canonical key."""
     found = []
-    for v in range(graph.n_vertices):
+    for v, tags in enumerate(graph.attachments()):
         if graph.genera[v] >= 1:
             found.append(add_loop(graph, v))
-        for g1, side1 in vertex_split_options(graph, v):
-            found.append(split_vertex(graph, v, g1, side1))
+        for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
+            found.append(split_vertex(graph, v, g1, moved_tags))
     return found
 
 

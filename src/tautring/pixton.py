@@ -42,8 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import InterpolationError, bounded_tuples, lagrange_weights
-from .graphs import StableGraph, enumerate_stable_graphs, vertex_attachments, \
-    automorphism_count, union_find
+from .graphs import StableGraph, enumerate_stable_graphs, automorphism_count, \
+    union_find
 from .strata import TautClass, canonical_term
 
 
@@ -69,8 +69,7 @@ def _peel_plan(graph: StableGraph):
     for the final check."""
     _, tree = union_find(graph.n_vertices, graph.edges)
     free = tuple(e for e in range(graph.n_edges) if e not in tree)
-    attachments = tuple(tuple(vertex_attachments(graph, v))
-                        for v in range(graph.n_vertices))
+    attachments = tuple(map(tuple, graph.attachments()))
     steps = []
     remaining = set(tree)
     degree = {v: 0 for v in range(graph.n_vertices)}

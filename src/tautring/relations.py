@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .algebra import MultiPoly, bounded_tuples, finite_difference_extract
-from .graphs import stable_graph, trivial_graph, vertex_attachments
+from .graphs import stable_graph, trivial_graph
 from .pixton import omega_constant_term, validate_ramification
 from .strata import (
     TautClass,
@@ -334,7 +334,8 @@ class RelationDatabase:
                             key = (rec["key"]["g"], rec["key"]["n"],
                                    rec["key"]["monomial"])
                             self.records[key] = BoundaryExpression.from_json(rec)
-                        except (ValueError, KeyError, TypeError,
+                        except (ValueError, LookupError, TypeError,
+                                ArithmeticError, AttributeError,
                                 RelationPipelineError) as exc:
                             raise CacheIntegrityError(
                                 f"unreadable record on line {lineno} of {path}: "
@@ -849,9 +850,9 @@ def _unmarked_route(g, kappa, db, _active) -> BoundaryExpression:
 def _unstarred_vertex(term):
     """The first vertex whose decoration degree exceeds max(genus-1, 0), or
     None when the term has property star."""
-    return next((v for v in range(term.graph.n_vertices)
-                 if term.vertex_degree(v) > max(term.graph.genera[v] - 1, 0)),
-                None)
+    return next((v for v, (d, gv) in enumerate(zip(term.vertex_degrees(),
+                                                  term.graph.genera))
+                 if d > max(gv - 1, 0)), None)
 
 
 def has_property_star(term) -> bool:
@@ -882,11 +883,11 @@ def theorem_star_reduce(c: TautClass, db: RelationDatabase | None = None) -> Tau
     return out
 
 
-def _vertex_monomial(term, v):
-    """The decoration at vertex v as (psi by local marking rank, kappa), the
-    markings ranked as in vertex_attachments."""
+def _vertex_monomial(term, v, tags):
+    """The decoration at vertex v, with attachment tags, as (psi by local
+    marking rank, kappa), the markings ranked as in StableGraph.attachments."""
     psi = {}
-    for rank, tag in enumerate(vertex_attachments(term.graph, v), start=1):
+    for rank, tag in enumerate(tags, start=1):
         e = term.psi_at(tag)
         if e:
             psi[rank] = e
@@ -895,15 +896,16 @@ def _vertex_monomial(term, v):
 
 def _rewrite_vertex(term, v, db) -> TautClass:
     graph = term.graph
-    local = boundary_expression(graph.genera[v], graph.valence(v),
-                                _vertex_monomial(term, v), db)
+    attachments = graph.attachments()
+    local = boundary_expression(graph.genera[v], len(attachments[v]),
+                                _vertex_monomial(term, v, attachments[v]), db)
     classes = []
-    for u in range(graph.n_vertices):
+    for u, tags in enumerate(attachments):
         if u == v:
             classes.append(local.value)
             continue
-        upsi, ukappa = _vertex_monomial(term, u)
-        classes.append(TautClass.monomial(graph.genera[u], graph.valence(u),
+        upsi, ukappa = _vertex_monomial(term, u, tags)
+        classes.append(TautClass.monomial(graph.genera[u], len(tags),
                                           psi_exps=upsi, kappas=ukappa))
     return gluing_pushforward(graph, classes)
 

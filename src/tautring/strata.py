@@ -36,7 +36,6 @@ from .graphs import (
     add_loop,
     stable_graph,
     trivial_graph,
-    vertex_attachments,
     vertex_split_options,
 )
 
@@ -74,11 +73,11 @@ class StrataTerm:
         dec += sum(self.psi_leg) + sum(p + q for p, q in self.psi_edge)
         return dec + self.graph.n_edges
 
-    def vertex_degree(self, v: int) -> int:
-        return _vertex_degree(self.graph, self.kappa, self.psi_leg, self.psi_edge, v)
+    def vertex_degrees(self) -> list:
+        return _vertex_degrees(self.graph, self.kappa, self.psi_leg, self.psi_edge)
 
     def psi_at(self, tag) -> int:
-        """Psi exponent at an attachment tag of graphs.vertex_attachments."""
+        """Psi exponent at an attachment tag of StableGraph.attachments."""
         if tag[0] == "l":
             return self.psi_leg[tag[1] - 1]
         return self.psi_edge[tag[1]][tag[2]]
@@ -105,20 +104,22 @@ class StrataTerm:
         return f"[{self.graph.genera};{self.graph.legs};{self.graph.edges}]({dec})"
 
 
-def _vertex_degree(graph: StableGraph, kappa, psi_leg, psi_edge, v: int) -> int:
-    """Degree of the decoration at vertex v: kappa, leg psi and half-edge psi."""
-    d = sum(a * x for a, x in kappa[v])
-    d += sum(psi_leg[lab - 1] for lab in graph.legs_at(v))
-    d += sum(psi_edge[e][s] for e, s in graph.half_edges_at(v))
-    return d
+def _vertex_degrees(graph: StableGraph, kappa, psi_leg, psi_edge) -> list:
+    """Per vertex, the degree of its decoration: kappa, leg psi and
+    half-edge psi, in one pass over legs and edges."""
+    degrees = [sum(a * x for a, x in vk) for vk in kappa]
+    for v, y in zip(graph.legs, psi_leg):
+        degrees[v] += y
+    for (a, b), (p, q) in zip(graph.edges, psi_edge):
+        degrees[a] += p
+        degrees[b] += q
+    return degrees
 
 
 def _local_dim_ok(graph: StableGraph, kappa, psi_leg, psi_edge) -> bool:
-    for v in range(graph.n_vertices):
-        if _vertex_degree(graph, kappa, psi_leg, psi_edge, v) > \
-                3 * graph.genera[v] - 3 + graph.valence(v):
-            return False
-    return True
+    return all(d <= 3 * gv - 3 + val for d, gv, val in zip(
+        _vertex_degrees(graph, kappa, psi_leg, psi_edge), graph.genera,
+        graph.valences()))
 
 
 @lru_cache(maxsize=None)
@@ -394,18 +395,18 @@ class TautClass:
             # degenerations: per vertex over labeled local boundary divisors
             # (separating splits with weight 1, a local loop with weight 1/2)
             # so that multiplicity is the honest intersection multiplicity
-            for v in range(graph.n_vertices):
+            for v, tags in enumerate(graph.attachments()):
                 if kind == ("irr",) and graph.genera[v] >= 1:
                     degen, _ = add_loop(graph, v)
                     out.add_term(degen, *_term_dicts(term), coeff * half)
-                for g1, side1 in vertex_split_options(graph, v):
-                    degen, new_e = split_vertex(graph, v, g1, side1)
+                for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
+                    degen, new_e = split_vertex(graph, v, g1, moved_tags)
                     if edge_profile(degen, new_e) != kind:
                         continue
                     # an attachment-free symmetric split is generically 2:1
                     # onto its divisor, like the loop
-                    weight = half if (not side1 and graph.valence(v) == 0
-                                      and 2 * g1 == graph.genera[v]) else Fraction(1)
+                    weight = half if (not tags and 2 * g1 == graph.genera[v]) \
+                        else Fraction(1)
                     for kept, moved, mult in _kappa_splits(term.kappa[v]):
                         kappa, psi_leg, psi_edge = _term_dicts(term)
                         kappa[v] = kept
@@ -422,7 +423,7 @@ class TautClass:
         out = TautClass(self.g, new_n)
         for term, coeff in self.terms.items():
             graph = term.graph
-            for v in range(graph.n_vertices):
+            for v, tags in enumerate(graph.attachments()):
                 placed = StableGraph(graph.genera,
                                      graph.legs + (v,), graph.edges)
                 # kappa corrections (kappa_a - psi_new^a)^x at the vertex
@@ -434,7 +435,7 @@ class TautClass:
                     out.add_term(placed, kappa, psi_leg, psi_edge,
                                  coeff * ((-1) ** sum(moved.values()) * mult))
                 # bubble corrections, one per decorated marking at v
-                for tag in vertex_attachments(graph, v):
+                for tag in tags:
                     y = term.psi_at(tag)
                     if y == 0:
                         continue
@@ -459,10 +460,11 @@ class TautClass:
             graph = term.graph
             v = graph.legs[lab - 1]
             k = term.psi_leg[lab - 1]
-            if 2 * graph.genera[v] - 2 + graph.valence(v) - 1 > 0:
-                _push_stable_vertex(out, term, coeff, v, lab, k)
+            tags = graph.attachments()[v]
+            if 2 * graph.genera[v] - 2 + len(tags) - 1 > 0:
+                _push_stable_vertex(out, term, coeff, v, tags, lab, k)
             else:
-                _push_unstable_vertex(out, term, coeff, v, lab)
+                _push_unstable_vertex(out, term, coeff, v, tags, lab)
         return out
 
     def pushforward_to(self, m: int) -> "TautClass":
@@ -602,12 +604,13 @@ def _bubble_off(graph: StableGraph, v: int, tag, new_label: int):
 # ---------------------------------------------------------------------------
 
 def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
-                        lab: int, k: int):
-    """Fiber integration at a vertex that stays stable: expand kappa over the
-    pullback basis, integrate psi_new powers, collect bubble terms."""
+                        tags, lab: int, k: int):
+    """Fiber integration at a vertex v, with attachment tags, that stays
+    stable: expand kappa over the pullback basis, integrate psi_new powers,
+    collect bubble terms."""
     graph = term.graph
     target = StableGraph(graph.genera, graph.legs[:-1], graph.edges)
-    kappa0 = 2 * graph.genera[v] - 2 + (graph.valence(v) - 1)
+    kappa0 = 2 * graph.genera[v] - 2 + (len(tags) - 1)
     for kept, moved, mult in _kappa_splits(term.kappa[v]):
         # conversion kappa_a -> psi_new^a carries no sign on pushforward
         k_total = k + sum(a * j for a, j in moved.items())
@@ -626,7 +629,7 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
         else:
             # k_total == 0 happens only for the pure pullback piece; it
             # integrates to the bubble sum over decorated markings at v
-            for tag in vertex_attachments(graph, v):
+            for tag in tags:
                 if tag[0] == "l" and tag[1] == lab:
                     continue
                 y = term.psi_at(tag)
@@ -642,16 +645,16 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
 
 
 def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
-                          lab: int):
-    """Stabilize a genus-0 vertex left with two special points.
+                          tags, lab: int):
+    """Stabilize a genus-0 vertex v, with attachment tags, left with two
+    special points.
 
     Either a leg slides to the neighboring node position or the two adjacent
     edges fuse into one; psi decorations ride along."""
     graph = term.graph
     if term.psi_leg[lab - 1] != 0:
         raise AssertionError("decorated point on a dimension-zero vertex")
-    others = [t for t in vertex_attachments(graph, v)
-              if not (t[0] == "l" and t[1] == lab)]
+    others = [t for t in tags if not (t[0] == "l" and t[1] == lab)]
     if len(others) != 2:
         raise AssertionError("unstable vertex with unexpected valence")
     kappa, psi_leg, psi_edge = _term_dicts(term)
@@ -736,15 +739,15 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
 
     vertex_classes[v] lives on the moduli of the v-th vertex; its markings
     1..n(v) correspond to the attachments of v in the order given by
-    vertex_attachments (legs by label, then half-edges)."""
+    StableGraph.attachments (legs by label, then half-edges)."""
     g, n = ambient.genus, ambient.n_legs
+    markings = ambient.attachments()
     for v, cls in enumerate(vertex_classes):
-        expected = (ambient.genera[v], ambient.valence(v))
+        expected = (ambient.genera[v], len(markings[v]))
         if (cls.g, cls.n) != expected:
             raise AmbientMismatchError(
                 f"vertex {v} class lives on {(cls.g, cls.n)}, expected {expected}")
     out = TautClass(g, n)
-    markings = [vertex_attachments(ambient, v) for v in range(ambient.n_vertices)]
     for combo in itertools.product(*[cls.sorted_terms() for cls in vertex_classes]):
         coeff = Fraction(1)
         offsets = []

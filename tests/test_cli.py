@@ -131,8 +131,28 @@ def test_corrupt_cache_exits_three(tmp_path):
     record = {"key": key, "value": value, "provenance": ["hand-made"],
               "sha256": _record_hash(key, value)}
     db.write_text(json.dumps(record) + "\n")
-    assert run(["boundary-expression", "--genus", "1", "--markings", "1",
-                "--monomial", "kappa1", "--db", str(db)]) == 3
+    argv_11 = ["boundary-expression", "--genus", "1", "--markings", "1",
+               "--monomial", "kappa1", "--db", str(db)]
+    assert run(argv_11) == 3
+    # correctly hashed records that are malformed deeper down: a zero
+    # denominator, a half-edge pair with one half, a kappa entry that is no
+    # mapping
+    def zero_denominator(term):
+        term["coeff"] = "1/0"
+
+    def lone_half_edge(term):
+        term["graph"]["edges"][0] = term["graph"]["edges"][0][:1]
+
+    def bare_kappa(term):
+        term["decoration"]["kappa"] = [5]
+
+    for corrupt in (zero_denominator, lone_half_edge, bare_kappa):
+        value = boundary_divisor_class(1, 1, ("irr",)).to_json()
+        corrupt(value["terms"][0])
+        record = {"key": key, "value": value, "provenance": ["hand-made"],
+                  "sha256": _record_hash(key, value)}
+        db.write_text(json.dumps(record) + "\n")
+        assert run(argv_11) == 3, corrupt.__name__
 
 
 def test_verify_m11(tmp_path):

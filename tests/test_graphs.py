@@ -50,10 +50,29 @@ def test_enumerate_deterministic_order():
     assert edge_counts == sorted(edge_counts)
 
 
+def _connected(nv, edges):
+    """Breadth-first search from vertex 0, independent of graphs.union_find."""
+    adjacent = [[] for _ in range(nv)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = {0}
+    queue = [0]
+    while queue:
+        for w in adjacent[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == nv
+
+
 def _brute_force_graphs(g, n, max_edges, max_vertices):
     """Directly generate every labeled stable graph; exponential, test-only.
 
-    The edge count is forced: E = g - sum(genera) + V - 1."""
+    The edge count is forced: E = g - sum(genera) + V - 1.  Connectivity
+    depends on the edges alone, so disconnected edge multisets are dropped
+    before the leg assignments; stable_graph still validates every other
+    candidate."""
     found = {}
     for nv in range(1, max_vertices + 1):
         slots = [(a, b) for a in range(nv) for b in range(a, nv)]
@@ -61,7 +80,9 @@ def _brute_force_graphs(g, n, max_edges, max_vertices):
             ne = g - sum(genera) + nv - 1
             if ne < 0 or ne > max_edges:
                 continue
-            combos = list(itertools.combinations_with_replacement(slots, ne))
+            combos = [combo for combo in
+                      itertools.combinations_with_replacement(slots, ne)
+                      if _connected(nv, combo)]
             for legs in itertools.product(range(nv), repeat=n):
                 for combo in combos:
                     try:
@@ -152,7 +173,9 @@ def _brute_force_automorphisms(graph):
                for src, dst in vertex_map.items()):
             continue
         # leg multisets must be carried along
-        legs_at = {v: graph.legs_at(v) for v in range(graph.n_vertices)}
+        legs_at = {v: tuple(lab for lab, w in enumerate(graph.legs, start=1)
+                            if w == v)
+                   for v in range(graph.n_vertices)}
         if any(legs_at[src] != legs_at[dst] for src, dst in vertex_map.items()):
             continue
         count += 1

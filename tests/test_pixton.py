@@ -10,7 +10,6 @@ from tautring.graphs import (
     automorphism_count,
     enumerate_stable_graphs,
     stable_graph,
-    vertex_attachments,
 )
 from tautring.pixton import (
     enumerate_weightings,
@@ -76,14 +75,17 @@ def _brute_force_weightings(graph, A, r):
     each edge and around each vertex, as sorted item tuples."""
     halves = [("h", e, s) for e in range(graph.n_edges) for s in (0, 1)]
     legs = {("l", lab): a % r for lab, a in enumerate(A, start=1)}
+    tags_at = [[("l", lab) for lab, w in enumerate(graph.legs, start=1) if w == v]
+               + [("h", e, s) for e, ends in enumerate(graph.edges)
+                  for s in (0, 1) if ends[s] == v]
+               for v in range(graph.n_vertices)]
     found = set()
     for values in itertools.product(range(r), repeat=len(halves)):
         w = dict(legs)
         w.update(zip(halves, values))
         if any((w[("h", e, 0)] + w[("h", e, 1)]) % r for e in range(graph.n_edges)):
             continue
-        if any(sum(w[tag] for tag in vertex_attachments(graph, v)) % r
-               for v in range(graph.n_vertices)):
+        if any(sum(w[tag] for tag in tags) % r for tags in tags_at):
             continue
         found.add(tuple(sorted(w.items())))
     return found

@@ -1,16 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph, \
-    vertex_attachments
+from tautring import strata
+from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
 from tautring.strata import (
     AmbientMismatchError,
     TautClass,
     boundary_divisor_class,
+    canonical_term,
     gluing_pushforward,
     normalize_divisor,
 )
@@ -37,6 +39,49 @@ def test_normalize_merges_like_terms():
 def test_normalize_drops_over_dimension():
     # codimension 2 on the 4-marked genus-0 space (dimension 1)
     assert psi(0, 4, 1).mul_psi(2).is_zero()
+
+
+def test_incidence_tables_match_per_vertex_definition():
+    # attachments(), valences() and the decoration degrees behind the
+    # dimension check, against per-vertex scans of legs and edges
+    rng = random.Random(6)
+
+    def exponent():
+        # mostly zero, so that about a quarter of the decorations fit
+        return rng.choice((0,) * 17 + (1, 2))
+
+    for g, n in [(0, 6), (1, 4), (2, 2)]:
+        for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            tags_at = [[("l", lab) for lab, w in enumerate(graph.legs, start=1)
+                        if w == v]
+                       + [("h", e, s) for e, ends in enumerate(graph.edges)
+                          for s in (0, 1) if ends[s] == v]
+                       for v in range(graph.n_vertices)]
+            assert graph.attachments() == tags_at
+            assert graph.valences() == [len(tags) for tags in tags_at]
+            for _ in range(3):
+                kappa = tuple(tuple((a, x) for a, x in ((1, exponent()),
+                                                        (2, exponent())) if x)
+                              for _ in graph.genera)
+                psi_leg = tuple(exponent() for _ in graph.legs)
+                psi_edge = tuple((exponent(), exponent()) for _ in graph.edges)
+                degrees = [
+                    sum(a * x for a, x in kappa[v])
+                    + sum(psi_leg[tag[1] - 1] if tag[0] == "l"
+                          else psi_edge[tag[1]][tag[2]] for tag in tags_at[v])
+                    for v in range(graph.n_vertices)]
+                assert strata._vertex_degrees(graph, kappa, psi_leg,
+                                              psi_edge) == degrees
+                fits = all(degrees[v] <= 3 * graph.genera[v] - 3 + len(tags_at[v])
+                           for v in range(graph.n_vertices))
+                assert strata._local_dim_ok(graph, kappa, psi_leg, psi_edge) == fits
+                term = canonical_term(
+                    graph, {v: dict(vk) for v, vk in enumerate(kappa)},
+                    dict(enumerate(psi_leg, start=1)),
+                    strata._psi_edge_dict(psi_edge))
+                assert (term is not None) == fits
+                if term is not None:
+                    assert sorted(term.vertex_degrees()) == sorted(degrees)
 
 
 def test_normalize_identifies_isomorphic_presentations():
@@ -198,12 +243,13 @@ def test_projection_formula_psi_through_glue():
         for ambient in enumerate_stable_graphs(g, n, 2):
             if ambient.n_edges == 0:
                 continue
-            classes = [TautClass.fundamental(ambient.genera[u], ambient.valence(u))
+            attachments = ambient.attachments()
+            classes = [TautClass.fundamental(ambient.genera[u], len(attachments[u]))
                        for u in range(ambient.n_vertices)]
             glued = gluing_pushforward(ambient, classes)
             for lab in range(1, n + 1):
                 v = ambient.legs[lab - 1]
-                rank = vertex_attachments(ambient, v).index(("l", lab)) + 1
+                rank = attachments[v].index(("l", lab)) + 1
                 inner = list(classes)
                 inner[v] = classes[v].mul_psi(rank)
                 lhs = glued.mul_psi(lab)
