@@ -1,9 +1,9 @@
 """Exact rational algebra for the tautological-ring engine.
 
 Sparse multivariate polynomials over Fraction, exact Lagrange interpolation
-and finite-difference coefficient extraction.  No floating-point number is
-ever produced: every coefficient in the system is a Fraction, so equality
-tests are exact.
+and the extraction of a top-degree coefficient by one iterated forward
+difference.  No floating-point number is ever produced: every coefficient in
+the system is a Fraction, so equality tests are exact.
 """
 
 from __future__ import annotations
@@ -264,19 +264,6 @@ def lagrange_weights(points: Sequence[int], at) -> list:
     return weights
 
 
-def _stirling2(m: int, k: int) -> int:
-    """Number of partitions of an m-set into k nonempty blocks."""
-    if k > m:
-        return 0
-    row = [1]
-    for i in range(1, m + 1):
-        new = [0] * (i + 1)
-        for j in range(1, i + 1):
-            new[j] = (row[j] if j < len(row) else 0) * j + row[j - 1]
-        row = new
-    return row[k]
-
-
 def bounded_tuples(length: int, bound: int):
     """Every tuple of `length` non-negative integers with sum <= bound, in
     lexicographic order."""
@@ -290,55 +277,26 @@ def bounded_tuples(length: int, bound: int):
 
 def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[int],
                               total_degree: int):
-    """Exact coefficient of the given monomial in a black-box polynomial f.
+    """Exact coefficient of a top-degree monomial in a black-box polynomial f.
 
     f maps integer tuples to values in any Q-vector space (Fraction, MultiPoly
     or TautClass); it is assumed to be a polynomial of total degree at most
-    total_degree.  The coefficient is recovered from finitely many evaluations
-    of f via iterated forward differences, with the Stirling-number correction
-    that makes the stencil exact for every polynomial of the declared degree.
+    total_degree, and the monomial must have exactly that degree.  The
+    coefficient is the iterated forward difference Delta^m f(0) / m!: every
+    other monomial of degree at most total_degree is annihilated by Delta^m.
     """
     monomial = tuple(int(m) for m in monomial)
     if any(m < 0 for m in monomial):
         raise AlgebraError("monomial exponents must be non-negative")
-    if sum(monomial) > total_degree:
-        raise AlgebraError("monomial degree exceeds the declared total degree")
-    cache: dict = {}
-
-    def ev(pt):
-        if pt not in cache:
-            cache[pt] = f(pt)
-        return cache[pt]
-
-    def delta(orders):
-        # Iterated forward difference of f at the origin.
-        acc = None
-        for offsets in itertools.product(*[range(k + 1) for k in orders]):
-            sign = (-1) ** (sum(orders) - sum(offsets))
-            weight = Fraction(sign)
-            for k, j in zip(orders, offsets):
-                weight *= math.comb(k, j)
-            piece = ev(offsets) * weight
-            acc = piece if acc is None else acc + piece
-        return acc
-
-    # every exponent tuple >= monomial componentwise, of total <= total_degree
-    higher = sorted((tuple(m + x for m, x in zip(monomial, extra))
-                     for extra in bounded_tuples(len(monomial),
-                                                 total_degree - sum(monomial))),
-                    key=lambda e: -sum(e))
-    coeffs: dict = {}
-    for key in higher:
-        value = delta(key)
-        for other, cval in coeffs.items():
-            if all(o >= k for o, k in zip(other, key)):
-                weight = 1
-                for ko, kk in zip(other, key):
-                    weight *= math.factorial(kk) * _stirling2(ko, kk)
-                if weight:
-                    value = value + cval * Fraction(-weight)
-        norm = 1
-        for k in key:
-            norm *= math.factorial(k)
-        coeffs[key] = value * Fraction(1, norm)
-    return coeffs[monomial]
+    if sum(monomial) != total_degree:
+        raise AlgebraError("only a monomial of the declared total degree can be "
+                           "extracted by a single forward difference")
+    norm = math.prod(math.factorial(m) for m in monomial)
+    acc = None
+    for offsets in itertools.product(*[range(m + 1) for m in monomial]):
+        weight = Fraction((-1) ** (total_degree - sum(offsets)), norm)
+        for m, j in zip(monomial, offsets):
+            weight *= math.comb(m, j)
+        piece = f(offsets) * weight
+        acc = piece if acc is None else acc + piece
+    return acc

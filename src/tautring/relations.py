@@ -6,9 +6,10 @@ the property-star reduction, backed by a persistent relation database.
 The double-ramification relation in degree g+1 is normalized as
 (g+1)! times the degree-(g+1) part of the constant-term class, so that its
 compact-type restriction is literally the (g+1)-st theta power.  Coefficients
-of ramification monomials are extracted by exact finite differences over
-integer evaluations only; symbolic ramification variables appear solely in
-compact-type theta computations, where polynomiality is manifest.
+of top-degree ramification monomials are extracted on the (2g+3)-marked space
+by exact finite differences over integer evaluations only, before any
+multiplication or pushforward; symbolic ramification variables appear solely
+in compact-type theta computations, where polynomiality is manifest.
 """
 
 from __future__ import annotations
@@ -145,30 +146,10 @@ def dr_relation(g: int, A) -> TautClass:
     return _dr_cache[key]
 
 
-_pushed_cache: dict = {}
-
-
-def _pushed_relation(g: int, point: tuple, psi_multiplier, target_n: int) -> TautClass:
-    mult_key = tuple(sorted((psi_multiplier or {}).items()))
-    key = (g, point, mult_key, target_n)
-    if key not in _pushed_cache:
-        A = point + (-sum(point),)
-        rel = dr_relation(g, A)
-        rel = rel.mul_monomial(psi_exps=psi_multiplier or {})
-        _pushed_cache[key] = rel.pushforward_to(target_n)
-    return _pushed_cache[key]
-
-
-def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
-                            forget=()) -> TautClass:
-    """Coefficient of a ramification monomial in the pushed relation.
-
-    a_monomial lists exponents of a_1..a_{2g+2} (a_{2g+3} is eliminated as
-    minus the sum); the monomial must have total degree 2g+2.  The multiplier
-    is a psi-monomial applied upstairs before forgetting the legs in
-    `forget`, which must be the top labels down to the target.  Extraction is
-    by exact finite differences over integer evaluations.
-    """
+def _upstairs_coefficient(g: int, a_monomial, mult: dict, forget):
+    """Check the arguments of dr_relation_coefficient; return the coefficient
+    of a_monomial in the DR relation on the (2g+3)-marked space and the
+    number of markings left after forgetting."""
     n_up = 2 * g + 3
     a_monomial = tuple(a_monomial)
     if len(a_monomial) != 2 * g + 2:
@@ -179,44 +160,54 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     target_n = n_up - len(forget)
     if forget != set(range(target_n + 1, n_up + 1)):
         raise ValueError("forgotten legs must be the top labels")
-    mult = dict(psi_multiplier or {})
     for i in forget:
         if i != n_up and mult.get(i, 0) < 1:
             raise ValueError(
                 f"multiplier must contain psi_{i} to forget leg {i}")
+    # at least two stencil points, so the difference is a fresh class and
+    # never one of the shared _dr_cache entries
+    upstairs = finite_difference_extract(
+        lambda point: dr_relation(g, point + (-sum(point),)), a_monomial, 2 * g + 2)
+    return upstairs, target_n
 
-    def f(point):
-        return _pushed_relation(g, point, mult, target_n)
 
-    return finite_difference_extract(f, a_monomial, 2 * g + 2)
+def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
+                            forget=()) -> TautClass:
+    """Coefficient of a ramification monomial in the pushed relation.
+
+    a_monomial lists exponents of a_1..a_{2g+2} (a_{2g+3} is eliminated as
+    minus the sum); the monomial must have total degree 2g+2.  The multiplier
+    is a psi-monomial applied upstairs before forgetting the legs in
+    `forget`, which must be the top labels down to the target.  Every step is
+    linear, so the coefficient is taken once upstairs, by exact finite
+    differences of the DR relation over integer A-points, and only that one
+    class is multiplied and pushed forward.
+    """
+    mult = dict(psi_multiplier or {})
+    upstairs, target_n = _upstairs_coefficient(g, a_monomial, mult, forget)
+    return upstairs.mul_monomial(psi_exps=mult).pushforward_to(target_n)
 
 
 def pushforward_relation(g: int, n: int, psi_multiplier, a_monomial) -> TautClass:
     """Pushed relation on the n-marked space with the boundary-control check:
     the part of the relation supported on the boundary upstairs must push to
-    classes supported on the boundary downstairs."""
+    classes supported on the boundary downstairs.  Both are pushed from one
+    upstairs coefficient, taken and checked as in dr_relation_coefficient."""
     if n > g:
         raise ValueError("the pushed-relation route needs n <= g")
     a_monomial = tuple(a_monomial)
     if any(a_monomial[i - 1] < 1 for i in range(1, n + 1)):
         raise ValueError("monomial must be a multiple of a_1..a_n")
     mult = dict(psi_multiplier or {})
-    for i in range(n + 1, 2 * g + 3):
-        if mult.get(i, 0) < 1:
-            raise ValueError("multiplier must contain psi_i for i = n+1..2g+2")
-    forget = range(n + 1, 2 * g + 4)
-    out = dr_relation_coefficient(g, a_monomial, mult, forget)
-
-    def f_boundary(point):
-        A = point + (-sum(point),)
-        rel = dr_relation(g, A)
-        rel = rel - rel.restrict("open")
-        return rel.mul_monomial(psi_exps=mult).pushforward_to(n)
-    leak = finite_difference_extract(f_boundary, a_monomial, 2 * g + 2)
+    upstairs, _ = _upstairs_coefficient(g, a_monomial, mult, range(n + 1, 2 * g + 4))
+    # psi-classes keep every stratum's graph: the boundary part of the
+    # product is the product of the boundary part
+    upstairs = upstairs.mul_monomial(psi_exps=mult)
+    leak = (upstairs - upstairs.restrict("open")).pushforward_to(n)
     if not leak.restrict("open").is_zero():
         raise RelationPipelineError(
             "boundary terms leaked into the open locus after pushforward")
-    return out
+    return upstairs.pushforward_to(n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +324,12 @@ class RelationDatabase:
                                     f"corrupt record for key {rec['key']}")
                             key = (rec["key"]["g"], rec["key"]["n"],
                                    rec["key"]["monomial"])
-                            self.records[key] = BoundaryExpression.from_json(rec)
+                            be = BoundaryExpression.from_json(rec)
+                            if (be.value.g, be.value.n) != key[:2]:
+                                raise CacheIntegrityError(
+                                    f"record for key {rec['key']} holds a class "
+                                    f"on ({be.value.g}, {be.value.n})")
+                            self.records[key] = be
                         except (ValueError, LookupError, TypeError,
                                 ArithmeticError, AttributeError,
                                 RelationPipelineError) as exc:

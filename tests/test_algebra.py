@@ -139,7 +139,7 @@ def test_finite_difference_footnote_example():
 
 
 def test_finite_difference_zero_function():
-    assert finite_difference_extract(lambda pt: Fraction(0), (1, 1), 4) == 0
+    assert finite_difference_extract(lambda pt: Fraction(0), (2, 2), 4) == 0
 
 
 def test_finite_difference_square_of_sum():
@@ -150,15 +150,15 @@ def test_finite_difference_square_of_sum():
 
 
 def test_finite_difference_below_top_degree():
-    # the monomial sits strictly below the declared total degree, so the
-    # Stirling correction matters
+    # one forward difference recovers only a top-degree coefficient; a lower
+    # monomial is refused rather than answered wrongly
     def f(pt):
         x, y = pt
         return Fraction(2 * x ** 3 + 5 * x * y + x * x + 7)
 
-    assert finite_difference_extract(f, (1, 1), 3) == 5
-    assert finite_difference_extract(f, (1, 0), 3) == 0
-    assert finite_difference_extract(f, (0, 0), 3) == 7
+    for exps in ((1, 1), (1, 0), (0, 0)):
+        with pytest.raises(AlgebraError):
+            finite_difference_extract(f, exps, 3)
     assert finite_difference_extract(f, (3, 0), 3) == 2
 
 
@@ -166,19 +166,25 @@ def test_finite_difference_matches_stored_polynomials():
     rng = random.Random(12)
     names = tuple(f"a{i}" for i in range(1, 6))
     for _ in range(8):
-        poly = MultiPoly(names, {
-            tuple(rng.randint(0, 2) for _ in names): Fraction(rng.randint(-6, 6))
-            for _ in range(5)})
-        degree = max(6, poly.total_degree())
+        terms = {tuple(rng.randint(0, 2) for _ in names): Fraction(rng.randint(-6, 6))
+                 for _ in range(5)}
+        # lower-degree terms that the top-degree differences must cancel
+        terms.setdefault((0, 0, 0, 0, 0), Fraction(7))
+        terms.setdefault((1, 0, 0, 0, 0), Fraction(-3))
+        poly = MultiPoly(names, terms)
+        degree = poly.total_degree()
 
         def f(pt):
             return poly.evaluate(dict(zip(names, map(Fraction, pt))))
 
-        for exps in list(poly.terms) + [(1, 1, 1, 1, 1), (2, 0, 0, 0, 0)]:
-            if sum(exps) > degree:
-                continue
+        top = [e for e in poly.terms if sum(e) == degree]
+        assert top
+        power = (degree,) + (0,) * (len(names) - 1)
+        for exps in top + [power]:
             assert finite_difference_extract(f, exps, degree) == \
                 poly.coefficient(exps)
+        with pytest.raises(AlgebraError):
+            finite_difference_extract(f, (1, 0, 0, 0, 0), degree)
 
 
 def test_poly_text_round_trip():

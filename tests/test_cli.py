@@ -134,6 +134,13 @@ def test_corrupt_cache_exits_three(tmp_path):
     argv_11 = ["boundary-expression", "--genus", "1", "--markings", "1",
                "--monomial", "kappa1", "--db", str(db)]
     assert run(argv_11) == 3
+    # a correctly hashed, well-formed record whose whole class lives on
+    # another moduli space than its key names
+    value = boundary_divisor_class(0, 4, ("sep", 0, (1, 2))).to_json()
+    record = {"key": key, "value": value, "provenance": ["hand-made"],
+              "sha256": _record_hash(key, value)}
+    db.write_text(json.dumps(record) + "\n")
+    assert run(argv_11) == 3
     # correctly hashed records that are malformed deeper down: a zero
     # denominator, a half-edge pair with one half, a kappa entry that is no
     # mapping

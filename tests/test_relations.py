@@ -1,11 +1,14 @@
 import itertools
 import json
+import math
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautring.algebra import MultiPoly
-from tautring.graphs import stable_graph
+from tautring.graphs import enumerate_stable_graphs, stable_graph
 from tautring.pixton import validate_ramification
 from tautring.relations import (
     BoundaryExpression,
@@ -118,6 +121,39 @@ def test_psi_pipeline_endpoint():
     # normalized form: 9 kappa + 3 psi = delta
     assert rel == (TautClass.kappa(1, 1, 1) * 9 + TautClass.psi(1, 1, 1) * 3
                    - dirr(1, 1)) * 8
+
+
+def _per_point_coefficient(g, a_monomial, mult, target_n):
+    """Frozen reference for dr_relation_coefficient: multiply and push the DR
+    relation at every stencil point, then take Delta^m / m! downstairs."""
+    total = TautClass(g, target_n)
+    for offsets in itertools.product(*[range(m + 1) for m in a_monomial]):
+        weight = Fraction((-1) ** (sum(a_monomial) - sum(offsets)))
+        for m, j in zip(a_monomial, offsets):
+            weight *= Fraction(math.comb(m, j), math.factorial(m))
+        rel = dr_relation(g, offsets + (-sum(offsets),))
+        total._add_in_place(
+            rel.mul_monomial(psi_exps=mult).pushforward_to(target_n) * weight)
+    return total
+
+
+@pytest.mark.parametrize("a_monomial", [(4, 0, 0, 0), (3, 1, 0, 0),
+                                        (1, 1, 1, 1), (2, 1, 1, 0)])
+def test_coefficient_upstairs_matches_per_point_route(a_monomial):
+    mult = {2: 1, 3: 1, 4: 1}
+    rel = dr_relation_coefficient(1, a_monomial, mult, (2, 3, 4, 5))
+    assert rel == _per_point_coefficient(1, a_monomial, mult, 1)
+
+
+def test_coefficient_without_multiplier_is_a_fresh_class():
+    # the first stencil point has weight 1, where sharing is most tempting
+    expected = _per_point_coefficient(1, (1, 1, 1, 1), {}, 5)
+    rel = dr_relation_coefficient(1, (1, 1, 1, 1))
+    assert rel == expected
+    # the result must not share storage with the cached DR classes
+    rel._add_in_place(rel * 3)
+    rel.terms.clear()
+    assert dr_relation_coefficient(1, (1, 1, 1, 1)) == expected
 
 
 def test_one_loop_graph_contributes_nothing_to_top_monomial():
@@ -364,6 +400,54 @@ def test_database_rejects_conflicting_store(tmp_path):
     wrong = BoundaryExpression(be.value * 2, ["bogus"])
     with pytest.raises(CacheConsistencyError):
         db.store(0, 4, "psi1", wrong)
+
+
+_DB_SPACES = ((0, 4), (0, 5), (1, 1), (1, 2))
+
+
+@st.composite
+def _boundary_records(draw):
+    """Nonzero boundary-supported classes with provenance, keyed by space."""
+    g, n = draw(st.sampled_from(_DB_SPACES))
+    divisors = [graph for graph in enumerate_stable_graphs(g, n, 1)
+                if graph.n_edges == 1]
+    value = TautClass(g, n)
+    for graph in draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3)):
+        coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        value.add_term(graph, {}, {}, {}, coeff)
+    if draw(st.booleans()):
+        value = value.mul_psi(1)
+    if value.is_zero():
+        value = TautClass(g, n).add_term(divisors[0], {}, {}, {}, Fraction(1))
+    monomial = draw(st.sampled_from(("psi1", "kappa1", "psi1*kappa1")))
+    provenance = draw(st.lists(st.text(min_size=1, max_size=12),
+                               min_size=1, max_size=3))
+    return (g, n, monomial), BoundaryExpression(value, provenance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_boundary_records(), min_size=1, max_size=4,
+                unique_by=lambda record: record[0]))
+def test_database_round_trip_property(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/relations.jsonl"
+        db = RelationDatabase(path)
+        for key, be in records:
+            db.store(*key, be)
+        reopened = RelationDatabase(path)
+        for key, be in records:
+            got = reopened.get(*key)
+            assert got.value == be.value
+            assert got.provenance == be.provenance
+        with open(path, "rb") as handle:
+            before = handle.read()
+        for key, be in records:
+            reopened.store(*key, BoundaryExpression(be.value, be.provenance))
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        for key, be in records:
+            with pytest.raises(CacheConsistencyError):
+                reopened.store(*key, BoundaryExpression(be.value * 2, ["other"]))
 
 
 def test_boundary_expression_never_stores_open_strata():
