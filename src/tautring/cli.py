@@ -1,8 +1,8 @@
 """Command-line front end: batch computations in, JSON out.
 
-Exit codes: 0 success, 1 validation error, 2 verification mismatch,
-3 cache integrity failure.  Data goes to --out (or stdout); progress and
-diagnostics go to stderr only.
+Exit codes: 0 success, 1 validation error (malformed or missing flags
+included), 2 verification mismatch, 3 cache integrity failure.  Data goes
+to --out (or stdout); progress and diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -198,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad flag; 2 here means a verification mismatch
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (CacheIntegrityError, CacheConsistencyError) as exc:

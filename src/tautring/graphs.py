@@ -173,16 +173,13 @@ def _relabel_encoding(graph: StableGraph, order):
         pos[old] = new
     genera = tuple(graph.genera[old] for old in order)
     legs = tuple(pos[v] for v in graph.legs)
-    edge_items = []
+    # (vertex pair, edge, flipped) per edge, by pair and then by edge
+    slots = []
     for e, (a, b) in enumerate(graph.edges):
         na, nb = pos[a], pos[b]
-        if na <= nb:
-            edge_items.append(((na, nb), e, False))
-        else:
-            edge_items.append(((nb, na), e, True))
-    edge_items.sort(key=lambda item: item[0])
-    encoding = (genera, legs, tuple(item[0] for item in edge_items))
-    return encoding, edge_items
+        slots.append(((na, nb), e, False) if na <= nb else ((nb, na), e, True))
+    slots.sort()
+    return (genera, legs, tuple(slot[0] for slot in slots)), slots
 
 
 @lru_cache(maxsize=None)
@@ -215,38 +212,14 @@ def canonical_graph(graph: StableGraph) -> StableGraph:
 
 
 def graph_transports(graph: StableGraph):
-    """All relabelings onto the canonical representative.
-
-    Yields (vertex_order, edge_map) pairs where edge_map[old_edge] is a
-    (new_edge, flipped) pair.  Parallel edges between the same vertex pair may
-    be assigned to their slots in any order, and each loop may flip its two
-    half-edges; every such choice is produced, which is exactly what the
-    decoration transport in the strata layer needs to minimize over.
-    """
+    """One relabeling onto the canonical representative per canonical vertex
+    ordering: (vertex_order, slots), where slots[i] = (vertex pair, old edge,
+    flipped) fills canonical edge i.  Parallel edges may fill their run of
+    equal vertex pairs in any order and loops may flip; the decoration
+    transport in the strata layer picks the least of those choices."""
     _, orders = _canonical(graph)
     for order in orders:
-        _, edge_items = _relabel_encoding(graph, order)
-        # group canonical slots by equal vertex pairs
-        slots_by_pair: dict = {}
-        for slot, (pair, e, flip) in enumerate(edge_items):
-            slots_by_pair.setdefault(pair, []).append(slot)
-        class_members: dict = {}
-        for pair, e, flip in edge_items:
-            class_members.setdefault(pair, []).append((e, flip))
-        pairs = sorted(slots_by_pair)
-        for assignment in itertools.product(
-                *[itertools.permutations(slots_by_pair[p]) for p in pairs]):
-            edge_map = {}
-            for p_idx, pair in enumerate(pairs):
-                for (e, flip), slot in zip(class_members[pair], assignment[p_idx]):
-                    edge_map[e] = (slot, flip)
-            loops = [e for e, (a, b) in enumerate(graph.edges) if a == b]
-            for flips in itertools.product((False, True), repeat=len(loops)):
-                final = dict(edge_map)
-                for e, extra in zip(loops, flips):
-                    slot, flip = final[e]
-                    final[e] = (slot, flip ^ extra)
-                yield order, final
+        yield order, _relabel_encoding(graph, order)[1]
 
 
 @lru_cache(maxsize=None)

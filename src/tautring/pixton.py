@@ -8,6 +8,11 @@ The resulting stratum coefficients are polynomials in r for large r; the
 class itself is the constant term, recovered here by exact interpolation over
 two disjoint sample sets that must agree.
 
+A weighting modulo r is fixed by its residues on the h1 edges off a spanning
+tree; each tree edge carries the leg charge on one side of it plus a signed
+sum of them.  That affine map (weighting_map) is built and checked once per
+graph and serves every modulus.
+
 Only the weightings depend on r.  Expanding each edge series to order j_e,
 a graph contributes, for each vector j of edge orders, the scalar
 
@@ -39,7 +44,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import InterpolationError, bounded_tuples, lagrange_weights
 from .graphs import StableGraph, enumerate_stable_graphs, automorphism_count, \
@@ -58,76 +62,55 @@ def validate_ramification(A) -> tuple:
     return A
 
 
-@lru_cache(maxsize=None)
-def _peel_plan(graph: StableGraph):
-    """The r-independent part of the weighting system, as tuples only.
-
-    Returns (free, steps, attachments): the edges off a spanning tree, whose
-    residues are free; one step (edge, side at the peeled vertex, the other
-    attachments there) per tree edge, leaves inward, each fixing the tree
-    edge's weight from the vertex condition; and every vertex's attachments,
-    for the final check."""
-    _, tree = union_find(graph.n_vertices, graph.edges)
-    free = tuple(e for e in range(graph.n_edges) if e not in tree)
-    attachments = tuple(map(tuple, graph.attachments()))
-    steps = []
-    remaining = set(tree)
-    degree = {v: 0 for v in range(graph.n_vertices)}
-    incident = {v: [] for v in range(graph.n_vertices)}
-    for e in tree:
-        a, b = graph.edges[e]
-        degree[a] += 1
-        degree[b] += 1
-        incident[a].append(e)
-        incident[b].append(e)
-    leaves = [v for v in range(graph.n_vertices) if degree[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        live = [e for e in incident[v] if e in remaining]
-        if not live:
-            continue
-        e = live[0]
-        remaining.discard(e)
-        a, b = graph.edges[e]
-        others = tuple(tag for tag in attachments[v]
-                       if tag != ("h", e, 0) and tag != ("h", e, 1))
-        steps.append((e, 0 if a == v else 1, others))
-        other = b if a == v else a
-        degree[a] -= 1
-        degree[b] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    if remaining:
-        raise WeightingSystemError("spanning tree peel failed")
-    return free, tuple(steps), attachments
-
-
-def enumerate_weightings(graph: StableGraph, A, r: int):
-    """All weightings modulo r: legs carry the residues of A, edge halves sum
-    to zero over each edge and around every vertex.  Exactly r**h1 of them,
-    generated lazily from free residues on the complement of a spanning tree.
-    """
+def weighting_map(graph: StableGraph, A) -> tuple:
+    """The weightings modulo r of the graph, for every r, as one affine map
+    (h1, rows): free residues x_0..x_{h1-1} sit on the edges off a spanning
+    tree, and edge e carries w(e, 0) = (c_e + sum s x_k) mod r, with
+    rows[e] = (c_e, ((k, s), ...)).  A tree edge's row sums the vertex
+    conditions over the component of (tree - e) at its side-0 end: c_e is
+    minus the leg charge there, and the signs s do not depend on A.  The map
+    is checked once to satisfy every vertex condition identically in the x."""
     A = validate_ramification(A)
     if len(A) != graph.n_legs:
         raise ValueError("ramification vector length differs from leg count")
+    nv = graph.n_vertices
+    _, tree = union_find(nv, graph.edges)
+    free = [e for e in range(graph.n_edges) if e not in tree]
+    # per vertex, [constant, coefficient of each x] of its legs and free
+    # half-edges, w(e, 0) = x_k and w(e, 1) = -x_k
+    forms = [[0] * (len(free) + 1) for _ in range(nv)]
+    for a, v in zip(A, graph.legs):
+        forms[v][0] += a
+    rows = [None] * graph.n_edges
+    for k, e in enumerate(free):
+        a, b = graph.edges[e]
+        forms[a][k + 1] += 1
+        forms[b][k + 1] -= 1
+        rows[e] = (0, ((k, 1),))
+    # a tree edge, once added, cancels in every later component sum: the
+    # component of (tree - e') holds both its ends
+    for e in tree:
+        a, b = graph.edges[e]
+        find, _ = union_find(nv, [graph.edges[t] for t in tree if t != e])
+        row = [-sum(column) for column in
+               zip(*[forms[v] for v in range(nv) if find(v) == find(a)])]
+        rows[e] = (row[0], tuple((k, s) for k, s in enumerate(row[1:]) if s))
+        for i, s in enumerate(row):
+            forms[a][i] += s
+            forms[b][i] -= s
+    if any(map(any, forms)):
+        raise WeightingSystemError("vertex condition violated")
+    return len(free), tuple(rows)
+
+
+def enumerate_weightings(wmap, r: int):
+    """All r**h1 weightings modulo r of a weighting_map, as the tuples of
+    residues w(e, 0) on the edges' side 0."""
     if r < 1:
         raise ValueError("modulus must be >= 1")
-    free, steps, attachments = _peel_plan(graph)
-    legs = [(("l", lab), a % r) for lab, a in enumerate(A, start=1)]
-    for values in itertools.product(range(r), repeat=len(free)):
-        w = dict(legs)
-        for e, value in zip(free, values):
-            w[("h", e, 0)] = value
-            w[("h", e, 1)] = (-value) % r
-        for e, side, others in steps:
-            total = sum(map(w.__getitem__, others))
-            w[("h", e, side)] = (-total) % r
-            w[("h", e, 1 - side)] = total % r
-        # final consistency at every vertex
-        for tags in attachments:
-            if sum(map(w.__getitem__, tags)) % r != 0:
-                raise WeightingSystemError("vertex condition violated")
-        yield w
+    h1, rows = wmap
+    for x in itertools.product(range(r), repeat=h1):
+        yield tuple((c + sum(s * x[k] for k, s in terms)) % r for c, terms in rows)
 
 
 def _graph_layout(graph: StableGraph, A, max_degree: int, orders) -> dict:
@@ -174,21 +157,21 @@ def _edge_orders(graph: StableGraph, max_degree: int) -> tuple:
     return tuple(bounded_tuples(graph.n_edges, max_degree - graph.n_edges))
 
 
-def _weighting_sums(graph: StableGraph, A, r: int, orders) -> list:
+def _weighting_sums(wmap, r: int, orders) -> list:
     """For each order vector j in orders, the integer
     T_j(r) = sum over weightings w of prod_e (w(h) w(h'))^(j_e + 1),
-    so that S_j(r) = T_j(r) / (2^sum(j_e + 1) r^h1)."""
-    halves = [(("h", e, 0), ("h", e, 1)) for e in range(graph.n_edges)]
+    so that S_j(r) = T_j(r) / (2^sum(j_e + 1) r^h1); an edge with residue
+    x != 0 at side 0 carries r - x at side 1."""
     totals = [0] * len(orders)
-    for w in enumerate_weightings(graph, A, r):
-        products = [w[half0] * w[half1] for half0, half1 in halves]
-        if 0 in products:
+    for w in enumerate_weightings(wmap, r):
+        if 0 in w:
             continue
+        products = [x * (r - x) for x in w]
         for i, js in enumerate(orders):
-            x = 1
+            term = 1
             for p, j in zip(products, js):
-                x *= p ** (j + 1)
-            totals[i] += x
+                term *= p ** (j + 1)
+            totals[i] += term
     return totals
 
 
@@ -213,7 +196,7 @@ def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
     out = TautClass(g, len(A))
     for graph in enumerate_stable_graphs(g, len(A), max_degree):
         orders = _edge_orders(graph, max_degree)
-        totals = _weighting_sums(graph, A, r, orders)
+        totals = _weighting_sums(weighting_map(graph, A), r, orders)
         values = {js: Fraction(t, 2 ** (sum(js) + graph.n_edges) * r ** graph.h1)
                   for js, t in zip(orders, totals) if t}
         _add_graph(out, graph, A, max_degree, values)
@@ -303,9 +286,10 @@ def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
             windows[h1] = [_integer_weights(first, at, h1) for at in [0] + second]
         (zero_num, zero_den), *checks = windows[h1]
         orders = _edge_orders(graph, max_degree)
-        columns = list(zip(*[_weighting_sums(graph, A, r, orders) for r in first]))
+        wmap = weighting_map(graph, A)
+        columns = list(zip(*[_weighting_sums(wmap, r, orders) for r in first]))
         for (num, den), r in zip(checks, second):
-            actual = _weighting_sums(graph, A, r, orders)
+            actual = _weighting_sums(wmap, r, orders)
             for column, total in zip(columns, actual):
                 if sum(map(operator.mul, num, column)) * r ** h1 != den * total:
                     raise InterpolationError(

@@ -124,19 +124,22 @@ def _local_dim_ok(graph: StableGraph, kappa, psi_leg, psi_edge) -> bool:
 
 @lru_cache(maxsize=None)
 def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
-    cg = canonical_graph(graph)
-    nv = graph.n_vertices
+    # per canonical vertex ordering, the least choice among permuting a run
+    # of parallel edges and flipping loops: loops ascending, each run sorted
+    # (the slots are already sorted by vertex pair, so the runs stay put)
     best = None
-    for order, edge_map in graph_transports(graph):
-        new_kappa = tuple(kappa[order[new]] for new in range(nv))
-        new_pe = [None] * graph.n_edges
-        for old_e, (slot, flip) in edge_map.items():
-            pair = psi_edge[old_e]
-            new_pe[slot] = (pair[1], pair[0]) if flip else pair
-        cand = (new_kappa, tuple(new_pe))
+    for order, slots in graph_transports(graph):
+        moved = []
+        for ends, e, flip in slots:
+            pair = psi_edge[e]
+            if flip or (ends[0] == ends[1] and pair[0] > pair[1]):
+                pair = (pair[1], pair[0])
+            moved.append((ends, pair))
+        moved.sort()
+        cand = (tuple(kappa[old] for old in order), tuple(pair for _, pair in moved))
         if best is None or cand < best:
             best = cand
-    return StrataTerm(cg, best[0], psi_leg, best[1])
+    return StrataTerm(canonical_graph(graph), best[0], psi_leg, best[1])
 
 
 def canonical_term(graph: StableGraph, kappa_by_vertex, psi_leg_by_label,

@@ -61,6 +61,15 @@ def test_omega_rejects_bad_ramification(tmp_path):
                 "--degree", "1"]) == 1
 
 
+def test_malformed_or_missing_flags_exit_one(capsys):
+    # argparse itself would exit 2, the code for a verification mismatch
+    assert run(["omega", "--genus", "1", "--ramification", "1,x",
+                "--degree", "1"]) == 1
+    assert run(["enumerate", "--genus", "1", "--markings", "1"]) == 1
+    assert run(["--help"]) == 0
+    assert "usage: tautring" in capsys.readouterr().out
+
+
 def test_omega_with_explicit_samples(tmp_path):
     out = tmp_path / "omega.json"
     code = run(["omega", "--genus", "1", "--ramification", "0",

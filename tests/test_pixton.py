@@ -5,19 +5,26 @@ from fractions import Fraction
 import pytest
 
 from tautring import pixton
-from tautring.algebra import InterpolationError, bounded_tuples, lagrange_interpolate
+from tautring.algebra import (
+    InterpolationError,
+    bounded_tuples,
+    lagrange_interpolate,
+    lagrange_weights,
+)
 from tautring.graphs import (
     automorphism_count,
     enumerate_stable_graphs,
     stable_graph,
 )
 from tautring.pixton import (
+    WeightingSystemError,
     enumerate_weightings,
     minimum_modulus,
     omega_constant_term,
     omega_constant_term_from_samples,
     omega_r,
     validate_ramification,
+    weighting_map,
 )
 from tautring.strata import TautClass, boundary_divisor_class, canonical_term
 
@@ -35,21 +42,21 @@ def test_ramification_must_sum_to_zero():
 def test_tree_has_unique_weighting():
     tree = stable_graph((1, 0), (1, 1), ((0, 1),))
     for r in (2, 5, 9):
-        assert len(list(enumerate_weightings(tree, (1, -1), r))) == 1
+        assert len(list(enumerate_weightings(weighting_map(tree, (1, -1)), r))) == 1
 
 
 def test_loop_weightings_indexed_by_half_edge_value():
     loop = stable_graph((0,), (0,), ((0, 0),))
-    ws = list(enumerate_weightings(loop, (0,), 5))
+    ws = list(enumerate_weightings(weighting_map(loop, (0,)), 5))
     assert len(ws) == 5
-    assert sorted(w[("h", 0, 0)] for w in ws) == list(range(5))
+    assert sorted(w[0] for w in ws) == list(range(5))
 
 
 def test_banana_weightings_match_exhaustive_filter():
     banana = stable_graph((0, 0), (0, 1), ((0, 1), (0, 1)))
     r = 7
     A = (2, -2)
-    ws = list(enumerate_weightings(banana, A, r))
+    ws = list(enumerate_weightings(weighting_map(banana, A), r))
     assert len(ws) == 7
     # brute force over all half-edge assignments
     count = 0
@@ -72,7 +79,8 @@ def test_banana_weightings_match_exhaustive_filter():
 
 def _brute_force_weightings(graph, A, r):
     """Every assignment of residues to the half-edges that sums to zero over
-    each edge and around each vertex, as sorted item tuples."""
+    each edge and around each vertex, projected onto its side-0 residues (the
+    projection is injective: side 1 is minus side 0)."""
     halves = [("h", e, s) for e in range(graph.n_edges) for s in (0, 1)]
     legs = {("l", lab): a % r for lab, a in enumerate(A, start=1)}
     tags_at = [[("l", lab) for lab, w in enumerate(graph.legs, start=1) if w == v]
@@ -87,41 +95,89 @@ def _brute_force_weightings(graph, A, r):
             continue
         if any(sum(w[tag] for tag in tags) % r for tags in tags_at):
             continue
-        found.add(tuple(sorted(w.items())))
+        found.add(tuple(w[("h", e, 0)] for e in range(graph.n_edges)))
     return found
 
 
 @pytest.mark.parametrize("g,n,A", [(1, 3, (2, -1, -1)), (2, 1, (0,))])
 def test_weightings_match_exhaustive_filter_on_whole_spaces(g, n, A):
-    graphs = enumerate_stable_graphs(g, n, 3)
-    for warm in (False, True):
-        if not warm:
-            pixton._peel_plan.cache_clear()
-        for graph in graphs:
-            for r in (2, 3, 4):
-                ws = [tuple(sorted(w.items()))
-                      for w in enumerate_weightings(graph, A, r)]
-                assert len(ws) == len(set(ws)) == r ** graph.h1, (graph, r)
-                assert set(ws) == _brute_force_weightings(graph, A, r), (graph, r)
-
-
-def test_peel_plan_holds_only_tuples():
-    def immutable(x):
-        if isinstance(x, tuple):
-            return all(immutable(y) for y in x)
-        return isinstance(x, (int, str))
-
-    for g, n in ((1, 3), (2, 1), (0, 5)):
-        for graph in enumerate_stable_graphs(g, n, 3):
-            assert immutable(pixton._peel_plan(graph)), graph
+    for graph in enumerate_stable_graphs(g, n, 3):
+        wmap = weighting_map(graph, A)
+        for r in (2, 3, 4):
+            ws = list(enumerate_weightings(wmap, r))
+            assert len(ws) == len(set(ws)) == r ** graph.h1, (graph, r)
+            assert set(ws) == _brute_force_weightings(graph, A, r), (graph, r)
 
 
 @pytest.mark.parametrize("g,n,A", [(1, 1, (0,)), (1, 2, (1, -1)), (2, 0, ())])
 def test_weighting_counts_scale_with_cycle_rank(g, n, A):
     for graph in enumerate_stable_graphs(g, n, 2):
         for r in (3, 5, 8):
-            ws = list(enumerate_weightings(graph, A, r))
+            ws = list(enumerate_weightings(weighting_map(graph, A), r))
             assert len(ws) == r ** graph.h1, (graph, r)
+
+
+def _side_charge(graph, A, e):
+    """Sum of A over the legs on the side-0 end of the tree edge e, by a
+    breadth-first search on the tree minus e."""
+    reached = {graph.edges[e][0]}
+    queue = [graph.edges[e][0]]
+    while queue:
+        v = queue.pop(0)
+        for f, (a, b) in enumerate(graph.edges):
+            if f != e and v in (a, b):
+                w = b if v == a else a
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+    return sum(a for a, v in zip(A, graph.legs) if v in reached)
+
+
+@pytest.mark.parametrize("g,A,d", [
+    (0, (3, 1, -2, -2, 0), 2),
+    (0, (1, 1, 1, -1, -2), 2),
+    (1, (2, -1, -1), 3),
+    (1, (3, 0, -3), 3),
+    (2, (1, -1), 3),
+    (2, (4, -4), 3),
+])
+def test_tree_weighting_sums_have_closed_form_constant_terms(g, A, d):
+    # on a tree, T_j(r) = prod_e (s_e (r - s_e))^(j_e + 1) with s_e the leg
+    # charge on one side of e, for every r above minimum_modulus; its
+    # constant term in r is prod_e (-s_e^2)^(j_e + 1)
+    moduli = [minimum_modulus(A) + i for i in range(2 * d + 1)]
+    weights = lagrange_weights(moduli, 0)
+    trees = [graph for graph in enumerate_stable_graphs(g, len(A), d) if graph.h1 == 0]
+    assert len(trees) > 1
+    for graph in trees:
+        charges = [_side_charge(graph, A, e) for e in range(graph.n_edges)]
+        orders = pixton._edge_orders(graph, d)
+        wmap = weighting_map(graph, A)
+        samples = [pixton._weighting_sums(wmap, r, orders) for r in moduli]
+        for i, js in enumerate(orders):
+            constant = sum(w * sample[i] for w, sample in zip(weights, samples))
+            expected = 1
+            for s, j in zip(charges, js):
+                expected *= (-s * s) ** (j + 1)
+            assert constant == expected, (graph, js)
+
+
+def test_corrupted_spanning_tree_is_caught(monkeypatch):
+    # dropping one tree edge leaves an edge free that the vertex conditions
+    # fix, so the map cannot satisfy them identically
+    real = pixton.union_find
+
+    def short(nv, edges):
+        find, tree = real(nv, edges)
+        return find, tree[1:]
+
+    graphs = [graph for graph in enumerate_stable_graphs(1, 3, 3)
+              if graph.n_vertices > 1]
+    assert graphs
+    monkeypatch.setattr(pixton, "union_find", short)
+    for graph in graphs:
+        with pytest.raises(WeightingSystemError):
+            weighting_map(graph, (3, -1, -2))
 
 
 def test_omega_r_degree_zero_is_fundamental():
@@ -159,8 +215,8 @@ def _reference_omega_r(g, A, r, max_degree):
         budget = max_degree - ne
         edge_orders = {}
         order_vectors = list(bounded_tuples(ne, budget))
-        for w in enumerate_weightings(graph, A, r):
-            u = [Fraction(w[("h", e, 0)] * w[("h", e, 1)], 2) for e in range(ne)]
+        for w in enumerate_weightings(weighting_map(graph, A), r):
+            u = [Fraction(x * ((-x) % r), 2) for x in w]
             if any(x == 0 for x in u):
                 continue
             for orders in order_vectors:
@@ -266,8 +322,8 @@ def test_scalar_check_catches_a_wrong_sample(monkeypatch):
     # windows 4..8 and 9..13; at r = 11 every weighting is counted twice
     original = pixton.enumerate_weightings
 
-    def doubled(graph, A, r):
-        for w in original(graph, A, r):
+    def doubled(wmap, r):
+        for w in original(wmap, r):
             yield w
             if r == 11:
                 yield w

@@ -385,17 +385,30 @@ def test_json_round_trip():
     assert back == c
 
 
+_RELABELING_CASES = [
+    # parallel edges whose decorations differ, with kappa at the genus-1 vertex
+    (2, 4, ((0, 1, 0), (0, 0, 2, 2), ((0, 1), (0, 2), (0, 2))),
+     {1: {1: 1}}, {1: 1}, {(1, 1): 1, (2, 0): 1}),
+    # two loops and a pair of parallel edges, swapped by a vertex automorphism
+    (3, 0, ((0, 0), (), ((0, 0), (0, 1), (0, 1), (1, 1))),
+     {}, {}, {(0, 1): 1, (2, 1): 1}),
+]
+
+
 def test_decorated_canonicalization_is_relabeling_invariant():
+    for case in _RELABELING_CASES:
+        _check_relabeling_invariance(*case)
+
+
+def _check_relabeling_invariance(g, n, graph, kappa, psi_leg, psi_edge):
     # transporting decorations along a random relabeling of the presentation
-    # must produce the identical class
+    # must produce the identical class, and the class is not zero
     import random
     rng = random.Random(99)
-    base_graph = stable_graph((0, 1, 0), (0, 0, 2, 2), ((0, 1), (0, 2), (0, 2)))
-    kappa = {1: {1: 1}}
-    psi_leg = {1: 2, 3: 1}
-    psi_edge = {(0, 0): 1, (1, 1): 2, (2, 0): 1}
-    reference = TautClass(2, 4).add_term(base_graph, kappa, psi_leg, psi_edge,
+    base_graph = stable_graph(*graph)
+    reference = TautClass(g, n).add_term(base_graph, kappa, psi_leg, psi_edge,
                                          Fraction(1))
+    assert not reference.is_zero()
     nv = base_graph.n_vertices
     for _ in range(100):
         perm = list(range(nv))
@@ -423,7 +436,7 @@ def test_decorated_canonicalization_is_relabeling_invariant():
                 new_psi_edge[(slot, 1)] = sides[1]
         relabeled = stable_graph(genera, legs, edges)
         new_kappa = {perm[v]: dict(k) for v, k in kappa.items()}
-        moved = TautClass(2, 4).add_term(relabeled, new_kappa, psi_leg,
+        moved = TautClass(g, n).add_term(relabeled, new_kappa, psi_leg,
                                          new_psi_edge, Fraction(1))
         assert moved == reference
 
