@@ -1,8 +1,9 @@
 """Command-line front end: batch computations in, JSON out.
 
-Exit codes: 0 success, 1 validation error (malformed or missing flags
-included), 2 verification mismatch, 3 cache integrity failure.  Data goes
-to --out (or stdout); progress and diagnostics go to stderr only.
+Exit codes: 0 success, 1 validation error (malformed or missing flags and
+an unusable --db or --out path included), 2 verification mismatch, 3 cache
+integrity failure.  Data goes to --out (or stdout); progress and diagnostics
+go to stderr only.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
         return EXIT_CACHE
     except (InvalidGraphError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

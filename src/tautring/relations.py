@@ -38,7 +38,8 @@ class RelationPipelineError(RuntimeError):
 
 
 class CacheIntegrityError(RuntimeError):
-    """A stored relation record failed its content-hash check."""
+    """A stored relation record failed its content-hash check or did not
+    decode: on opening the file, or when its key is first read or stored."""
 
 
 class CacheConsistencyError(RuntimeError):
@@ -289,6 +290,11 @@ class BoundaryExpression:
         return cls(TautClass.from_json(data["value"]), data["provenance"])
 
 
+# what a record that is not valid JSON, or not a valid class, raises on decoding
+_UNREADABLE = (ValueError, LookupError, TypeError, ArithmeticError,
+               AttributeError, RelationPipelineError)
+
+
 def _record_hash(key_json: dict, value_json: dict) -> str:
     blob = json.dumps({"key": key_json, "value": value_json},
                       sort_keys=True, separators=(",", ":"))
@@ -298,7 +304,14 @@ def _record_hash(key_json: dict, value_json: dict) -> str:
 class RelationDatabase:
     """Append-only, content-addressed store of boundary expressions keyed by
     (g, n, monomial).  Recomputation must reproduce stored values bit-exactly
-    or fail loudly."""
+    or fail loudly.
+
+    Opening a file checks every line: it must be JSON, match its SHA-256 and
+    name a (g, n, monomial) key.  A record is decoded into a class, and its
+    class checked to live on its key's space, when its key is first read or
+    stored; until then `records` holds its verified line and line number.
+    A failure at either time is a `CacheIntegrityError`, so a correctly
+    hashed record that does not decode fails only once its key is touched."""
 
     def __init__(self, path=None):
         self.path = path
@@ -324,32 +337,42 @@ class RelationDatabase:
                                     f"corrupt record for key {rec['key']}")
                             key = (rec["key"]["g"], rec["key"]["n"],
                                    rec["key"]["monomial"])
-                            be = BoundaryExpression.from_json(rec)
-                            if (be.value.g, be.value.n) != key[:2]:
-                                raise CacheIntegrityError(
-                                    f"record for key {rec['key']} holds a class "
-                                    f"on ({be.value.g}, {be.value.n})")
-                            self.records[key] = be
-                        except (ValueError, LookupError, TypeError,
-                                ArithmeticError, AttributeError,
-                                RelationPipelineError) as exc:
-                            raise CacheIntegrityError(
-                                f"unreadable record on line {lineno} of {path}: "
-                                f"{exc!r}") from exc
+                            # keep the line, not the parsed dict: it takes less memory
+                            self.records[key] = (lineno, line)
+                        except _UNREADABLE as exc:
+                            raise self._unreadable(lineno, exc) from exc
+
+    def _unreadable(self, lineno: int, exc: Exception) -> CacheIntegrityError:
+        return CacheIntegrityError(
+            f"unreadable record on line {lineno} of {self.path}: {exc!r}")
 
     def get(self, g: int, n: int, monomial: str):
-        return self.records.get((g, n, monomial))
+        key = (g, n, monomial)
+        entry = self.records.get(key)
+        if type(entry) is tuple:
+            lineno, line = entry
+            try:
+                entry = BoundaryExpression.from_json(json.loads(line))
+                if (entry.value.g, entry.value.n) != (g, n):
+                    raise ValueError(
+                        f"record for key {key} holds a class on "
+                        f"({entry.value.g}, {entry.value.n})")
+            except _UNREADABLE as exc:
+                raise self._unreadable(lineno, exc) from exc
+            self.records[key] = entry
+        return entry
 
     def store(self, g: int, n: int, monomial: str,
               expression: BoundaryExpression) -> BoundaryExpression:
         key = (g, n, monomial)
         if key in self.records:
-            old = json.dumps(self.records[key].to_json()["value"], sort_keys=True)
+            stored = self.get(g, n, monomial)
+            old = json.dumps(stored.to_json()["value"], sort_keys=True)
             new = json.dumps(expression.to_json()["value"], sort_keys=True)
             if old != new:
                 raise CacheConsistencyError(
                     f"recomputed value for {key} differs from the stored record")
-            return self.records[key]
+            return stored
         self.records[key] = expression
         if self.path is not None:
             key_json = {"g": g, "n": n, "monomial": monomial}

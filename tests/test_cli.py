@@ -171,6 +171,19 @@ def test_corrupt_cache_exits_three(tmp_path):
         assert run(argv_11) == 3, corrupt.__name__
 
 
+def test_unusable_path_exits_one(tmp_path, capsys):
+    argv = ["boundary-expression", "--genus", "0", "--markings", "4",
+            "--monomial", "psi1"]
+    missing = tmp_path / "missing"
+    # a directory as the database, a database and an output in a missing
+    # directory
+    for flags, name in ((["--db", str(tmp_path)], tmp_path),
+                        (["--db", str(missing / "db.jsonl")], missing / "db.jsonl"),
+                        (["--out", str(missing / "o.json")], missing / "o.json")):
+        assert run(argv + flags) == 1, flags
+        assert f"cannot access {name}: " in capsys.readouterr().err
+
+
 def test_verify_m11(tmp_path):
     out = tmp_path / "verify.json"
     code = run(["verify-m11", "--out", str(out)])

@@ -31,6 +31,7 @@ from tautring.relations import (
     theta_generators,
     theta_power_relation,
     trr_report,
+    _record_hash,
 )
 from tautring.strata import TautClass, boundary_divisor_class, gluing_pushforward
 
@@ -400,6 +401,70 @@ def test_database_rejects_conflicting_store(tmp_path):
     wrong = BoundaryExpression(be.value * 2, ["bogus"])
     with pytest.raises(CacheConsistencyError):
         db.store(0, 4, "psi1", wrong)
+
+
+def _hashed_line(key, value):
+    key_json = dict(zip(("g", "n", "monomial"), key))
+    return json.dumps({"key": key_json, "value": value,
+                       "provenance": ["hand-made"],
+                       "sha256": _record_hash(key_json, value)}) + "\n"
+
+
+def test_database_verifies_every_hash_on_open(tmp_path):
+    path = tmp_path / "relations.jsonl"
+    boundary_expression(0, 4, "psi1", RelationDatabase(str(path)))
+    # a mismatched record under a key that nothing ever reads
+    bad = json.loads(_hashed_line((0, 5, "psi2"), dirr(0, 4).to_json()))
+    bad["sha256"] = "0" * 64
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(bad) + "\n")
+    with pytest.raises(CacheIntegrityError):
+        RelationDatabase(str(path))
+
+
+def test_database_decodes_a_record_on_first_read(tmp_path):
+    path = tmp_path / "relations.jsonl"
+    written = RelationDatabase(str(path))
+    boundary_expression(0, 4, "psi1", written)
+    good_keys = list(written.records)
+    zero_denominator = dirr(1, 1).to_json()
+    zero_denominator["terms"][0]["coeff"] = "1/0"
+    broken, foreign = (1, 1, "kappa1"), (1, 1, "psi1")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(_hashed_line(broken, zero_denominator))
+        handle.write(_hashed_line(foreign, dirr(0, 4).to_json()))
+    n_lines = len(path.read_text().splitlines())
+    # correctly hashed records malformed deeper down do not stop the open
+    db = RelationDatabase(str(path))
+    for key in good_keys:
+        assert db.get(*key).to_json() == written.get(*key).to_json()
+    with pytest.raises(CacheIntegrityError, match=f"line {n_lines - 1} "):
+        db.get(*broken)
+    with pytest.raises(CacheIntegrityError, match=f"line {n_lines} "):
+        db.get(*foreign)
+    with pytest.raises(CacheIntegrityError, match=f"line {n_lines - 1} "):
+        db.store(*broken, BoundaryExpression(dirr(1, 1), ["recomputed"]))
+
+
+def test_database_open_decodes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "relations.jsonl"
+    boundary_expression(0, 5, "psi1^2", RelationDatabase(str(path)))
+    n_lines = len(path.read_text().splitlines())
+    decode = BoundaryExpression.from_json
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(BoundaryExpression, "from_json", staticmethod(counting))
+    db = RelationDatabase(str(path))
+    assert calls == []
+    assert len(db.records) == n_lines
+    key = next(iter(db.records))
+    first = db.get(*key)
+    assert db.get(*key) is first
+    assert len(calls) == 1
 
 
 _DB_SPACES = ((0, 4), (0, 5), (1, 1), (1, 2))
