@@ -1,15 +1,18 @@
 """Command-line front end: batch computations in, JSON out.
 
 Exit codes: 0 success, 1 validation error (malformed or missing flags and
-an unusable --db or --out path included), 2 verification mismatch, 3 cache
-integrity failure.  Data goes to --out (or stdout); progress and diagnostics
+an unusable --db or --out path included, found before any computation when
+its directory is missing), 2 verification mismatch, 3 cache integrity
+failure.  Data goes to --out (or stdout); progress and diagnostics
 go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -205,6 +208,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on a bad flag; 2 here means a verification mismatch
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
+        # the output is written after the computation: check its directory now
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    args.out)
         return args.func(args)
     except (CacheIntegrityError, CacheConsistencyError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)

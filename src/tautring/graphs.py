@@ -10,7 +10,12 @@ keeping every leg label on a matching vertex.
 
 Canonical labeling is by exhaustive search over vertex orderings refined by
 (genus, attached legs, valence) invariants; graphs at desk scale have at most
-a handful of vertices, so certified exactness is cheap.
+a handful of vertices, so certified exactness is cheap.  The search is
+memoized per labeled graph for the strata layer and automorphism counts,
+which look the same graph up again and again.  Enumeration searches each
+of its one-edge degenerations exactly once and bypasses that cache: most
+candidates are throwaway presentations, and as cache keys they would stay
+alive for the life of the process.
 """
 
 from __future__ import annotations
@@ -182,8 +187,7 @@ def _relabel_encoding(graph: StableGraph, order):
     return (genera, legs, tuple(slot[0] for slot in slots)), slots
 
 
-@lru_cache(maxsize=None)
-def _canonical(graph: StableGraph):
+def _canonical_search(graph: StableGraph):
     """Minimal encoding plus every vertex ordering achieving it."""
     best = None
     best_orders = []
@@ -195,6 +199,15 @@ def _canonical(graph: StableGraph):
         elif encoding == best:
             best_orders.append(order)
     return best, tuple(best_orders)
+
+
+@lru_cache(maxsize=None)
+def _canonical(graph: StableGraph):
+    """Memoized _canonical_search, for callers that look the same labeled
+    graph up repeatedly (canonical_key, automorphism_count, the strata
+    layer's canonical terms).  Every key stays alive with the cache, so
+    enumeration calls _canonical_search on its candidates instead."""
+    return _canonical_search(graph)
 
 
 def _encode_hex(encoding) -> str:
@@ -336,15 +349,20 @@ def vertex_split_options(gv: int, tags):
     both sides stable, one per unordered split: (g1, moved_tags) for
     split_vertex.  Multiplicities matter for divisor products, so no
     isomorphism deduplication happens here."""
-    for g1 in range(gv + 1):
-        for bits in itertools.product((0, 1), repeat=len(tags)):
-            side1 = tuple(t for t, b in zip(tags, bits) if b)
-            side2 = tuple(t for t, b in zip(tags, bits) if not b)
-            if (g1, side1) > (gv - g1, side2):
+    n = len(tags)
+    # product() counts in binary, so reading it backwards gives complements
+    patterns = list(itertools.product((0, 1), repeat=n))
+    # each unordered split is listed once, from its side of lower
+    # (genus, tags), so g1 never exceeds gv - g1
+    for g1 in range(gv // 2 + 1):
+        g2 = gv - g1
+        for bits, rest in zip(patterns, reversed(patterns)):
+            # each side also gets the new edge's half-edge
+            k1 = sum(bits)
+            if 2 * g1 - 1 + k1 <= 0 or 2 * g2 - 1 + n - k1 <= 0:
                 continue
-            if 2 * g1 - 2 + len(side1) + 1 <= 0:
-                continue
-            if 2 * (gv - g1) - 2 + len(side2) + 1 <= 0:
+            side2 = tuple(itertools.compress(tags, rest))
+            if g1 == g2 and tuple(itertools.compress(tags, bits)) > side2:
                 continue
             yield g1, side2
 
@@ -375,20 +393,21 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
-    start = canonical_graph(trivial_graph(g, n))
-    levels = [{start.canonical_key(): start}]
-    for _ in range(limit):
-        nxt: dict = {}
-        for parent in levels[-1].values():
-            for candidate, _e in one_edge_degenerations(parent):
-                canon = canonical_graph(candidate)
-                nxt.setdefault(canon.canonical_key(), canon)
-        if not nxt:
-            break
-        levels.append(nxt)
+    # levels hold canonical encodings, and each candidate is searched once,
+    # uncached (see _canonical)
+    level = {_canonical_search(trivial_graph(g, n))[0]}
     out = []
-    for level in levels:
-        out.extend(level[k] for k in sorted(level))
+    for edges in range(limit + 1):
+        # the canonical key is the hex of the text form, where "10" < "2",
+        # so encodings are not sorted as tuples
+        parents = [StableGraph(*encoding)
+                   for encoding in sorted(level, key=_encode_hex)]
+        out.extend(parents)
+        if edges == limit:
+            break
+        level = {_canonical_search(candidate)[0]
+                 for parent in parents
+                 for candidate, _e in one_edge_degenerations(parent)}
     return tuple(out)
 
 

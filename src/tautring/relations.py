@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -311,7 +312,9 @@ class RelationDatabase:
     class checked to live on its key's space, when its key is first read or
     stored; until then `records` holds its verified line and line number.
     A failure at either time is a `CacheIntegrityError`, so a correctly
-    hashed record that does not decode fails only once its key is touched."""
+    hashed record that does not decode fails only once its key is touched.
+    A missing file is an empty database, but a missing directory fails the
+    open with FileNotFoundError."""
 
     def __init__(self, path=None):
         self.path = path
@@ -322,6 +325,10 @@ class RelationDatabase:
                 # is reported like every other corrupt record
                 handle = open(path, "rb")
             except FileNotFoundError:
+                # a new database is created by its first store; a missing
+                # directory would only fail there, after the work is done
+                if not os.path.isdir(os.path.dirname(path) or "."):
+                    raise
                 handle = None
             if handle is not None:
                 with handle:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from tautring import cli
 from tautring.cli import main
 from tautring.relations import _record_hash
 from tautring.strata import TautClass, boundary_divisor_class
@@ -182,6 +183,23 @@ def test_unusable_path_exits_one(tmp_path, capsys):
                         (["--out", str(missing / "o.json")], missing / "o.json")):
         assert run(argv + flags) == 1, flags
         assert f"cannot access {name}: " in capsys.readouterr().err
+
+
+def test_unusable_path_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def computing(*args, **kwargs):
+        raise AssertionError("computed before the path was checked")
+
+    monkeypatch.setattr(cli, "boundary_expression", computing)
+    monkeypatch.setattr(cli, "dr_relation_coefficient", computing)
+    missing = tmp_path / "missing"
+    be = ["boundary-expression", "--genus", "0", "--markings", "4",
+          "--monomial", "psi1"]
+    for argv, name in ((be + ["--db", str(missing / "db.jsonl")], missing / "db.jsonl"),
+                       (be + ["--out", str(missing / "o.json")], missing / "o.json"),
+                       (["verify-m11", "--out", str(missing / "m.json")], missing / "m.json")):
+        assert run(argv) == 1, argv
+        assert f"cannot access {name}: " in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_verify_m11(tmp_path):

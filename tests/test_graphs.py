@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautring.graphs import (
     InvalidGraphError,
     StableGraph,
+    _canonical,
+    _enumerate_cached,
     automorphism_count,
     canonical_graph,
     contract_edge,
@@ -17,6 +20,7 @@ from tautring.graphs import (
     relabel_legs,
     stable_graph,
     trivial_graph,
+    vertex_split_options,
 )
 
 
@@ -48,6 +52,39 @@ def test_enumerate_deterministic_order():
     assert first == second
     edge_counts = [g.n_edges for g in first]
     assert edge_counts == sorted(edge_counts)
+
+
+def _reference_enumeration(g, n, limit):
+    """Reference enumeration: every candidate through the memoized
+    canonical_graph and canonical_key, each level sorted by key."""
+    start = canonical_graph(trivial_graph(g, n))
+    levels = [{start.canonical_key(): start}]
+    for _ in range(limit):
+        nxt: dict = {}
+        for parent in levels[-1].values():
+            for candidate, _e in one_edge_degenerations(parent):
+                canon = canonical_graph(candidate)
+                nxt.setdefault(canon.canonical_key(), canon)
+        if not nxt:
+            break
+        levels.append(nxt)
+    out = []
+    for level in levels:
+        out.extend(level[k] for k in sorted(level))
+    return out
+
+
+@pytest.mark.parametrize("g,n,limit", [(0, 7, 4), (2, 3, 3), (3, 2, 3),
+                                       (3, 3, 3)])
+def test_enumeration_matches_reference_order(g, n, limit):
+    assert enumerate_stable_graphs(g, n, limit) == _reference_enumeration(g, n, limit)
+
+
+def test_enumeration_leaves_canonical_cache_empty():
+    _enumerate_cached.cache_clear()
+    _canonical.cache_clear()
+    assert len(enumerate_stable_graphs(2, 3, 4)) > 0
+    assert _canonical.cache_info().currsize == 0
 
 
 def _connected(nv, edges):
@@ -263,3 +300,30 @@ def test_graph_json_round_trip():
 def test_canonical_key_is_hex():
     key = trivial_graph(1, 1).canonical_key()
     assert set(key) <= set("0123456789abcdef")
+
+
+def _reference_split_options(gv, tags):
+    """Reference split generator: both sides built for every bit pattern,
+    then ordered and stability-checked."""
+    for g1 in range(gv + 1):
+        for bits in itertools.product((0, 1), repeat=len(tags)):
+            side1 = tuple(t for t, b in zip(tags, bits) if b)
+            side2 = tuple(t for t, b in zip(tags, bits) if not b)
+            if (g1, side1) > (gv - g1, side2):
+                continue
+            if 2 * g1 - 2 + len(side1) + 1 <= 0:
+                continue
+            if 2 * (gv - g1) - 2 + len(side2) + 1 <= 0:
+                continue
+            yield g1, side2
+
+
+_TAGS = st.one_of(st.tuples(st.just("l"), st.integers(1, 9)),
+                  st.tuples(st.just("h"), st.integers(0, 8), st.integers(0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gv=st.integers(0, 3), tags=st.lists(_TAGS, max_size=8, unique=True))
+def test_split_options_match_reference(gv, tags):
+    assert list(vertex_split_options(gv, tags)) == \
+        list(_reference_split_options(gv, tags))
