@@ -2,8 +2,10 @@
 
 Sparse multivariate polynomials over Fraction, exact Lagrange interpolation
 and the extraction of a top-degree coefficient by one iterated forward
-difference.  No floating-point number is ever produced: every coefficient in
-the system is a Fraction, so equality tests are exact.
+difference, whose stencil of points and weights is exposed so that callers
+can take the difference on whatever scalars their values are made of.  No
+floating-point number is ever produced: every coefficient in the system is
+a Fraction, so equality tests are exact.
 """
 
 from __future__ import annotations
@@ -275,16 +277,12 @@ def bounded_tuples(length: int, bound: int):
             yield (head,) + rest
 
 
-def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[int],
-                              total_degree: int):
-    """Exact coefficient of a top-degree monomial in a black-box polynomial f.
-
-    f maps integer tuples to values in any Q-vector space (Fraction, MultiPoly
-    or TautClass); it is assumed to be a polynomial of total degree at most
-    total_degree, and the monomial must have exactly that degree.  The
-    coefficient is the iterated forward difference Delta^m f(0) / m!: every
-    other monomial of degree at most total_degree is annihilated by Delta^m.
-    """
+def finite_difference_stencil(monomial: Sequence[int], total_degree: int) -> list:
+    """The points and weights of Delta^m f(0) / m!, the exact coefficient of
+    a top-degree monomial m in a polynomial f of total degree at most
+    total_degree: every other monomial of degree at most total_degree is
+    annihilated by Delta^m.  A list of (offsets, weight), one per point of
+    the box prod_i [0, m_i]."""
     monomial = tuple(int(m) for m in monomial)
     if any(m < 0 for m in monomial):
         raise AlgebraError("monomial exponents must be non-negative")
@@ -292,11 +290,24 @@ def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[i
         raise AlgebraError("only a monomial of the declared total degree can be "
                            "extracted by a single forward difference")
     norm = math.prod(math.factorial(m) for m in monomial)
-    acc = None
+    stencil = []
     for offsets in itertools.product(*[range(m + 1) for m in monomial]):
         weight = Fraction((-1) ** (total_degree - sum(offsets)), norm)
         for m, j in zip(monomial, offsets):
             weight *= math.comb(m, j)
+        stencil.append((offsets, weight))
+    return stencil
+
+
+def finite_difference_extract(f: Callable[[tuple], object], monomial: Sequence[int],
+                              total_degree: int):
+    """Exact coefficient of a top-degree monomial in a black-box polynomial f:
+    the weighted sum of f over finite_difference_stencil(monomial,
+    total_degree).  f maps integer tuples to values in any Q-vector space
+    (Fraction, MultiPoly or TautClass); it is assumed to be a polynomial of
+    total degree at most total_degree."""
+    acc = None
+    for offsets, weight in finite_difference_stencil(monomial, total_degree):
         piece = f(offsets) * weight
         acc = piece if acc is None else acc + piece
     return acc

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 validation error (malformed or missing flags and
 an unusable --db or --out path included, found before any computation when
-its directory is missing), 2 verification mismatch, 3 cache integrity
-failure.  Data goes to --out (or stdout); progress and diagnostics
-go to stderr only.
+its directory is missing, or when --out names a directory or a path that
+cannot be written), 2 verification mismatch, 3 cache integrity failure.
+Data goes to --out (or stdout); progress and diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -42,6 +42,21 @@ def _emit(payload: dict, out_path):
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str):
+    """The output is written after the computation: fail now, with the error
+    open() would raise, if path is a directory or cannot be written."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _progress(message: str):
@@ -208,10 +223,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on a bad flag; 2 here means a verification mismatch
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        # the output is written after the computation: check its directory now
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                    args.out)
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except (CacheIntegrityError, CacheConsistencyError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)

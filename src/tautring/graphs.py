@@ -204,9 +204,10 @@ def _canonical_search(graph: StableGraph):
 @lru_cache(maxsize=None)
 def _canonical(graph: StableGraph):
     """Memoized _canonical_search, for callers that look the same labeled
-    graph up repeatedly (canonical_key, automorphism_count, the strata
-    layer's canonical terms).  Every key stays alive with the cache, so
-    enumeration calls _canonical_search on its candidates instead."""
+    graph up repeatedly (canonical_key, the strata layer's canonical terms).
+    Every key stays alive with the cache, so enumeration calls
+    _canonical_search on its candidates instead, and so does
+    automorphism_count, which is memoized itself."""
     return _canonical_search(graph)
 
 
@@ -254,7 +255,7 @@ def automorphism_count(graph: StableGraph) -> int:
         lifts *= math.factorial(m)
         if a == b:
             lifts *= 2 ** m
-    return lifts * len(_canonical(graph)[1])
+    return lifts * len(_canonical_search(graph)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ stable curves is assembled as a sum over stable graphs together with
 weightings modulo r of the half-edges: each leg carries exp(a_i^2 psi_i / 2),
 each edge the series (1 - exp(-w(h) w(h') (psi' + psi'') / 2)) / (psi' + psi'').
 The resulting stratum coefficients are polynomials in r for large r; the
-class itself is the constant term, recovered here by exact interpolation over
-two disjoint sample sets that must agree.
+class itself is the constant term.
 
 A weighting modulo r is fixed by its residues on the h1 edges off a spanning
 tree; each tree edge carries the leg charge on one side of it plus a signed
@@ -19,27 +18,38 @@ a graph contributes, for each vector j of edge orders, the scalar
     S_j(r) = sum over weightings w of prod_e u_e^(j_e + 1) / r^h1,
     u_e = w(h) w(h') / 2,
 
-times an r-independent combination of strata: the leg series, the binomial
-splits of (psi' + psi'')^j_e and (-1)^j_e / (j_e + 1)! (the graph's layout).
-So each graph's layout is built once, and only the scalars are sampled.
-Janda-Pandharipande-Pixton-Zvonkine ("Double ramification cycles on the
-moduli spaces of curves", Publ. IHES 2017) prove that each S_j, for fixed
-graph and j, is a polynomial in r for large r.
+times the leg factor prod_i (a_i^2 / 2)^k_i / k_i! of each vector k of leg
+exponents, times a combination of strata that depends on neither r nor A:
+the binomial splits of (psi' + psi'')^j_e with (-1)^j_e / (j_e + 1)! (the
+graph's layout).  So the strata are built once per graph and (j, k), and
+only scalars are computed per modulus or per A.  Janda-Pandharipande-
+Pixton-Zvonkine ("Double ramification cycles on the moduli spaces of
+curves", Publ. IHES 2017) prove that each S_j, for fixed graph and j, is a
+polynomial in r for large r; write F_j for its constant term.
 
-In degree <= d every S_j has degree <= 2d in r: u_e is quadratic in (w, r),
-the orders satisfy sum(j_e + 1) <= d, and summing over the r^h1 weightings
-raises the degree by h1, which the factor 1 / r^h1 takes back.  Each window
-holds 2d + 1 moduli.  For every scalar, the interpolant through the first
-window must reproduce each sample of the second, which proves it right for
-any true degree up to 4d + 1; otherwise the bound is enlarged and the
-sampling retried.  Every stratum coefficient of the class is an
-r-independent linear combination of the scalars, so agreement of all scalars
-implies agreement of the classes: the check is at least as strict as
-comparing the interpolated classes.
+On a tree the one weighting puts c_e mod r on edge e, c_e the leg charge on
+one side, so F_j = prod_e (-c_e^2)^(j_e + 1) / 2^sum(j_e + 1) in closed form.
+On a graph with cycles F_j is interpolated.  In degree <= d every S_j has
+degree <= 2d in r: u_e is quadratic in (w, r), the orders satisfy
+sum(j_e + 1) <= d, and summing over the r^h1 weightings raises the degree by
+h1, which the factor 1 / r^h1 takes back.  Each window holds 2d + 1 moduli.
+For every scalar, the interpolant through the first window must reproduce
+each sample of the second, which proves it right for any true degree up to
+4d + 1; otherwise the bound is enlarged and the sampling retried.  Every
+stratum coefficient of the class is a linear combination of the scalars, so
+agreement of all scalars implies agreement of the classes: the check is at
+least as strict as comparing the interpolated classes.
+
+The sums see A only through the vertex charges, so a linear combination of
+constant-term classes over several A (weighted_constant_term, which the
+finite differences of the relations layer use) samples each graph once per
+charge vector and sums the scalars before any stratum is built.  No class
+and no scalar outlives the call that computed it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -113,48 +123,73 @@ def enumerate_weightings(wmap, r: int):
         yield tuple((c + sum(s * x[k] for k, s in terms)) % r for c, terms in rows)
 
 
-def _graph_layout(graph: StableGraph, A, max_degree: int, orders) -> dict:
-    """The r-independent part of a graph's terms: for each vector j of edge
-    series orders in orders, the list of (canonical stratum, coefficient)
-    that S_j(r) multiplies.  The coefficients fold in the leg series
-    exp(a_i^2 psi_i / 2), the binomial splits of (psi' + psi'')^j_e and
-    (-1)^j_e / (j_e + 1)!."""
-    budget = max_degree - graph.n_edges
-    leg_series = [[Fraction(a * a, 2) ** k / math.factorial(k)
-                   for k in range(budget + 1)] for a in A]
-    layout = {}
-    for js in orders:
-        edge_coeff = Fraction(1)
-        for j in js:
-            edge_coeff *= Fraction((-1) ** j, math.factorial(j + 1))
-        room = budget - sum(js)
-        terms: dict = {}
-        for split in itertools.product(*[range(j + 1) for j in js]):
-            psi_edge = {}
-            split_coeff = edge_coeff
-            for e, (j, s) in enumerate(zip(js, split)):
-                if s:
-                    psi_edge[(e, 0)] = s
-                if j - s:
-                    psi_edge[(e, 1)] = j - s
-                split_coeff *= math.comb(j, s)
-            for leg_exps in bounded_tuples(graph.n_legs, room):
-                coeff = split_coeff
-                for series, k in zip(leg_series, leg_exps):
-                    coeff *= series[k]
-                if coeff == 0:
-                    continue
-                psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
-                term = canonical_term(graph, {}, psi_leg, psi_edge)
-                if term is not None:
-                    terms[term] = terms.get(term, 0) + coeff
-        layout[js] = [(term, coeff) for term, coeff in terms.items() if coeff != 0]
-    return layout
-
-
 def _edge_orders(graph: StableGraph, max_degree: int) -> tuple:
     """Every vector j of edge series orders that fits in max_degree."""
     return tuple(bounded_tuples(graph.n_edges, max_degree - graph.n_edges))
+
+
+def _edge_splits(js) -> list:
+    """The layout of the edge series of orders js: (psi_edge, coefficient)
+    for each binomial split of (psi' + psi'')^j_e, with the coefficient
+    prod_e (-1)^j_e / (j_e + 1)! * binomial(j_e, s_e)."""
+    edge_coeff = Fraction(1)
+    for j in js:
+        edge_coeff *= Fraction((-1) ** j, math.factorial(j + 1))
+    splits = []
+    for split in itertools.product(*[range(j + 1) for j in js]):
+        psi_edge = {}
+        coeff = edge_coeff
+        for e, (j, s) in enumerate(zip(js, split)):
+            if s:
+                psi_edge[(e, 0)] = s
+            if j - s:
+                psi_edge[(e, 1)] = j - s
+            coeff *= math.comb(j, s)
+        splits.append((psi_edge, coeff))
+    return splits
+
+
+def _leg_powers(A, max_degree: int) -> list:
+    """Per leg, the integers a_i^(2k) up to k = max_degree: the leg factor
+    of exponents k is prod_i a_i^(2 k_i) / (2^sum(k) prod_i k_i!)."""
+    return [[a ** (2 * k) for k in range(max_degree + 1)] for a in A]
+
+
+def _add_graph(out: TautClass, graph: StableGraph, points, scalars, orders,
+               degrees: range):
+    """Add to out, in place, the graph's terms of total degree in `degrees`,
+    summed over points (weight, leg powers of A), scalars[p][i] being the
+    scalar of orders[i] at the p-th point.  For each edge orders j and leg
+    exponents k the points' weight * leg factor * scalar are summed first,
+    over one common denominator; the strata of (j, k) are built only where
+    that sum is nonzero."""
+    ne = graph.n_edges
+    aut = automorphism_count(graph)
+    budget = degrees[-1] - ne
+    for i, js in enumerate(orders):
+        column = [(weight * values[i], powers)
+                  for (weight, powers), values in zip(points, scalars) if values[i]]
+        if not column:
+            continue
+        den = math.lcm(*(f.denominator for f, _ in column))
+        column = [(f.numerator * (den // f.denominator), powers)
+                  for f, powers in column]
+        splits = None
+        for leg_exps in bounded_tuples(graph.n_legs, budget - sum(js)):
+            if ne + sum(js) + sum(leg_exps) not in degrees:
+                continue
+            total = sum(c * math.prod(map(operator.getitem, powers, leg_exps))
+                        for c, powers in column)
+            if not total:
+                continue
+            value = Fraction(total, den * aut * 2 ** sum(leg_exps)
+                             * math.prod(map(math.factorial, leg_exps)))
+            splits = splits or _edge_splits(js)
+            psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
+            for psi_edge, coeff in splits:
+                term = canonical_term(graph, {}, psi_leg, psi_edge)
+                if term is not None:
+                    out._accumulate(term, coeff * value)
 
 
 def _weighting_sums(wmap, r: int, orders) -> list:
@@ -175,31 +210,19 @@ def _weighting_sums(wmap, r: int, orders) -> list:
     return totals
 
 
-def _add_graph(out: TautClass, graph: StableGraph, A, max_degree: int,
-               values: dict):
-    """Add the graph's terms to out in place: the layout of each order
-    vector j in values, weighted by values[j] = S_j."""
-    if not values:
-        return
-    aut = automorphism_count(graph)
-    for js, entries in _graph_layout(graph, A, max_degree, values).items():
-        value = values[js] / aut
-        for term, coeff in entries:
-            out._accumulate(term, coeff * value)
-
-
 def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
     """The modulus-r class, truncated to total degree max_degree."""
     A = validate_ramification(A)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     out = TautClass(g, len(A))
+    points = [(1, _leg_powers(A, max_degree))]
     for graph in enumerate_stable_graphs(g, len(A), max_degree):
         orders = _edge_orders(graph, max_degree)
         totals = _weighting_sums(weighting_map(graph, A), r, orders)
-        values = {js: Fraction(t, 2 ** (sum(js) + graph.n_edges) * r ** graph.h1)
-                  for js, t in zip(orders, totals) if t}
-        _add_graph(out, graph, A, max_degree, values)
+        values = [Fraction(t, 2 ** (sum(js) + graph.n_edges) * r ** graph.h1)
+                  for js, t in zip(orders, totals)]
+        _add_graph(out, graph, points, [values], orders, range(max_degree + 1))
     return out
 
 
@@ -213,33 +236,46 @@ def minimum_modulus(A) -> int:
 _MAX_RETRIES = 2
 
 
+def _windows(r_min: int, max_degree: int) -> list:
+    """The sampling schedule: pairs of disjoint windows of 2b + 1
+    consecutive moduli from r_min on, for a degree bound b of 2*max_degree;
+    each retry enlarges b to 2b + 2 and doubles r_min."""
+    schedule = []
+    bound = 2 * max_degree
+    for _ in range(_MAX_RETRIES + 1):
+        m = bound + 1
+        schedule.append((range(r_min, r_min + m), range(r_min + m, r_min + 2 * m)))
+        bound, r_min = 2 * bound + 2, 2 * r_min
+    return schedule
+
+
+def _first_passing(schedule, sample):
+    """sample(first, second) at each pair of windows of the schedule in turn
+    until one passes its check; the last pair's failure propagates."""
+    *retries, last = schedule
+    for first, second in retries:
+        try:
+            return sample(first, second)
+        except InterpolationError:
+            pass
+    return sample(*last)
+
+
 def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
     """Constant term in r of the modulus-r class.
 
     The per-graph weighting sums have degree <= 2*max_degree in r (see the
-    module docstring), so they are sampled at two disjoint windows of
-    2*max_degree + 1 consecutive moduli from minimum_modulus(A).  For each
-    sum, the first window's interpolant gives the constant term and must
-    reproduce the second window's samples: that is the same as the two
-    windows' interpolants agreeing, and certifies any true degree up to
-    4*max_degree + 1.  On disagreement the bound is enlarged and the
-    sampling retried.
+    module docstring), so those of graphs with cycles are sampled at two
+    disjoint windows of 2*max_degree + 1 consecutive moduli from
+    minimum_modulus(A).  For each sum, the first window's interpolant gives
+    the constant term and must reproduce the second window's samples: that
+    is the same as the two windows' interpolants agreeing, and certifies any
+    true degree up to 4*max_degree + 1.  On disagreement the bound is
+    enlarged and the whole class sampled again.
     """
     A = validate_ramification(A)
-    r_min = minimum_modulus(A)
-    degree_bound = 2 * max_degree
-    for attempt in range(_MAX_RETRIES + 1):
-        m = degree_bound + 1
-        first = [r_min + i for i in range(m)]
-        second = [r_min + m + i for i in range(m)]
-        try:
-            return _interpolated_constant_term(g, A, max_degree, first, second)
-        except InterpolationError:
-            if attempt == _MAX_RETRIES:
-                raise
-            degree_bound = 2 * degree_bound + 2
-            r_min = 2 * r_min
-    raise InterpolationError("unreachable")
+    attempt = functools.partial(_interpolated_constant_term, g, A, max_degree)
+    return _first_passing(_windows(minimum_modulus(A), max_degree), attempt)
 
 
 def omega_constant_term_from_samples(g: int, A, max_degree: int,
@@ -270,34 +306,86 @@ def _integer_weights(points, at, h1: int):
     return [w.numerator * (den // w.denominator) for w in weights], den
 
 
+def _tree_constant_terms(wmap, orders) -> list:
+    """F_j for every j in orders on a tree: its one weighting carries
+    x = c_e mod r on edge e, and x (r - x) has constant term -c_e^2 for every
+    r > |c_e|."""
+    squares = [c * c for c, _ in wmap[1]]
+    return [Fraction(math.prod((-s) ** (j + 1) for s, j in zip(squares, js)),
+                     2 ** (sum(js) + len(js))) for js in orders]
+
+
+def _sampled_constant_terms(wmap, orders, lagrange: dict, first, second) -> list:
+    """F_j for every j in orders on a graph with cycles, from its weighting
+    sums at both windows.  Lagrange weights from the first window, at r = 0
+    and at each second-window modulus, serve every scalar: F_j is the first
+    window's interpolant at 0, and that interpolant must reproduce T_j at
+    every second-window modulus.  The weights are folded with 1 / r^h1, so
+    the check runs on the integer sums T_j; lagrange keeps them per
+    (windows, h1) for the caller."""
+    h1 = wmap[0]
+    key = (tuple(first), tuple(second), h1)
+    if key not in lagrange:
+        lagrange[key] = [_integer_weights(first, at, h1) for at in [0, *second]]
+    (zero_num, zero_den), *checks = lagrange[key]
+    columns = list(zip(*[_weighting_sums(wmap, r, orders) for r in first]))
+    for (num, den), r in zip(checks, second):
+        actual = _weighting_sums(wmap, r, orders)
+        for column, total in zip(columns, actual):
+            if sum(map(operator.mul, num, column)) * r ** h1 != den * total:
+                raise InterpolationError(
+                    "disjoint sample sets disagree; enlarge the degree bound")
+    return [Fraction(sum(map(operator.mul, zero_num, column)),
+                     zero_den * 2 ** (sum(js) + len(js)))
+            for js, column in zip(orders, columns)]
+
+
 def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
-    """Per graph, sample every weighting sum S_j at both windows.  Lagrange
-    weights from the first window, at r = 0 and at each second-window
-    modulus, serve every scalar: the constant term of S_j is its first-window
-    interpolant at 0, and that interpolant must reproduce S_j at every
-    second-window modulus.  The weights are folded with 1 / r^h1 once per
-    cycle rank, so the check runs on the integer sums T_j.  The class is
-    assembled once, as layout times constant term."""
-    windows = {}
-    out = TautClass(g, len(A))
-    for graph in enumerate_stable_graphs(g, len(A), max_degree):
-        h1 = graph.h1
-        if h1 not in windows:
-            windows[h1] = [_integer_weights(first, at, h1) for at in [0] + second]
-        (zero_num, zero_den), *checks = windows[h1]
-        orders = _edge_orders(graph, max_degree)
-        wmap = weighting_map(graph, A)
-        columns = list(zip(*[_weighting_sums(wmap, r, orders) for r in first]))
-        for (num, den), r in zip(checks, second):
-            actual = _weighting_sums(wmap, r, orders)
-            for column, total in zip(columns, actual):
-                if sum(map(operator.mul, num, column)) * r ** h1 != den * total:
-                    raise InterpolationError(
-                        "disjoint sample sets disagree; enlarge the degree bound")
-        values = {}
-        for js, column in zip(orders, columns):
-            total = sum(map(operator.mul, zero_num, column))
-            if total:
-                values[js] = Fraction(total, zero_den * 2 ** (sum(js) + graph.n_edges))
-        _add_graph(out, graph, A, max_degree, values)
+    """The constant-term class in every degree up to max_degree, with every
+    graph with cycles sampled at this one pair of windows."""
+    return _graph_sums(g, [(A, 1)], range(max_degree + 1), lambda _: [(first, second)])
+
+
+def weighted_constant_term(g: int, points, degree: int) -> TautClass:
+    """sum_p w_p times the degree-`degree` part of
+    omega_constant_term(g, A_p, degree), for points (A_p, w_p) with A_p of
+    one common length, without building a class per point.  A graph with
+    cycles is sampled on the schedule of omega_constant_term from the
+    minimum modulus of the first point with its charges, and retried on its
+    own: any windows the check passes give the same exact constant term."""
+    points = [(validate_ramification(A), weight) for A, weight in points]
+    return _graph_sums(g, points, range(degree, degree + 1),
+                       lambda A: _windows(minimum_modulus(A), degree))
+
+
+def _graph_sums(g: int, points, degrees: range, schedule) -> TautClass:
+    """sum_p w_p times the part in `degrees` of the constant-term class at
+    A_p, over points (A_p, w_p).  Per graph, F_j is taken once per vertex
+    charge vector (the sums see A only through it): in closed form on a
+    tree, and on a graph with cycles sampled at the window pairs of
+    schedule(A) for the first point A with those charges.  Then the graph's
+    strata are built once, for the (j, k) whose weighted sum over the points
+    is nonzero."""
+    n = len(points[0][0])
+    legs = [(weight, _leg_powers(A, degrees[-1])) for A, weight in points]
+    out = TautClass(g, n)
+    lagrange: dict = {}
+    for graph in enumerate_stable_graphs(g, n, degrees[-1]):
+        orders = _edge_orders(graph, degrees[-1])
+        by_charges: dict = {}
+        scalars = []
+        for A, _ in points:
+            charges = [0] * graph.n_vertices
+            for a, v in zip(A, graph.legs):
+                charges[v] += a
+            charges = tuple(charges)
+            if charges not in by_charges:
+                wmap = weighting_map(graph, A)
+                if graph.h1:
+                    by_charges[charges] = _first_passing(schedule(A), functools.partial(
+                        _sampled_constant_terms, wmap, orders, lagrange))
+                else:
+                    by_charges[charges] = _tree_constant_terms(wmap, orders)
+            scalars.append(by_charges[charges])
+        _add_graph(out, graph, legs, scalars, orders, degrees)
     return out

@@ -8,7 +8,10 @@ The double-ramification relation in degree g+1 is normalized as
 compact-type restriction is literally the (g+1)-st theta power.  Coefficients
 of top-degree ramification monomials are extracted on the (2g+3)-marked space
 by exact finite differences over integer evaluations only, before any
-multiplication or pushforward; symbolic ramification variables appear solely
+multiplication or pushforward.  The difference is taken graph by graph on the
+per-graph scalars of the Pixton layer (pixton.weighted_constant_term), so no
+DR class is built at a stencil point and none is cached: dr_relation builds
+the class at one A, uncached.  Symbolic ramification variables appear solely
 in compact-type theta computations, where polynomiality is manifest.
 """
 
@@ -22,9 +25,9 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import MultiPoly, bounded_tuples, finite_difference_extract
+from .algebra import MultiPoly, bounded_tuples, finite_difference_stencil
 from .graphs import stable_graph, trivial_graph
-from .pixton import omega_constant_term, validate_ramification
+from .pixton import omega_constant_term, validate_ramification, weighted_constant_term
 from .strata import (
     TautClass,
     _kappa_splits,
@@ -134,18 +137,11 @@ def theta_power_relation(g: int, n: int, A=None) -> TautClass:
 # Double-ramification relations and coefficient extraction
 # ---------------------------------------------------------------------------
 
-_dr_cache: dict = {}
-
-
 def dr_relation(g: int, A) -> TautClass:
     """(g+1)! times the degree-(g+1) part of the constant-term class on the
     space with len(A) markings; vanishes in the Chow ring."""
     A = validate_ramification(A)
-    key = (g, A)
-    if key not in _dr_cache:
-        omega = omega_constant_term(g, A, g + 1)
-        _dr_cache[key] = omega.degree_part(g + 1) * math.factorial(g + 1)
-    return _dr_cache[key]
+    return omega_constant_term(g, A, g + 1).degree_part(g + 1) * math.factorial(g + 1)
 
 
 def _upstairs_coefficient(g: int, a_monomial, mult: dict, forget):
@@ -166,10 +162,9 @@ def _upstairs_coefficient(g: int, a_monomial, mult: dict, forget):
         if i != n_up and mult.get(i, 0) < 1:
             raise ValueError(
                 f"multiplier must contain psi_{i} to forget leg {i}")
-    # at least two stencil points, so the difference is a fresh class and
-    # never one of the shared _dr_cache entries
-    upstairs = finite_difference_extract(
-        lambda point: dr_relation(g, point + (-sum(point),)), a_monomial, 2 * g + 2)
+    stencil = [(point + (-sum(point),), weight) for point, weight
+               in finite_difference_stencil(a_monomial, 2 * g + 2)]
+    upstairs = weighted_constant_term(g, stencil, g + 1) * math.factorial(g + 1)
     return upstairs, target_n
 
 
@@ -182,8 +177,9 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     is a psi-monomial applied upstairs before forgetting the legs in
     `forget`, which must be the top labels down to the target.  Every step is
     linear, so the coefficient is taken once upstairs, by exact finite
-    differences of the DR relation over integer A-points, and only that one
-    class is multiplied and pushed forward.
+    differences of the DR relation over integer A-points (on per-graph
+    scalars, never on classes at the points), and only that one class is
+    multiplied and pushed forward.
     """
     mult = dict(psi_multiplier or {})
     upstairs, target_n = _upstairs_coefficient(g, a_monomial, mult, forget)

@@ -202,6 +202,19 @@ def test_unusable_path_fails_before_computing(tmp_path, capsys, monkeypatch):
     assert not missing.exists()
 
 
+def test_out_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def computing(*args, **kwargs):
+        raise AssertionError("computed before the output was checked")
+
+    monkeypatch.setattr(cli, "boundary_expression", computing)
+    monkeypatch.setattr(cli, "dr_relation_coefficient", computing)
+    be = ["boundary-expression", "--genus", "0", "--markings", "5",
+          "--monomial", "psi1^2"]
+    for argv in (be, ["verify-m11"]):
+        assert run(argv + ["--out", str(tmp_path)]) == 1, argv
+        assert f"cannot access {tmp_path}: " in capsys.readouterr().err
+
+
 def test_verify_m11(tmp_path):
     out = tmp_path / "verify.json"
     code = run(["verify-m11", "--out", str(out)])

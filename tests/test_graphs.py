@@ -87,6 +87,17 @@ def test_enumeration_leaves_canonical_cache_empty():
     assert _canonical.cache_info().currsize == 0
 
 
+def test_automorphism_counts_leave_canonical_cache_empty():
+    # automorphism_count is memoized itself; a second cache entry per graph
+    # in _canonical would only keep the graph alive
+    _enumerate_cached.cache_clear()
+    _canonical.cache_clear()
+    automorphism_count.cache_clear()
+    counts = [automorphism_count(graph) for graph in enumerate_stable_graphs(1, 4, 3)]
+    assert len(counts) > 0 and min(counts) >= 1
+    assert _canonical.cache_info().currsize == 0
+
+
 def _connected(nv, edges):
     """Breadth-first search from vertex 0, independent of graphs.union_find."""
     adjacent = [[] for _ in range(nv)]

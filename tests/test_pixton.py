@@ -8,6 +8,7 @@ from tautring import pixton
 from tautring.algebra import (
     InterpolationError,
     bounded_tuples,
+    finite_difference_extract,
     lagrange_interpolate,
     lagrange_weights,
 )
@@ -26,6 +27,7 @@ from tautring.pixton import (
     validate_ramification,
     weighting_map,
 )
+from tautring.relations import dr_relation_coefficient
 from tautring.strata import TautClass, boundary_divisor_class, canonical_term
 
 
@@ -272,6 +274,110 @@ def test_omega_r_matches_per_weighting_assembly(g, A, r, d):
     expected = _reference_omega_r(g, A, r, d)
     assert not expected.is_zero()
     assert omega_r(g, A, r, d) == expected
+
+
+def _reference_constant_term(g, A, d):
+    """Frozen per-point route: every graph's weighting sums, trees included,
+    sampled at the two windows from minimum_modulus(A), checked, taken at
+    r = 0, and assembled with a layout built for this A."""
+    r0 = minimum_modulus(A)
+    first = list(range(r0, r0 + 2 * d + 1))
+    second = list(range(r0 + 2 * d + 1, r0 + 4 * d + 2))
+    zero = lagrange_weights(first, 0)
+    out = TautClass(g, len(A))
+    for graph in enumerate_stable_graphs(g, len(A), d):
+        ne, h1 = graph.n_edges, graph.h1
+        budget = d - ne
+        orders = list(bounded_tuples(ne, budget))
+        wmap = weighting_map(graph, A)
+
+        def sums(r):
+            totals = [0] * len(orders)
+            for w in enumerate_weightings(wmap, r):
+                if 0 not in w:
+                    products = [x * (r - x) for x in w]
+                    for i, js in enumerate(orders):
+                        totals[i] += math.prod(p ** (j + 1) for p, j in zip(products, js))
+            return [Fraction(t, r ** h1) for t in totals]
+
+        samples = [sums(r) for r in first]
+        for r in second:
+            at = lagrange_weights(first, r)
+            for i, value in enumerate(sums(r)):
+                assert sum(w * s[i] for w, s in zip(at, samples)) == value
+        leg_series = [[Fraction(a * a, 2) ** k / math.factorial(k)
+                       for k in range(budget + 1)] for a in A]
+        aut = automorphism_count(graph)
+        for i, js in enumerate(orders):
+            constant = sum(w * s[i] for w, s in zip(zero, samples))
+            if constant == 0:
+                continue
+            constant /= 2 ** (sum(js) + ne) * aut
+            edge_coeff = Fraction(1)
+            for j in js:
+                edge_coeff *= Fraction((-1) ** j, math.factorial(j + 1))
+            for split in itertools.product(*[range(j + 1) for j in js]):
+                psi_edge = {}
+                coeff = edge_coeff
+                for e, (j, s0) in enumerate(zip(js, split)):
+                    if s0:
+                        psi_edge[(e, 0)] = s0
+                    if j - s0:
+                        psi_edge[(e, 1)] = j - s0
+                    coeff *= math.comb(j, s0)
+                for leg_exps in bounded_tuples(graph.n_legs, budget - sum(js)):
+                    leg_coeff = coeff
+                    for series, k in zip(leg_series, leg_exps):
+                        leg_coeff *= series[k]
+                    psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
+                    term = canonical_term(graph, {}, psi_leg, psi_edge)
+                    if term is not None:
+                        out._accumulate(term, leg_coeff * constant)
+    return out
+
+
+@pytest.mark.parametrize("g,A,d", [
+    (0, (3, 1, -2, -2, 0), 2),
+    (0, (1, 1, 1, -1, -2), 3),
+    (1, (2, -1, -1), 3),
+    (1, (3, 0, -2, -1), 3),
+    (2, (1, -1), 2),
+    (2, (4, -4), 3),
+])
+def test_constant_term_matches_sampled_reference(g, A, d):
+    # the trees take the closed form, which the reference samples
+    assert any(graph.h1 == 0 and graph.n_edges > 0
+               for graph in enumerate_stable_graphs(g, len(A), d))
+    assert omega_constant_term(g, A, d) == _reference_constant_term(g, A, d)
+
+
+def test_dr_coefficients_match_reference_finite_differences():
+    # the class-level route: (g+1)! times the degree-2 part of the reference
+    # class at every stencil point, differenced
+    classes = {}
+
+    def dr_class(point):
+        A = point + (-sum(point),)
+        if A not in classes:
+            classes[A] = _reference_constant_term(1, A, 2).degree_part(2) * 2
+        return classes[A]
+
+    for monomial in [(4, 0, 0, 0), (3, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0)]:
+        expected = finite_difference_extract(dr_class, monomial, 4)
+        assert not expected.is_zero()
+        assert dr_relation_coefficient(1, monomial) == expected, monomial
+
+
+def test_weighted_constant_term_keeps_vertex_charges_apart():
+    # the points permute one vector, so a graph's vertex charges at two of
+    # them can be the same multiset in another order, which the sums on a
+    # graph with cycles tell apart
+    points = [((1, 2, -3, 0), 1), ((2, 1, -3, 0), 2)]
+    expected = TautClass(1, 4)
+    for A, weight in points:
+        expected._add_in_place(_reference_constant_term(1, A, 3).degree_part(3) * weight)
+    assert not expected.is_zero()
+    assert pixton.weighted_constant_term(1, points, 3) == expected
 
 
 def test_omega_constant_term_loop_value():

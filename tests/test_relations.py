@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -151,10 +152,50 @@ def test_coefficient_without_multiplier_is_a_fresh_class():
     expected = _per_point_coefficient(1, (1, 1, 1, 1), {}, 5)
     rel = dr_relation_coefficient(1, (1, 1, 1, 1))
     assert rel == expected
-    # the result must not share storage with the cached DR classes
+    # the result must not share storage with anything a later call reads
     rel._add_in_place(rel * 3)
     rel.terms.clear()
     assert dr_relation_coefficient(1, (1, 1, 1, 1)) == expected
+
+
+def _permuted(vector, perm):
+    """The vector whose entry at perm[i] is the entry at i (labels from 1)."""
+    out = [None] * len(vector)
+    for old, new in perm.items():
+        out[new - 1] = vector[old - 1]
+    return tuple(out)
+
+
+# 3-cycles, where a permutation and its inverse differ, and transpositions
+_DR_SYMMETRY_CASES = [
+    (0, (3, 1, -2, -2), {1: 2, 2: 3, 3: 1, 4: 4}),
+    (0, (2, 1, 1, -1, -3), {1: 3, 2: 5, 3: 1, 4: 4, 5: 2}),
+    (1, (2, -1, -1), {1: 3, 2: 1, 3: 2}),
+    (1, (3, 1, 0, -4), {1: 2, 2: 4, 3: 3, 4: 1}),
+    (1, (2, 1, -1, 0, -2), {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}),
+]
+
+
+@pytest.mark.parametrize("g,A,perm", _DR_SYMMETRY_CASES)
+def test_dr_relation_is_equivariant_and_even(g, A, perm):
+    rel = dr_relation(g, A)
+    assert not rel.is_zero()
+    assert dr_relation(g, _permuted(A, perm)) == rel.relabel_legs(perm)
+    assert dr_relation(g, tuple(-a for a in A)) == rel
+
+
+@pytest.mark.parametrize("monomial,perm", [
+    ((2, 1, 1, 0), {1: 2, 2: 3, 3: 1, 4: 4, 5: 5}),
+    ((3, 1, 0, 0), {1: 3, 2: 4, 3: 2, 4: 1, 5: 5}),
+    ((2, 2, 0, 0), {1: 1, 2: 3, 3: 2, 4: 4, 5: 5}),
+])
+def test_dr_coefficient_is_equivariant(monomial, perm):
+    # a permutation fixing the eliminated leg 5 moves the monomial with it
+    rel = dr_relation_coefficient(1, monomial)
+    on_monomial = {i: perm[i] for i in range(1, 5)}
+    permuted = dr_relation_coefficient(1, _permuted(monomial, on_monomial))
+    assert permuted == rel.relabel_legs(perm)
+    assert permuted != rel
 
 
 def test_one_loop_graph_contributes_nothing_to_top_monomial():
@@ -249,6 +290,16 @@ def test_psi_boundary_lemma_genus_one():
     for key, be in results.items():
         assert all(t.graph.n_edges >= 1 for t in be.value.terms), key
         assert be.provenance
+
+
+def test_psi_boundary_lemma_genus_one_golden_digest():
+    # values and provenance, bit for bit as first computed
+    results = psi_boundary_lemma(1)
+    blob = json.dumps({key: [be.value.to_json(), be.provenance]
+                       for key, be in results.items()},
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "f5b461b1449032a0ea9cd1840bee1be9afffb60f4927fb728b774a0b43368364"
 
 
 def test_psi_boundary_lemma_substitution_is_formal_zero():
