@@ -63,12 +63,13 @@ def _progress(message: str):
     print(message, file=sys.stderr)
 
 
-def _ramification(text: str) -> tuple:
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad ramification vector {text!r}") from exc
-    return values
+def _integers(what: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(int(x) for x in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from exc
+    return parse
 
 
 def cmd_enumerate(args) -> int:
@@ -189,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="constant-term double-ramification class")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--ramification", type=_ramification, required=True,
-                   help="comma-separated integers summing to 0")
+    p.add_argument("--ramification", type=_integers("ramification vector"),
+                   required=True, help="comma-separated integers summing to 0")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--r-samples", type=_ramification, default=None,
+    p.add_argument("--r-samples", type=_integers("sample moduli"), default=None,
                    help="explicit sampling moduli, an even count split into "
                         "two disjoint halves")
     p.add_argument("--out")

@@ -35,16 +35,18 @@ sum(j_e + 1) <= d, and summing over the r^h1 weightings raises the degree by
 h1, which the factor 1 / r^h1 takes back.  Each window holds 2d + 1 moduli.
 For every scalar, the interpolant through the first window must reproduce
 each sample of the second, which proves it right for any true degree up to
-4d + 1; otherwise the bound is enlarged and the sampling retried.  Every
+4d + 1; otherwise the bound is enlarged and that graph alone is sampled
+again.  This is the one retry policy, per graph, for every caller.  Every
 stratum coefficient of the class is a linear combination of the scalars, so
 agreement of all scalars implies agreement of the classes: the check is at
 least as strict as comparing the interpolated classes.
 
 The sums see A only through the vertex charges, so a linear combination of
 constant-term classes over several A (weighted_constant_term, which the
-finite differences of the relations layer use) samples each graph once per
-charge vector and sums the scalars before any stratum is built.  No class
-and no scalar outlives the call that computed it.
+finite differences of the relations layer use, and dr_relation at one A)
+samples each graph once per charge vector and sums the scalars before any
+stratum is built.  No class and no scalar outlives the call that computed
+it.
 """
 
 from __future__ import annotations
@@ -262,20 +264,12 @@ def _first_passing(schedule, sample):
 
 
 def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
-    """Constant term in r of the modulus-r class.
-
-    The per-graph weighting sums have degree <= 2*max_degree in r (see the
-    module docstring), so those of graphs with cycles are sampled at two
-    disjoint windows of 2*max_degree + 1 consecutive moduli from
-    minimum_modulus(A).  For each sum, the first window's interpolant gives
-    the constant term and must reproduce the second window's samples: that
-    is the same as the two windows' interpolants agreeing, and certifies any
-    true degree up to 4*max_degree + 1.  On disagreement the bound is
-    enlarged and the whole class sampled again.
-    """
-    A = validate_ramification(A)
-    attempt = functools.partial(_interpolated_constant_term, g, A, max_degree)
-    return _first_passing(_windows(minimum_modulus(A), max_degree), attempt)
+    """Constant term in r of the modulus-r class, in every degree up to
+    max_degree.  Graphs with cycles are sampled at two disjoint windows of
+    2*max_degree + 1 consecutive moduli from minimum_modulus(A) (see the
+    module docstring); a graph whose check fails is retried on its own with
+    an enlarged bound, by the one retry policy of _graph_sums."""
+    return _graph_sums(g, [(validate_ramification(A), 1)], range(max_degree + 1))
 
 
 def omega_constant_term_from_samples(g: int, A, max_degree: int,
@@ -343,35 +337,35 @@ def _sampled_constant_terms(wmap, orders, lagrange: dict, first, second) -> list
 def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
     """The constant-term class in every degree up to max_degree, with every
     graph with cycles sampled at this one pair of windows."""
-    return _graph_sums(g, [(A, 1)], range(max_degree + 1), lambda _: [(first, second)])
+    return _graph_sums(g, [(A, 1)], range(max_degree + 1), (first, second))
 
 
 def weighted_constant_term(g: int, points, degree: int) -> TautClass:
     """sum_p w_p times the degree-`degree` part of
     omega_constant_term(g, A_p, degree), for points (A_p, w_p) with A_p of
-    one common length, without building a class per point.  A graph with
-    cycles is sampled on the schedule of omega_constant_term from the
-    minimum modulus of the first point with its charges, and retried on its
-    own: any windows the check passes give the same exact constant term."""
+    one common length, without building a class per point."""
     points = [(validate_ramification(A), weight) for A, weight in points]
-    return _graph_sums(g, points, range(degree, degree + 1),
-                       lambda A: _windows(minimum_modulus(A), degree))
+    return _graph_sums(g, points, range(degree, degree + 1))
 
 
-def _graph_sums(g: int, points, degrees: range, schedule) -> TautClass:
+def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
     """sum_p w_p times the part in `degrees` of the constant-term class at
     A_p, over points (A_p, w_p).  Per graph, F_j is taken once per vertex
     charge vector (the sums see A only through it): in closed form on a
-    tree, and on a graph with cycles sampled at the window pairs of
-    schedule(A) for the first point A with those charges.  Then the graph's
-    strata are built once, for the (j, k) whose weighted sum over the points
-    is nonzero."""
+    tree, and on a graph with cycles sampled, for the first point A with
+    those charges, at the given windows or else on the schedule
+    _windows(minimum_modulus(A), top degree).  Then the graph's strata are
+    built once, for the (j, k) whose weighted sum over the points is
+    nonzero."""
+    top = degrees.stop - 1
+    if top < 0:
+        raise ValueError("degree must be >= 0")
     n = len(points[0][0])
-    legs = [(weight, _leg_powers(A, degrees[-1])) for A, weight in points]
+    legs = [(weight, _leg_powers(A, top)) for A, weight in points]
     out = TautClass(g, n)
     lagrange: dict = {}
-    for graph in enumerate_stable_graphs(g, n, degrees[-1]):
-        orders = _edge_orders(graph, degrees[-1])
+    for graph in enumerate_stable_graphs(g, n, top):
+        orders = _edge_orders(graph, top)
         by_charges: dict = {}
         scalars = []
         for A, _ in points:
@@ -382,7 +376,9 @@ def _graph_sums(g: int, points, degrees: range, schedule) -> TautClass:
             if charges not in by_charges:
                 wmap = weighting_map(graph, A)
                 if graph.h1:
-                    by_charges[charges] = _first_passing(schedule(A), functools.partial(
+                    schedule = [windows] if windows else \
+                        _windows(minimum_modulus(A), top)
+                    by_charges[charges] = _first_passing(schedule, functools.partial(
                         _sampled_constant_terms, wmap, orders, lagrange))
                 else:
                     by_charges[charges] = _tree_constant_terms(wmap, orders)

@@ -10,9 +10,10 @@ of top-degree ramification monomials are extracted on the (2g+3)-marked space
 by exact finite differences over integer evaluations only, before any
 multiplication or pushforward.  The difference is taken graph by graph on the
 per-graph scalars of the Pixton layer (pixton.weighted_constant_term), so no
-DR class is built at a stencil point and none is cached: dr_relation builds
-the class at one A, uncached.  Symbolic ramification variables appear solely
-in compact-type theta computations, where polynomiality is manifest.
+DR class is built at a stencil point and none is cached; dr_relation takes
+the same per-graph route at the one point A, uncached.  Symbolic
+ramification variables appear solely in compact-type theta computations,
+where polynomiality is manifest.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import re
 from fractions import Fraction
 
 from .algebra import MultiPoly, bounded_tuples, finite_difference_stencil
-from .graphs import stable_graph, trivial_graph
-from .pixton import omega_constant_term, validate_ramification, weighted_constant_term
+from .graphs import trivial_graph
+from .pixton import validate_ramification, weighted_constant_term
 from .strata import (
+    StrataTerm,
     TautClass,
-    _kappa_splits,
     boundary_divisor_class,
     gluing_pushforward,
     normalize_divisor,
@@ -70,25 +71,18 @@ def theta_generators(g: int, n: int, A=None):
         A = validate_ramification(A)
         if len(A) != n:
             raise ValueError("ramification vector length differs from n")
-
-        def subset_coeff(P):
-            return Fraction(-sum(A[i - 1] for i in P) ** 2, 4)
-        zero = Fraction(0)
+        a, zero = A, Fraction(0)
     else:
         variables = _a_vars(n)
-
-        def subset_coeff(P):
-            lin = MultiPoly(variables)
-            for i in P:
-                lin = lin + MultiPoly.variable(variables, f"a{i}")
-            return lin * lin * Fraction(-1, 4)
-        zero = MultiPoly(_a_vars(n))
+        a = [MultiPoly.variable(variables, v) for v in variables]
+        zero = MultiPoly(variables)
 
     acc: dict = {}
     for h in range(g + 1):
         for size in range(n + 1):
             for P in itertools.combinations(range(1, n + 1), size):
-                coeff = subset_coeff(P)
+                lin = sum((a[i - 1] for i in P), zero)
+                coeff = lin * lin * Fraction(-1, 4)
                 kind = normalize_divisor(g, n, ("sep", h, P))
                 if kind[0] == "zero":
                     continue
@@ -139,9 +133,8 @@ def theta_power_relation(g: int, n: int, A=None) -> TautClass:
 
 def dr_relation(g: int, A) -> TautClass:
     """(g+1)! times the degree-(g+1) part of the constant-term class on the
-    space with len(A) markings; vanishes in the Chow ring."""
-    A = validate_ramification(A)
-    return omega_constant_term(g, A, g + 1).degree_part(g + 1) * math.factorial(g + 1)
+    space with len(A) markings (per-graph route); zero in the Chow ring."""
+    return weighted_constant_term(g, [(A, 1)], g + 1) * math.factorial(g + 1)
 
 
 def _upstairs_coefficient(g: int, a_monomial, mult: dict, forget):
@@ -575,9 +568,7 @@ def _boundary_expression_route(g, n, psi, kappa, key, db, _active) -> BoundaryEx
         return _genus0_kappa_route(n, kappa, db, _active)
     if n == 0:
         return _unmarked_route(g, kappa, db, _active)
-    if psi and all(psi.get(i, 0) >= 1 for i in range(1, n + 1)):
-        return _p_route(g, n, psi, kappa, db, _active)
-    if any(psi.get(i, 0) == 0 for i in range(1, n + 1)) and n >= 2:
+    if n >= 2 and any(psi.get(i, 0) == 0 for i in range(1, n + 1)):
         return _induct_n_route(g, n, psi, kappa, db, _active)
     return _p_route(g, n, psi, kappa, db, _active)
 
@@ -636,32 +627,16 @@ def _peel_psi_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
 
 
 def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
-    """The pullback expansion of an edgeless monomial from n-1 to n markings,
-    built directly from the exponents.
+    """forget_pullback, from n-1 to n markings, of an edgeless monomial.
 
-    The expansion on the larger space is valid even when the monomial itself
-    vanishes on the smaller space for dimension reasons (the expansion is
-    then a relation)."""
-    out = TautClass(g, n)
-    for kept, moved, mult in _kappa_splits(sorted(kappa.items())):
-        exps = dict(psi)
-        j_total = sum(a * j for a, j in moved.items())
-        if j_total:
-            exps[n] = exps.get(n, 0) + j_total
-        out.add_term(trivial_graph(g, n), {0: kept}, exps, {},
-                     (-1) ** sum(moved.values()) * mult)
-    # bubble corrections, one per decorated marking
-    for i, y in psi.items():
-        if y == 0:
-            continue
-        graph = stable_graph((g, 0),
-                             tuple(1 if lab in (i, n) else 0
-                                   for lab in range(1, n + 1)),
-                             ((0, 1),))
-        rest = {j: e for j, e in psi.items() if j != i}
-        out.add_term(graph, {0: dict(kappa)}, rest,
-                     {(0, 0): y - 1} if y > 1 else {}, Fraction(-1))
-    return out
+    Its one-vertex stratum is built without canonical_term's dimension filter
+    (the trivial graph is its own canonical form), so the expansion on the
+    larger space is valid even when the monomial itself vanishes on the
+    smaller space for dimension reasons (the expansion is then a relation)."""
+    stratum = StrataTerm(trivial_graph(g, n - 1),
+                         (tuple(sorted((a, x) for a, x in kappa.items() if x)),),
+                         tuple(psi.get(i, 0) for i in range(1, n)), ())
+    return TautClass(g, n - 1, {stratum: Fraction(1)}).forget_pullback()
 
 
 def _induct_n_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:

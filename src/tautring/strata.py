@@ -49,7 +49,8 @@ class AmbientMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 class StrataTerm:
-    """Canonical decorated stratum; construct only through canonical_term."""
+    """Canonical decorated stratum; construct only through canonical_term
+    (relations._formal_monomial_pullback skips its dimension filter)."""
 
     __slots__ = ("graph", "kappa", "psi_leg", "psi_edge", "_hash")
 

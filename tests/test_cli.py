@@ -89,6 +89,23 @@ def test_omega_rejects_unusable_samples():
     assert run(base + [",".join(str(r) for r in range(1, 11))]) == 1
 
 
+def test_omega_rejects_negative_degree(capsys):
+    base = ["omega", "--genus", "1", "--ramification", "0", "--degree", "-1"]
+    for argv in (base, base + ["--r-samples", "3,4"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "degree must be >= 0" in err
+        assert "Traceback" not in err
+
+
+def test_malformed_samples_are_named_in_the_message(capsys):
+    assert run(["omega", "--genus", "1", "--ramification", "0", "--degree",
+                "1", "--r-samples", "3,x"]) == 1
+    err = capsys.readouterr().err
+    assert "bad sample moduli '3,x'" in err
+    assert "ramification" not in err.splitlines()[-1]
+
+
 def test_boundary_expression_command_memoizes(tmp_path):
     out1 = tmp_path / "be1.json"
     out2 = tmp_path / "be2.json"

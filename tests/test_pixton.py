@@ -456,3 +456,38 @@ def test_minimum_modulus_covers_subset_sums():
     for size in range(4):
         for P in itertools.combinations(range(3), size):
             assert abs(sum(A[i] for i in P)) < r0
+
+
+def test_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        omega_constant_term(1, (0,), -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        omega_constant_term_from_samples(1, (0,), -1, [3, 4])
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        pixton.weighted_constant_term(1, [((0,), 1)], -1)
+
+
+def test_failed_check_retries_the_graph_on_the_next_windows(monkeypatch):
+    # the check fails at every first pair of windows of the schedule, so
+    # each graph with cycles must be sampled again at the second pair
+    g, d = 1, 2
+    points = [((2, -1, -1), 1), ((4, -1, -3), -2)]
+    expected_class = omega_constant_term(g, points[0][0], d)
+    expected_sum = pixton.weighted_constant_term(g, points, d)
+    schedules = [pixton._windows(minimum_modulus(A), d) for A, _ in points]
+    first_pairs = {tuple(map(tuple, schedule[0])) for schedule in schedules}
+    second_pairs = {tuple(map(tuple, schedule[1])) for schedule in schedules}
+    original = pixton._sampled_constant_terms
+    sampled = set()
+
+    def failing_first(wmap, orders, lagrange, first, second):
+        pair = (tuple(first), tuple(second))
+        sampled.add(pair)
+        if pair in first_pairs:
+            raise InterpolationError("the first windows are made to disagree")
+        return original(wmap, orders, lagrange, first, second)
+
+    monkeypatch.setattr(pixton, "_sampled_constant_terms", failing_first)
+    assert omega_constant_term(g, points[0][0], d) == expected_class
+    assert pixton.weighted_constant_term(g, points, d) == expected_sum
+    assert second_pairs <= sampled

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautring.algebra import MultiPoly
-from tautring.graphs import enumerate_stable_graphs, stable_graph
-from tautring.pixton import validate_ramification
+from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
+from tautring.pixton import omega_constant_term, validate_ramification
 from tautring.relations import (
     BoundaryExpression,
     CacheConsistencyError,
@@ -32,9 +32,15 @@ from tautring.relations import (
     theta_generators,
     theta_power_relation,
     trr_report,
+    _formal_monomial_pullback,
     _record_hash,
 )
-from tautring.strata import TautClass, boundary_divisor_class, gluing_pushforward
+from tautring.strata import (
+    TautClass,
+    _kappa_splits,
+    boundary_divisor_class,
+    gluing_pushforward,
+)
 
 
 def dirr(g, n):
@@ -91,6 +97,20 @@ def test_theta_generators_match_class():
         else:
             rebuilt = rebuilt + boundary_divisor_class(0, 3, key) * coeff
     assert rebuilt == theta_divisor(0, 3, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_theta_generators_evaluate_the_symbolic_ones(data):
+    g = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(3 if g == 0 else 1, 5))
+    head = data.draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+    A = tuple(head) + (-sum(head),)
+    values = {f"a{i}": a for i, a in enumerate(A, start=1)}
+    evaluated = {key: coeff.evaluate(values)
+                 for key, coeff in theta_generators(g, n)}
+    assert dict(theta_generators(g, n, A)) == \
+        {key: c for key, c in evaluated.items() if c != 0}
 
 
 # -- double-ramification relations ---------------------------------------------
@@ -196,6 +216,20 @@ def test_dr_coefficient_is_equivariant(monomial, perm):
     permuted = dr_relation_coefficient(1, _permuted(monomial, on_monomial))
     assert permuted == rel.relabel_legs(perm)
     assert permuted != rel
+
+
+@pytest.mark.parametrize("g,A", [
+    (0, (2, 1, -1, -2)),
+    (1, (2, -1, -1)),
+    (1, (3, 1, 0, -4)),
+    (2, (2, -2)),
+    (2, (2, 1, 1, -4)),
+])
+def test_dr_relation_is_the_top_part_of_the_constant_term(g, A):
+    rel = dr_relation(g, A)
+    assert not rel.is_zero()
+    assert rel == omega_constant_term(g, A, g + 1).degree_part(g + 1) \
+        * math.factorial(g + 1)
 
 
 def test_one_loop_graph_contributes_nothing_to_top_monomial():
@@ -368,6 +402,45 @@ def test_boundary_expression_deeper_marked_spaces():
 
 # -- substitution soundness: the produced expressions satisfy the pullback
 #    recursion they were built from ------------------------------------------
+
+def _reference_formal_pullback(g, n, psi, kappa):
+    """Frozen reference: the pullback expansion of an edgeless monomial from
+    n-1 to n markings, written out from the exponents."""
+    out = TautClass(g, n)
+    for kept, moved, mult in _kappa_splits(sorted(kappa.items())):
+        exps = dict(psi)
+        j_total = sum(a * j for a, j in moved.items())
+        if j_total:
+            exps[n] = exps.get(n, 0) + j_total
+        out.add_term(trivial_graph(g, n), {0: kept}, exps, {},
+                     (-1) ** sum(moved.values()) * mult)
+    for i, y in psi.items():
+        if y == 0:
+            continue
+        graph = stable_graph((g, 0),
+                             tuple(1 if lab in (i, n) else 0
+                                   for lab in range(1, n + 1)),
+                             ((0, 1),))
+        rest = {j: e for j, e in psi.items() if j != i}
+        out.add_term(graph, {0: dict(kappa)}, rest,
+                     {(0, 0): y - 1} if y > 1 else {}, Fraction(-1))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_formal_pullback_matches_frozen_expansion(data):
+    # psi_1 carries an exponent >= 2, so the bubble keeps a psi on its edge
+    g = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(4 if g == 0 else 2, 5))
+    psi = {1: data.draw(st.integers(2, 4))}
+    for i in range(2, n):
+        psi[i] = data.draw(st.integers(0, 2))
+    kappa = data.draw(st.dictionaries(st.integers(1, 3), st.integers(0, 2),
+                                      max_size=3))
+    expected = _reference_formal_pullback(g, n, psi, kappa)
+    assert _formal_monomial_pullback(g, n, psi, kappa) == expected
+
 
 def test_psi_expression_consistent_with_pullback():
     db = RelationDatabase()
