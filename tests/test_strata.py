@@ -354,6 +354,146 @@ def test_pushforward_boundary_stratum_stabilizes():
     assert c.pushforward_to(1) == loop_stratum(1, 1) * 6
 
 
+def test_pushforward_fuses_bridge_keeping_half_edge_psi():
+    # A(1,2,3) - v(7) - B(4,5,6): forgetting 7 fuses the two edges into one
+    # A - B edge, and the psi on A's half-edge stays on A's side
+    bridge = stable_graph((0, 0, 0), (0, 0, 0, 2, 2, 2, 1), ((0, 1), (1, 2)))
+    c = TautClass(0, 7).add_term(bridge, {}, {}, {(0, 0): 1}, Fraction(1))
+    ab = stable_graph((0, 0), (0, 0, 0, 1, 1, 1), ((0, 1),))
+    expected = TautClass(0, 6).add_term(ab, {}, {}, {(0, 0): 1}, Fraction(1))
+    assert not expected.is_zero()
+    assert c.forget_pushforward() == expected
+
+
+def _reference_push_unstable_vertex(term, v, tags, lab):
+    """The hand-built stabilization of a genus-0 vertex v left with two
+    special points once leg lab is forgotten: delete v, re-index vertices
+    and edges, then a leg slides onto the neighbor or two edges fuse into
+    one, and psi decorations ride along.  Returns (kind, graph, kappa,
+    psi_leg, psi_edge) for TautClass.add_term."""
+    graph = term.graph
+    kappa = {u: dict(vk) for u, vk in enumerate(term.kappa)}
+    psi_leg = {i + 1: x for i, x in enumerate(term.psi_leg) if x}
+    psi_edge = {(e, s): x for e, pair in enumerate(term.psi_edge)
+                for s, x in enumerate(pair) if x}
+    assert term.psi_leg[lab - 1] == 0 and not kappa.get(v)
+    others = [t for t in tags if not (t[0] == "l" and t[1] == lab)]
+    assert len(others) == 2
+    tags_h = [t for t in others if t[0] == "h"]
+    tags_l = [t for t in others if t[0] == "l"]
+    if len(tags_h) == 1 and len(tags_l) == 1:
+        (_, e, s) = tags_h[0]
+        (_, moved) = tags_l[0]
+        other_side = 1 - s
+        y = term.psi_edge[e][other_side]
+        w = graph.edges[e][other_side]
+        genera, edges, vmap, emap = _reference_delete_vertex(graph, v, (e,))
+        legs = [vmap[w] if label == moved else vmap[graph.legs[label - 1]]
+                for label in range(1, graph.n_legs)]
+        new_psi_leg = {l: x for l, x in psi_leg.items() if l not in (lab, moved)}
+        if y:
+            new_psi_leg[moved] = y
+        new_psi_edge = {}
+        for (e2, s2), x in psi_edge.items():
+            if e2 == e:
+                continue
+            new_psi_edge[(emap[e2], s2)] = x
+        new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
+        return ("slide", stable_graph(genera, legs, edges), new_kappa,
+                new_psi_leg, new_psi_edge)
+    assert len(tags_h) == 2
+    (_, e1, s1), (_, e2, s2) = tags_h
+    assert e1 != e2
+    o1, o2 = 1 - s1, 1 - s2
+    w1, w2 = graph.edges[e1][o1], graph.edges[e2][o2]
+    y1, y2 = term.psi_edge[e1][o1], term.psi_edge[e2][o2]
+    genera, edges, vmap, emap = _reference_delete_vertex(graph, v, (e1, e2))
+    legs = [vmap[graph.legs[label - 1]] for label in range(1, graph.n_legs)]
+    edges = list(edges) + [(vmap[w1], vmap[w2])]
+    new_e = len(edges) - 1
+    new_psi_edge = {}
+    for (e3, s3), x in psi_edge.items():
+        if e3 in (e1, e2):
+            continue
+        new_psi_edge[(emap[e3], s3)] = x
+    if y1:
+        new_psi_edge[(new_e, 0)] = y1
+    if y2:
+        new_psi_edge[(new_e, 1)] = y2
+    new_psi_leg = {l: x for l, x in psi_leg.items() if l != lab}
+    new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
+    return ("loop fuse" if w1 == w2 else "fuse", stable_graph(genera, legs, edges),
+            new_kappa, new_psi_leg, new_psi_edge)
+
+
+def _reference_delete_vertex(graph, v, drop_edges):
+    """Remove vertex v and the listed edges; legs are the caller's problem."""
+    vmap = {}
+    genera = []
+    for u in range(graph.n_vertices):
+        if u == v:
+            continue
+        vmap[u] = len(genera)
+        genera.append(graph.genera[u])
+    emap = {}
+    edges = []
+    for e, (a, b) in enumerate(graph.edges):
+        if e in drop_edges:
+            continue
+        emap[e] = len(edges)
+        edges.append((vmap[a], vmap[b]))
+    return tuple(genera), tuple(edges), vmap, emap
+
+
+def _random_decoration(rng, graph):
+    """Random psi and kappa decorations within each vertex's dimension."""
+    kappa, psi_leg, psi_edge = {}, {}, {}
+    for u, (gu, tags) in enumerate(zip(graph.genera, graph.attachments())):
+        budget = rng.randint(0, 3 * gu - 3 + len(tags))
+        while budget:
+            slot = rng.choice(tags + [("k", 1), ("k", 2)])
+            if slot[0] == "k":
+                if slot[1] > budget:
+                    continue
+                vk = kappa.setdefault(u, {})
+                vk[slot[1]] = vk.get(slot[1], 0) + 1
+                budget -= slot[1]
+                continue
+            if slot[0] == "l":
+                psi_leg[slot[1]] = psi_leg.get(slot[1], 0) + 1
+            else:
+                psi_edge[slot[1:]] = psi_edge.get(slot[1:], 0) + 1
+            budget -= 1
+    return kappa, psi_leg, psi_edge
+
+
+def test_pushforward_at_unstable_vertex_matches_hand_built_reference():
+    # every stratum whose last leg sits on a trivalent genus-0 vertex, with
+    # four seeded decorations each (repeated terms are checked once)
+    rng = random.Random(14)
+    kinds = {"slide": 0, "fuse": 0, "loop fuse": 0}
+    seen = set()
+    for g, n in [(0, 5), (0, 6), (0, 7), (1, 3), (1, 4), (2, 2), (2, 3)]:
+        for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            v = graph.legs[n - 1]
+            if 2 * graph.genera[v] - 2 + graph.valences()[v] != 1:
+                continue
+            for _ in range(4):
+                c = TautClass(g, n).add_term(
+                    graph, *_random_decoration(rng, graph), Fraction(1))
+                (term,) = c.terms
+                if term in seen:
+                    continue
+                seen.add(term)
+                v = term.graph.legs[n - 1]
+                kind, *stabilized = _reference_push_unstable_vertex(
+                    term, v, term.graph.attachments()[v], n)
+                kinds[kind] += 1
+                expected = TautClass(g, n - 1).add_term(*stabilized, Fraction(1))
+                assert c.forget_pushforward() == expected, (g, n, term)
+    assert min(kinds.values()) > 0, kinds
+
+
 # -- loci and filtration ------------------------------------------------------
 
 def test_restrict_examples():
