@@ -140,8 +140,14 @@ def union_find(nv: int, edges):
     return find, tree
 
 
+def is_stable_pair(g: int, n: int) -> bool:
+    """Whether the moduli of genus-g curves with n markings is a stable
+    moduli space: g >= 0, n >= 0 and 2g - 2 + n > 0."""
+    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
+
+
 def trivial_graph(g: int, n: int) -> StableGraph:
-    if 2 * g - 2 + n <= 0:
+    if not is_stable_pair(g, n):
         raise InvalidGraphError(f"(g, n) = ({g}, {n}) is not a stable pair")
     return stable_graph((g,), (0,) * n, ())
 
@@ -262,50 +268,43 @@ def automorphism_count(graph: StableGraph) -> int:
 # Surgery: contraction, splitting, degeneration
 # ---------------------------------------------------------------------------
 
-def contract_edge(graph: StableGraph, e: int) -> StableGraph:
+def contract_edge(graph: StableGraph, e: int) -> tuple:
     """Contract edge e: merge its endpoints (genus adds) or, for a loop,
-    remove it and raise the vertex genus by one."""
+    remove it and raise the vertex genus by one.  Returns (graph', remap),
+    where remap[v] is the new index of vertex v; the other edges keep their
+    order and the legs their labels."""
     a, b = graph.edges[e]
+    genera = list(graph.genera)
     if a == b:
-        genera = list(graph.genera)
+        remap = tuple(range(len(genera)))
         genera[a] += 1
-        edges = tuple(ed for i, ed in enumerate(graph.edges) if i != e)
-        return stable_graph(genera, graph.legs, edges)
-    keep, drop = min(a, b), max(a, b)
-    genera = []
-    remap = {}
-    for v in range(graph.n_vertices):
-        if v == drop:
-            remap[v] = keep
-            continue
-        remap[v] = len(genera)
-        genera.append(graph.genera[v])
-    genera[remap[keep]] += graph.genera[drop]
+    else:
+        keep, drop = min(a, b), max(a, b)
+        remap = tuple(keep if v == drop else v - (v > drop)
+                      for v in range(len(genera)))
+        genera[keep] += genera.pop(drop)
     legs = tuple(remap[v] for v in graph.legs)
     edges = tuple((remap[x], remap[y]) for i, (x, y) in enumerate(graph.edges) if i != e)
-    return stable_graph(genera, legs, edges)
+    return stable_graph(genera, legs, edges), remap
 
 
 @lru_cache(maxsize=None)
 def edge_profile(graph: StableGraph, e: int):
     """Isomorphism type of the one-edge graph obtained by contracting every
-    edge except e: ('irr',) for a non-separating edge, else
-    ('sep', h, sorted legs of the smaller side)."""
+    edge except e: ('irr',) for a non-separating edge, else the
+    separating_spec of the side of the edge's first end."""
     nv = graph.n_vertices
     find, _ = union_find(nv, graph.edges[:e] + graph.edges[e + 1:])
     a, b = graph.edges[e]
-    if find(a) == find(b):
+    root = find(a)
+    if root == find(b):
         return ("irr",)
-    sides = []
-    for root_of in (a, b):
-        root = find(root_of)
-        verts = [v for v in range(nv) if find(v) == root]
-        inner = sum(1 for i, (x, y) in enumerate(graph.edges)
-                    if i != e and find(x) == root)
-        h = sum(graph.genera[v] for v in verts) + inner - len(verts) + 1
-        legs = tuple(sorted(i + 1 for i, v in enumerate(graph.legs) if find(v) == root))
-        sides.append((h, legs))
-    return ("sep",) + min(sides)
+    verts = [v for v in range(nv) if find(v) == root]
+    inner = sum(1 for i, (x, y) in enumerate(graph.edges)
+                if i != e and find(x) == root)
+    h = sum(graph.genera[v] for v in verts) + inner - len(verts) + 1
+    legs = [i + 1 for i, v in enumerate(graph.legs) if find(v) == root]
+    return separating_spec(graph.genus, graph.n_legs, h, legs)
 
 
 def separating_spec(g: int, n: int, h: int, legs) -> tuple:
@@ -385,7 +384,7 @@ def one_edge_degenerations(graph: StableGraph):
 def enumerate_stable_graphs(g: int, n: int, max_edges: int):
     """Every isomorphism class of genus-g, n-leg stable graphs with at most
     max_edges edges, ordered by edge count then canonical key."""
-    if 2 * g - 2 + n <= 0:
+    if not is_stable_pair(g, n):
         raise InvalidGraphError(f"(g, n) = ({g}, {n}) is not a stable pair")
     if max_edges < 0:
         raise InvalidGraphError("max_edges must be non-negative")

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 
 from .algebra import MultiPoly, bounded_tuples, finite_difference_stencil
-from .graphs import trivial_graph
+from .graphs import is_stable_pair, trivial_graph
 from .pixton import validate_ramification, weighted_constant_term
 from .strata import (
     StrataTerm,
@@ -518,6 +518,8 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
     classes of degree beyond the dimension are zero.  Results and every
     intermediate relation are memoized in the database.
     """
+    if not is_stable_pair(g, n):
+        raise ValueError(f"(g, n) = ({g}, {n}) is not a stable pair")
     db = db or RelationDatabase()
     if isinstance(monomial, str):
         psi, kappa = parse_monomial(monomial)
@@ -794,17 +796,13 @@ def _solve_for_target(g, n, relation, target_key, provenance, db,
                       _active) -> BoundaryExpression:
     """Solve a Chow-zero relation for its edgeless target monomial, with
     every other edgeless monomial replaced by its boundary expression."""
-    open_part, boundary = open_monomial_decomposition(relation)
-    pivot = open_part.pop(target_key, 0)
+    pivot = open_monomial_decomposition(relation)[0].get(target_key, 0)
     if pivot == 0:
         raise RelationPipelineError(
             f"relation lost its target {target_key} (zero pivot)")
-    acc = -boundary
-    for mkey, coeff in open_part.items():
-        sub = boundary_expression(g, n, mkey, db, _active)
-        provenance = provenance + sub.provenance
-        acc._add_in_place(sub.value * -coeff)
-    return BoundaryExpression(acc * (Fraction(1) / pivot), provenance)
+    rest = relation - monomial_class(g, n, target_key) * pivot
+    acc = _substitute_open(g, n, rest, db, _active, provenance)
+    return BoundaryExpression(acc * (Fraction(-1) / pivot), provenance)
 
 
 def _choose_core(g, n, exps: tuple) -> tuple:

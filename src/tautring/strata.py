@@ -25,15 +25,17 @@ from functools import lru_cache
 from .algebra import MultiPoly
 from .graphs import (
     StableGraph,
+    add_loop,
     canonical_graph,
+    contract_edge,
     edge_profile,
     graph_from_json,
     graph_to_json,
     graph_transports,
+    is_stable_pair,
     relabel_legs,
     separating_spec,
     split_vertex,
-    add_loop,
     stable_graph,
     trivial_graph,
     vertex_split_options,
@@ -185,6 +187,14 @@ def _psi_edge_dict(psi_edge_pairs):
     return psi_edge
 
 
+def _set_psi(psi_leg, psi_edge, tag, exponent):
+    """Set the psi exponent at an attachment tag in the decoration dicts."""
+    if tag[0] == "l":
+        psi_leg[tag[1]] = exponent
+    else:
+        psi_edge[tag[1:]] = exponent
+
+
 # ---------------------------------------------------------------------------
 # Tautological classes
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ class TautClass:
     __slots__ = ("g", "n", "terms")
 
     def __init__(self, g: int, n: int, terms=None):
-        if 2 * g - 2 + n <= 0:
+        if not is_stable_pair(g, n):
             raise AmbientMismatchError(f"(g, n) = ({g}, {n}) is not a stable pair")
         self.g = g
         self.n = n
@@ -438,19 +448,17 @@ class TautClass:
                     psi_leg[new_n] = sum(a * j for a, j in moved.items())
                     out.add_term(placed, kappa, psi_leg, psi_edge,
                                  coeff * ((-1) ** sum(moved.values()) * mult))
-                # bubble corrections, one per decorated marking at v
+                # bubble corrections, one per decorated marking at v: the
+                # marking and the new point move to a genus-0 bubble
                 for tag in tags:
                     y = term.psi_at(tag)
                     if y == 0:
                         continue
-                    bubbled, new_e, bubble = _bubble_off(graph, v, tag, new_n)
+                    bubbled, new_e = split_vertex(placed, v, graph.genera[v],
+                                                  (tag, ("l", new_n)))
                     kappa, psi_leg, psi_edge = _term_dicts(term)
-                    if tag[0] == "l":
-                        psi_leg.pop(tag[1], None)
-                    else:
-                        psi_edge.pop((tag[1], tag[2]), None)
-                    if y > 1:
-                        psi_edge[(new_e, 0)] = y - 1
+                    _set_psi(psi_leg, psi_edge, tag, 0)
+                    psi_edge[(new_e, 0)] = y - 1
                     out.add_term(bubbled, kappa, psi_leg, psi_edge, -coeff)
         return out
 
@@ -555,12 +563,11 @@ def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
     if kind[0] == "psi":
         return -TautClass.psi(g, n, kind[1])
     if kind[0] == "irr":
-        graph = stable_graph((g - 1,), (0,) * n, ((0, 0),))
+        graph, _ = add_loop(trivial_graph(g, n), 0)
         return TautClass(g, n).add_term(graph, {}, {}, {}, Fraction(1, 2))
     _, h, legs = kind
-    legset = set(legs)
-    leg_vertex = tuple(0 if lab in legset else 1 for lab in range(1, n + 1))
-    graph = stable_graph((h, g - h), leg_vertex, ((0, 1),))
+    moved = [("l", lab) for lab in range(1, n + 1) if lab not in legs]
+    graph, _ = split_vertex(trivial_graph(g, n), 0, h, moved)
     return TautClass(g, n).add_term(graph, {}, {}, {}, Fraction(1))
 
 
@@ -585,22 +592,6 @@ def _kappa_splits(vertex_kappa):
             if j:
                 moved[a] = j
         yield kept, moved, Fraction(mult)
-
-
-def _bubble_off(graph: StableGraph, v: int, tag, new_label: int):
-    """Move the marking `tag` from v onto a fresh genus-0 bubble that also
-    carries the new leg; returns (graph', connecting edge index, bubble)."""
-    b = graph.n_vertices
-    genera = graph.genera + (0,)
-    legs = list(graph.legs) + [b]          # the new leg sits on the bubble
-    edges = [list(e) for e in graph.edges]
-    if tag[0] == "l":
-        legs[tag[1] - 1] = b
-    else:
-        edges[tag[1]][tag[2]] = b
-    edges.append([v, b])
-    return (stable_graph(genera, legs, [tuple(e) for e in edges]),
-            len(edges) - 1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -641,97 +632,39 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
                     continue
                 kappa2, psi_leg2, psi_edge2 = _term_dicts(term)
                 psi_leg2.pop(lab, None)
-                if tag[0] == "l":
-                    psi_leg2[tag[1]] = y - 1
-                else:
-                    psi_edge2[(tag[1], tag[2])] = y - 1
+                _set_psi(psi_leg2, psi_edge2, tag, y - 1)
                 out.add_term(target, kappa2, psi_leg2, psi_edge2, coeff)
 
 
 def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
                           tags, lab: int):
     """Stabilize a genus-0 vertex v, with attachment tags, left with two
-    special points.
-
-    Either a leg slides to the neighboring node position or the two adjacent
-    edges fuse into one; psi decorations ride along."""
-    graph = term.graph
+    special points: contract one of its edges, and the vertex's other
+    attachment takes the psi power from the far side of that edge.  So a
+    leg slides onto the neighbor, or two edges fuse into one."""
     if term.psi_leg[lab - 1] != 0:
         raise AssertionError("decorated point on a dimension-zero vertex")
     others = [t for t in tags if not (t[0] == "l" and t[1] == lab)]
     if len(others) != 2:
         raise AssertionError("unstable vertex with unexpected valence")
-    kappa, psi_leg, psi_edge = _term_dicts(term)
-    if kappa.get(v):
+    if term.kappa[v]:
         raise AssertionError("kappa decoration on a dimension-zero vertex")
-    tags_h = [t for t in others if t[0] == "h"]
-    tags_l = [t for t in others if t[0] == "l"]
-    if len(tags_h) == 1 and len(tags_l) == 1:
-        # leg slides onto the neighbor, inheriting the node's psi power
-        (_, e, s) = tags_h[0]
-        (_, moved) = tags_l[0]
-        other_side = 1 - s
-        y = term.psi_edge[e][other_side]
-        w = graph.edges[e][other_side]
-        genera, edges, vmap, emap = _delete_vertex(graph, v, drop_edges=(e,))
-        legs = [vmap[w] if label == moved else vmap[graph.legs[label - 1]]
-                for label in range(1, graph.n_legs)]
-        new_psi_leg = {l: x for l, x in psi_leg.items() if l not in (lab, moved)}
-        if y:
-            new_psi_leg[moved] = y
-        new_psi_edge = {}
-        for (e2, s2), x in psi_edge.items():
-            if e2 == e:
-                continue
-            new_psi_edge[(emap[e2], s2)] = x
-        new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
-        out.add_term(stable_graph(genera, legs, edges), new_kappa, new_psi_leg,
-                     new_psi_edge, coeff)
-        return
-    if len(tags_h) != 2:
+    # legs come before half-edges and edges are in order, so contracting
+    # the later attachment's edge keeps the index of the other attachment
+    other, last = others
+    if last[0] != "h":
         raise AssertionError("cannot stabilize: two legs on an unstable vertex")
-    (_, e1, s1), (_, e2, s2) = tags_h
-    if e1 == e2:
+    _, e, s = last
+    if other[:2] == ("h", e):
         raise AssertionError("loop on an unstable vertex cannot occur here")
-    o1, o2 = 1 - s1, 1 - s2
-    w1, w2 = graph.edges[e1][o1], graph.edges[e2][o2]
-    y1, y2 = term.psi_edge[e1][o1], term.psi_edge[e2][o2]
-    genera, edges, vmap, emap = _delete_vertex(graph, v, drop_edges=(e1, e2))
-    legs = [vmap[graph.legs[label - 1]] for label in range(1, graph.n_legs)]
-    edges = list(edges) + [(vmap[w1], vmap[w2])]
-    new_e = len(edges) - 1
-    new_psi_edge = {}
-    for (e3, s3), x in psi_edge.items():
-        if e3 in (e1, e2):
-            continue
-        new_psi_edge[(emap[e3], s3)] = x
-    if y1:
-        new_psi_edge[(new_e, 0)] = y1
-    if y2:
-        new_psi_edge[(new_e, 1)] = y2
-    new_psi_leg = {l: x for l, x in psi_leg.items() if l != lab}
-    new_kappa = {vmap[u]: kappa[u] for u in kappa if u != v}
-    out.add_term(stable_graph(genera, legs, edges), new_kappa, new_psi_leg,
-                 new_psi_edge, coeff)
-
-
-def _delete_vertex(graph: StableGraph, v: int, drop_edges):
-    """Remove vertex v and the listed edges; legs are the caller's problem."""
-    vmap = {}
-    genera = []
-    for u in range(graph.n_vertices):
-        if u == v:
-            continue
-        vmap[u] = len(genera)
-        genera.append(graph.genera[u])
-    emap = {}
-    edges = []
-    for e, (a, b) in enumerate(graph.edges):
-        if e in drop_edges:
-            continue
-        emap[e] = len(edges)
-        edges.append((vmap[a], vmap[b]))
-    return tuple(genera), tuple(edges), vmap, emap
+    contracted, remap = contract_edge(term.graph, e)
+    kappa, psi_leg, psi_edge = _term_dicts(term)
+    kappa = {remap[u]: vk for u, vk in kappa.items() if u != v}
+    psi_edge = {(e2 - (e2 > e), s2): x for (e2, s2), x in psi_edge.items()
+                if e2 != e}
+    _set_psi(psi_leg, psi_edge, other, term.psi_edge[e][1 - s])
+    target = StableGraph(contracted.genera, contracted.legs[:-1], contracted.edges)
+    out.add_term(target, kappa, psi_leg, psi_edge, coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,21 @@ def test_enumerate_invalid_pair_exits_one(capsys):
                 "--max-edges", "1"]) == 1
 
 
+def test_negative_genus_or_markings_exit_one(tmp_path, capsys):
+    db = tmp_path / "db.jsonl"
+    for argv in (
+            ["enumerate", "--genus", "2", "--markings", "-1", "--max-edges", "1"],
+            ["boundary-expression", "--genus", "-1", "--markings", "5",
+             "--monomial", "psi1", "--db", str(db)],
+            ["boundary-expression", "--genus", "2", "--markings", "-1",
+             "--monomial", "kappa1^2"]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "is not a stable pair" in err
+        assert "Traceback" not in err
+    assert not db.exists()
+
+
 def test_enumerate_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["enumerate", "--genus", "1", "--markings", "2", "--max-edges", "2",

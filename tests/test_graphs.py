@@ -16,6 +16,7 @@ from tautring.graphs import (
     enumerate_stable_graphs,
     graph_from_json,
     graph_to_json,
+    is_stable_pair,
     one_edge_degenerations,
     relabel_legs,
     stable_graph,
@@ -256,15 +257,39 @@ def test_automorphism_divides_half_edge_bound():
 
 def test_contract_examples():
     d12 = stable_graph((0, 0), (0, 0, 1, 1), ((0, 1),))
-    assert contract_edge(d12, 0).canonical_key() == trivial_graph(0, 4).canonical_key()
+    contracted, _ = contract_edge(d12, 0)
+    assert contracted.canonical_key() == trivial_graph(0, 4).canonical_key()
     loop = stable_graph((0,), (0,), ((0, 0),))
-    assert contract_edge(loop, 0).canonical_key() == trivial_graph(1, 1).canonical_key()
+    contracted, _ = contract_edge(loop, 0)
+    assert contracted.canonical_key() == trivial_graph(1, 1).canonical_key()
+
+
+def test_contract_returns_vertex_remap():
+    # chain 0 - 1 - 2 with a loop at 2: contracting the middle-to-end edge
+    # merges vertex 2 into 1, and the other edges keep their order
+    chain = stable_graph((0, 1, 0), (0, 0, 2), ((0, 1), (1, 2), (2, 2)))
+    contracted, remap = contract_edge(chain, 1)
+    assert remap == (0, 1, 1)
+    assert contracted == stable_graph((0, 1), (0, 0, 1), ((0, 1), (1, 1)))
+    contracted, remap = contract_edge(chain, 2)
+    assert remap == (0, 1, 2)
+    assert contracted == stable_graph((0, 1, 1), (0, 0, 2), ((0, 1), (1, 2)))
+
+
+def test_negative_genus_or_markings_are_not_stable_pairs():
+    assert is_stable_pair(0, 3) and is_stable_pair(2, 0)
+    for g, n in [(-1, 5), (2, -1), (0, 2), (1, 0)]:
+        assert not is_stable_pair(g, n)
+        with pytest.raises(InvalidGraphError):
+            trivial_graph(g, n)
+        with pytest.raises(InvalidGraphError):
+            enumerate_stable_graphs(g, n, 1)
 
 
 def test_contract_preserves_genus_on_one_edge_graphs():
     for graph in enumerate_stable_graphs(2, 0, 1):
         for e in range(graph.n_edges):
-            contracted = contract_edge(graph, e)
+            contracted, _ = contract_edge(graph, e)
             assert contracted.genus == graph.genus
             assert contracted.n_legs == graph.n_legs
 
@@ -279,7 +304,7 @@ def test_degeneration_contract_round_trip():
     for g, n in [(1, 2), (2, 0), (0, 5)]:
         for graph in enumerate_stable_graphs(g, n, 2):
             for degen, e in one_edge_degenerations(graph):
-                back = contract_edge(degen, e)
+                back, _ = contract_edge(degen, e)
                 assert back.canonical_key() == graph.canonical_key()
 
 

@@ -34,6 +34,7 @@ from tautring.relations import (
     trr_report,
     _formal_monomial_pullback,
     _record_hash,
+    _solve_for_target,
 )
 from tautring.strata import (
     TautClass,
@@ -662,3 +663,19 @@ def test_monomial_class_round_trip():
     opened, boundary = open_monomial_decomposition(c)
     assert boundary.is_zero()
     assert opened == {"psi1*kappa1": Fraction(1)}
+
+
+def test_solve_for_target_substitutes_the_other_open_monomials():
+    # 2 psi1^2 - 3 psi2*psi3 + B = 0 solves to psi1^2 = -(B - 3 BE(psi2*psi3)) / 2,
+    # with the provenance of BE(psi2*psi3) after the relation's own
+    db = RelationDatabase()
+    other = boundary_expression(0, 5, "psi2*psi3", db)
+    assert other.provenance and not other.value.is_zero()
+    B = boundary_divisor_class(0, 5, ("sep", 0, (1, 2))).mul_psi(3)
+    relation = (monomial_class(0, 5, "psi1^2") * 2
+                - monomial_class(0, 5, "psi2*psi3") * 3 + B)
+    solved = _solve_for_target(0, 5, relation, "psi1^2", ["relation"], db, set())
+    assert solved.value == (B - other.value * 3) * Fraction(-1, 2)
+    assert solved.provenance == ["relation"] + other.provenance
+    with pytest.raises(RelationPipelineError):
+        _solve_for_target(0, 5, B, "psi1^2", ["relation"], db, set())

@@ -105,6 +105,12 @@ def test_normalize_rejects_mixed_ambient():
         TautClass.from_json(data)
 
 
+def test_negative_genus_or_markings_are_rejected():
+    for g, n in [(-1, 5), (2, -1)]:
+        with pytest.raises(AmbientMismatchError):
+            TautClass(g, n)
+
+
 # -- products with generators -------------------------------------------------
 
 def test_mul_psi_fundamental():
