@@ -14,6 +14,10 @@ DR class is built at a stencil point and none is cached; dr_relation takes
 the same per-graph route at the one point A, uncached.  Symbolic
 ramification variables appear solely in compact-type theta computations,
 where polynomiality is manifest.
+
+boundary_expression is the one memo path: its routes store nothing, and
+psi1 and kappa1 on the one-marked genus-one space always come from the base
+system of two pushed relations.
 """
 
 from __future__ import annotations
@@ -97,13 +101,7 @@ def theta_generators(g: int, n: int, A=None):
 
 def theta_divisor(g: int, n: int, A=None) -> TautClass:
     """Pullback of the theta divisor along the Abel-Jacobi section."""
-    out = TautClass(g, n)
-    for key, coeff in theta_generators(g, n, A):
-        if key[0] == "psi":
-            out.add_term(trivial_graph(g, n), {}, {key[1]: 1}, {}, coeff)
-        else:
-            out._add_in_place(boundary_divisor_class(g, n, key) * coeff)
-    return out
+    return mul_divisor_sum(TautClass.fundamental(g, n), theta_generators(g, n, A))
 
 
 def mul_divisor_sum(c: TautClass, generators) -> TautClass:
@@ -119,9 +117,6 @@ def theta_power_relation(g: int, n: int, A=None) -> TautClass:
     is a relation."""
     gens = theta_generators(g, n, A)
     out = TautClass.fundamental(g, n)
-    if A is None:
-        one = MultiPoly.constant(_a_vars(n), 1)
-        out = out.map_coefficients(lambda c: one * c)
     for _ in range(g + 1):
         out = mul_divisor_sum(out, gens)
     return out
@@ -515,8 +510,8 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
     """Express a psi/kappa monomial of degree k as a boundary class.
 
     Requires k >= g for n >= 1 (k >= 1 in genus zero, k >= g-1 for n = 0);
-    classes of degree beyond the dimension are zero.  Results and every
-    intermediate relation are memoized in the database.
+    classes of degree beyond the dimension are zero.  The result and every
+    expression it requests are memoized here; the routes store nothing.
     """
     if not is_stable_pair(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not a stable pair")
@@ -546,7 +541,7 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
         raise RelationPipelineError(f"cyclic boundary-expression request {token}")
     _active.add(token)
     try:
-        be = _boundary_expression_route(g, n, psi, kappa, key, db, _active)
+        be = _boundary_expression_route(g, n, psi, kappa, db, _active)
     finally:
         _active.discard(token)
     return db.store(g, n, key, be)
@@ -563,8 +558,13 @@ def _substitute_open(g, n, c: TautClass, db, _active, provenance):
     return acc
 
 
-def _boundary_expression_route(g, n, psi, kappa, key, db, _active) -> BoundaryExpression:
+def _boundary_expression_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
+    if (g, n) == (1, 1):
+        # psi1 or kappa1: every other monomial here exceeds the dimension
+        return _one_marked_base(monomial_key(psi, kappa))
     if g <= 1 and psi:
+        if not kappa and list(psi.values()) == [1]:
+            return _psi_pullback_route(g, n, min(psi), db, _active)
         return _peel_psi_route(g, n, psi, kappa, db, _active)
     if g == 0:
         return _genus0_kappa_route(n, kappa, db, _active)
@@ -575,30 +575,25 @@ def _boundary_expression_route(g, n, psi, kappa, key, db, _active) -> BoundaryEx
     return _p_route(g, n, psi, kappa, db, _active)
 
 
-def _psi_expression(g, n, i, db, _active) -> BoundaryExpression:
-    """psi_i as a boundary class; genus 0 and 1 only, by pullback induction."""
-    key = monomial_key({i: 1}, {})
-    cached = db.get(g, n, key)
-    if cached is not None:
-        return cached
-    if g == 0 and n == 3:
-        be = BoundaryExpression(TautClass(0, 3), [])
-        return db.store(g, n, key, be)
-    if g == 1 and n == 1:
-        return _one_marked_base(db, _active)["psi1"]
+def _psi_pullback_route(g, n, i, db, _active) -> BoundaryExpression:
+    """psi_i in genus 0 and 1 by pullback induction: the pullback of psi_i
+    from one fewer marking plus the bubble carrying i and n."""
     if i == n:
-        swap = {j: j for j in range(1, n + 1)}
-        swap[1], swap[n] = n, 1
-        inner = _psi_expression(g, n, 1, db, _active)
-        be = BoundaryExpression(inner.value.relabel_legs(swap),
-                                inner.provenance + [f"relabel 1<->{n}"])
-        return db.store(g, n, key, be)
-    inner = _psi_expression(g, n - 1, i, db, _active)
+        return _relabel_route(g, n, {n: 1}, {}, 1, db, _active)
+    inner = boundary_expression(g, n - 1, ({i: 1}, {}), db, _active)
     bubble = boundary_divisor_class(g, n, ("sep", 0, (i, n)))
-    value = inner.value.forget_pullback() + bubble
-    be = BoundaryExpression(value, inner.provenance +
-                            [f"pullback psi{i} from ({g},{n-1})"])
-    return db.store(g, n, key, be)
+    return BoundaryExpression(inner.value.forget_pullback() + bubble,
+                              inner.provenance + [f"pullback psi{i} from ({g},{n-1})"])
+
+
+def _relabel_route(g, n, psi, kappa, i, db, _active) -> BoundaryExpression:
+    """The monomial with labels i and n swapped, relabeled back."""
+    swap = {j: j for j in range(1, n + 1)}
+    swap[i], swap[n] = n, i
+    swapped = {swap[j]: e for j, e in psi.items()}
+    inner = boundary_expression(g, n, (swapped, kappa), db, _active)
+    return BoundaryExpression(inner.value.relabel_legs(swap),
+                              inner.provenance + [f"relabel {i}<->{n}"])
 
 
 def _genus0_kappa_route(n, kappa, db, _active) -> BoundaryExpression:
@@ -617,10 +612,10 @@ def _genus0_kappa_route(n, kappa, db, _active) -> BoundaryExpression:
 
 
 def _peel_psi_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
-    """Genus 0 and 1: one psi factor as a boundary class (by pullback
-    induction) times the rest of the monomial."""
-    i = min(i for i, e in psi.items() if e)
-    base = _psi_expression(g, n, i, db, _active)
+    """Genus 0 and 1: one psi factor as a boundary class times the rest of
+    the monomial."""
+    i = min(psi)
+    base = boundary_expression(g, n, ({i: 1}, {}), db, _active)
     rest_psi = dict(psi)
     rest_psi[i] -= 1
     value = base.value.mul_monomial(psi_exps=rest_psi, kappas=kappa)
@@ -643,17 +638,9 @@ def _formal_monomial_pullback(g, n, psi, kappa) -> TautClass:
 
 def _induct_n_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     """Pull a monomial missing some psi back from one fewer marking."""
-    if psi.get(n, 0) == 0:
-        missing = n
-    else:
+    if psi.get(n, 0):
         missing = next(i for i in range(1, n + 1) if psi.get(i, 0) == 0)
-    if missing != n:
-        swap = {j: j for j in range(1, n + 1)}
-        swap[missing], swap[n] = n, missing
-        swapped = {swap[i]: e for i, e in psi.items()}
-        inner = boundary_expression(g, n, (swapped, kappa), db, _active)
-        return BoundaryExpression(inner.value.relabel_legs(swap),
-                                  inner.provenance + [f"relabel {missing}<->{n}"])
+        return _relabel_route(g, n, psi, kappa, missing, db, _active)
     inner = boundary_expression(g, n - 1, (psi, kappa), db, _active)
     pulled = inner.value.forget_pullback()
     provenance = list(inner.provenance) + [f"pullback from ({g},{n-1})"]
@@ -667,14 +654,9 @@ def _induct_n_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     return BoundaryExpression(acc, provenance)
 
 
-def _one_marked_base(db, _active) -> dict:
-    """psi1 and kappa1 on the one-marked genus-one space, solved from the two
+def _one_marked_base(key: str) -> BoundaryExpression:
+    """psi1 or kappa1 on the one-marked genus-one space, solved from the two
     four-variable coefficient relations of the pushed degree-two relation."""
-    out = {}
-    cached_psi = db.get(1, 1, "psi1")
-    cached_kappa = db.get(1, 1, "kappa1")
-    if cached_psi is not None and cached_kappa is not None:
-        return {"psi1": cached_psi, "kappa1": cached_kappa}
     mult = {2: 1, 3: 1, 4: 1}
     forget = (2, 3, 4, 5)
     rel_k = dr_relation_coefficient(1, (1, 1, 1, 1), mult, forget)
@@ -683,11 +665,9 @@ def _one_marked_base(db, _active) -> dict:
         (rel_k, "coefficient a1a2a3a4 of the pushed relation"),
         (rel_p, "coefficient a1^2a2a3 of the pushed relation"),
     ])
-    for key in ("psi1", "kappa1"):
-        if key not in sol:
-            raise RelationPipelineError(f"one-marked base system missed {key}")
-        out[key] = db.store(1, 1, key, sol[key])
-    return out
+    if key not in sol:
+        raise RelationPipelineError(f"one-marked base system missed {key}")
+    return sol[key]
 
 
 def solve_monomial_relations(relations) -> dict:

@@ -568,7 +568,9 @@ def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
     _, h, legs = kind
     moved = [("l", lab) for lab in range(1, n + 1) if lab not in legs]
     graph, _ = split_vertex(trivial_graph(g, n), 0, h, moved)
-    return TautClass(g, n).add_term(graph, {}, {}, {}, Fraction(1))
+    # an attachment-free symmetric split has the automorphism swapping its sides
+    weight = Fraction(1, 2) if n == 0 and 2 * h == g else Fraction(1)
+    return TautClass(g, n).add_term(graph, {}, {}, {}, weight)
 
 
 def _kappa_splits(vertex_kappa):

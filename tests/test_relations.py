@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautring import relations
 from tautring.algebra import MultiPoly
 from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
 from tautring.pixton import omega_constant_term, validate_ramification
@@ -27,6 +28,7 @@ from tautring.relations import (
     parse_monomial,
     psi_boundary_lemma,
     pushforward_relation,
+    solve_monomial_relations,
     theorem_star_reduce,
     theta_divisor,
     theta_generators,
@@ -355,25 +357,34 @@ def test_psi_boundary_lemma_substitution_is_formal_zero():
 
 # -- boundary expressions --------------------------------------------------------
 
-def test_boundary_expression_m04_psi():
+@pytest.fixture
+def no_elimination_lemma(monkeypatch):
+    """Genus-0/1 boundary expressions never take the (2g+3)-marked
+    elimination: every route there is a base case, a pullback or a product."""
+    def refuse(g, db=None):
+        raise AssertionError(f"psi_boundary_lemma({g}) ran")
+    monkeypatch.setattr(relations, "psi_boundary_lemma", refuse)
+
+
+def test_boundary_expression_m04_psi(no_elimination_lemma):
     be = boundary_expression(0, 4, "psi1")
     assert be.value == boundary_divisor_class(0, 4, ("sep", 0, (1, 4)))
 
 
-def test_trr_discrepancy_reported():
+def test_trr_discrepancy_reported(no_elimination_lemma):
     rep = trr_report(4)
     assert rep["fixed_matches_derived"] is True
     assert rep["literal_matches_derived"] is False
 
 
-def test_boundary_expression_m11():
+def test_boundary_expression_m11(no_elimination_lemma):
     db = RelationDatabase()
     twelfth = dirr(1, 1) * Fraction(1, 12)
     assert boundary_expression(1, 1, "psi1", db).value == twelfth
     assert boundary_expression(1, 1, "kappa1", db).value == twelfth
 
 
-def test_boundary_expression_beyond_dimension_is_zero():
+def test_boundary_expression_beyond_dimension_is_zero(no_elimination_lemma):
     assert boundary_expression(1, 1, "psi1^2").value.is_zero()
     assert boundary_expression(0, 4, "kappa1^2").value.is_zero()
 
@@ -383,7 +394,7 @@ def test_boundary_expression_below_threshold_refused():
         boundary_expression(2, 1, "psi1")
 
 
-def test_boundary_expression_genus_zero_kappa():
+def test_boundary_expression_genus_zero_kappa(no_elimination_lemma):
     db = RelationDatabase()
     be = boundary_expression(0, 4, "kappa1", db)
     # kappa_1 on the four-marked genus-0 space has degree 1 (the square of
@@ -394,11 +405,40 @@ def test_boundary_expression_genus_zero_kappa():
     assert sum(be.value.terms.values()) == 1
 
 
-def test_boundary_expression_deeper_marked_spaces():
+def test_boundary_expression_deeper_marked_spaces(no_elimination_lemma):
     db = RelationDatabase()
     for key in ("psi1*psi2", "kappa1", "psi1^2", "kappa1*psi2"):
         be = boundary_expression(1, 2, key, db)
         assert all(t.graph.n_edges >= 1 for t in be.value.terms)
+
+
+def test_one_marked_genus_one_is_history_independent(no_elimination_lemma):
+    # kappa1 on the one-marked genus-one space comes from the base system
+    # whether or not psi1 was asked first, and a request stores only its own
+    # record and those of what it asked for
+    fresh = boundary_expression(1, 1, "kappa1", RelationDatabase())
+    assert fresh.provenance == ["coefficient a1a2a3a4 of the pushed relation"]
+    db = RelationDatabase()
+    boundary_expression(1, 1, "psi1", db)
+    assert set(db.records) == {(1, 1, "psi1")}
+    after = boundary_expression(1, 1, "kappa1", db)
+    assert after.to_json() == fresh.to_json()
+    # a deeper request after kappa1 matches the same request made fresh
+    upstairs = boundary_expression(1, 5, "psi1^2", db)
+    assert upstairs.to_json() == \
+        boundary_expression(1, 5, "psi1^2", RelationDatabase()).to_json()
+    assert {key for key in db.records if key[1] == 5} == \
+        {(1, 5, "psi1"), (1, 5, "psi1^2")}
+
+
+def test_pushforward_route_agrees_with_the_base_system():
+    # only genus >= 2 requests take the pushed-core route, so it is run
+    # directly here: on the one-marked genus-one space, where the degree-one
+    # boundary classes are multiples of delta_irr, both give kappa1 exactly
+    db = RelationDatabase()
+    pushed = relations._p_route(1, 1, {}, {1: 1}, db, set())
+    assert pushed.provenance[0].startswith("dr-coefficient g=1")
+    assert pushed.value == boundary_expression(1, 1, "kappa1", db).value
 
 
 # -- substitution soundness: the produced expressions satisfy the pullback
@@ -443,7 +483,7 @@ def test_formal_pullback_matches_frozen_expansion(data):
     assert _formal_monomial_pullback(g, n, psi, kappa) == expected
 
 
-def test_psi_expression_consistent_with_pullback():
+def test_psi_expression_consistent_with_pullback(no_elimination_lemma):
     db = RelationDatabase()
     be2 = boundary_expression(1, 2, "psi1", db)
     be1 = boundary_expression(1, 1, "psi1", db)
@@ -459,7 +499,7 @@ def test_star_reduce_identity_on_star_classes():
     assert theorem_star_reduce(c) == c
 
 
-def test_star_reduce_psi_on_m11():
+def test_star_reduce_psi_on_m11(no_elimination_lemma):
     db = RelationDatabase()
     reduced = theorem_star_reduce(TautClass.psi(1, 1, 1), db)
     assert reduced == dirr(1, 1) * Fraction(1, 12)
@@ -467,7 +507,7 @@ def test_star_reduce_psi_on_m11():
     assert sum(1 for gv in term.graph.genera if gv == 0) >= 1
 
 
-def test_star_reduce_census_battery():
+def test_star_reduce_census_battery(no_elimination_lemma):
     db = RelationDatabase()
     battery = []
     # two-marked genus-1 inputs of codimension 2
@@ -679,3 +719,29 @@ def test_solve_for_target_substitutes_the_other_open_monomials():
     assert solved.provenance == ["relation"] + other.provenance
     with pytest.raises(RelationPipelineError):
         _solve_for_target(0, 5, B, "psi1^2", ["relation"], db, set())
+
+
+def test_solve_monomial_relations_fills_in_and_back_substitutes():
+    # rows a + 2b + B1, 3a + c + B2, b + c + B3 (a < b < c as keys): a is
+    # eliminated first and fills b into the second row, b second, so a and b
+    # are resolved through the later pivots with nonzero coefficients
+    a, b, c = "psi1*psi2", "psi1^2", "psi2^2"
+    B1 = boundary_divisor_class(0, 5, ("sep", 0, (1, 2))).mul_psi(3)
+    B2 = boundary_divisor_class(0, 5, ("sep", 0, (1, 3))).mul_psi(2)
+    B3 = boundary_divisor_class(0, 5, ("sep", 0, (2, 4))).mul_psi(1)
+    rows = {"R1": ({a: 1, b: 2}, B1), "R2": ({a: 3, c: 1}, B2),
+            "R3": ({b: 1, c: 1}, B3)}
+    solved = solve_monomial_relations([
+        (sum((monomial_class(0, 5, m) * x for m, x in coeffs.items()), boundary),
+         label) for label, (coeffs, boundary) in rows.items()])
+    assert set(solved) == {a, b, c}
+    # formal-zero back-substitution: every row vanishes term by term
+    for label, (coeffs, boundary) in rows.items():
+        back = sum((solved[m].value * x for m, x in coeffs.items()), boundary)
+        assert back.is_zero(), label
+    assert solved[b].value == (B2 - B1 * 3 - B3) * Fraction(1, 7)
+    # provenance: a pivot row's own history, then that of every monomial
+    # it was resolved through, in pivot order
+    assert solved[c].provenance == ["R3", "R2", "R1"]
+    assert solved[b].provenance == ["R2", "R1", "R3", "R2", "R1"]
+    assert solved[a].provenance == ["R1", "R2", "R1", "R3", "R2", "R1"]

@@ -146,6 +146,25 @@ def test_divisor_double_description_same_class():
     assert a == b
 
 
+def test_divisor_class_is_the_product_with_the_fundamental_class():
+    # the hand-built divisor and the degeneration loop of mul_boundary agree,
+    # including the attachment-free symmetric split, which is 2:1 onto its
+    # divisor: on the unmarked genus-2 space it has coefficient 1/2
+    for g in range(4):
+        for n in range(5):
+            if 2 * g - 2 + n <= 0:
+                continue
+            divisors = [("irr",)] + [
+                ("sep", h, P) for h in range(g + 1) for size in range(n + 1)
+                for P in itertools.combinations(range(1, n + 1), size)]
+            base = TautClass.fundamental(g, n)
+            for d in divisors:
+                assert boundary_divisor_class(g, n, d) == base.mul_boundary(d), \
+                    (g, n, d)
+    symmetric = boundary_divisor_class(2, 0, ("sep", 1, ()))
+    assert list(symmetric.terms.values()) == [Fraction(1, 2)]
+
+
 def test_boundary_product_empty_intersection():
     d12 = boundary_divisor_class(0, 4, ("sep", 0, (1, 2)))
     assert d12.mul_boundary(("sep", 0, (1, 3))).is_zero()
