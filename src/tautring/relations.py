@@ -17,7 +17,9 @@ where polynomiality is manifest.
 
 boundary_expression is the one memo path: its routes store nothing, and
 psi1 and kappa1 on the one-marked genus-one space always come from the base
-system of two pushed relations.
+system of two pushed relations.  Every route that solves one relation for
+its target monomial (_induct_n_route, _p_route, _unmarked_route) does so in
+_solve_for_target.
 """
 
 from __future__ import annotations
@@ -496,7 +498,7 @@ def _check_key_observation(g: int, m: tuple, open_part: dict):
     for key in open_part:
         exps = _psi_exps_from_key(key, n)
         for j in range(1, 2 * g + 3):  # the last label is unconstrained
-            if j <= 2 * g + 2 and exps[j - 1] > m[j - 1] // 2:
+            if exps[j - 1] > m[j - 1] // 2:
                 raise RelationPipelineError(
                     f"monomial {key} violates the divisibility observation for j={j}")
 
@@ -644,14 +646,12 @@ def _induct_n_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     inner = boundary_expression(g, n - 1, (psi, kappa), db, _active)
     pulled = inner.value.forget_pullback()
     provenance = list(inner.provenance) + [f"pullback from ({g},{n-1})"]
-    # formal pullback expansion = monomial + corrections with positive psi_n
-    # or an extra bubble; both sides hold even when the monomial vanishes on
-    # the smaller space
-    expansion = _formal_monomial_pullback(g, n, psi, kappa)
-    target = TautClass.monomial(g, n, psi_exps=psi, kappas=kappa)
-    corrections = expansion - target
-    acc = pulled - _substitute_open(g, n, corrections, db, _active, provenance)
-    return BoundaryExpression(acc, provenance)
+    # the formal pullback expansion is the monomial plus corrections with
+    # positive psi_n or an extra bubble, and it equals the pulled boundary
+    # expression even when the monomial vanishes on the smaller space
+    relation = _formal_monomial_pullback(g, n, psi, kappa) - pulled
+    return _solve_for_target(g, n, relation, monomial_key(psi, kappa),
+                             provenance, db, _active)
 
 
 def _one_marked_base(key: str) -> BoundaryExpression:
@@ -897,10 +897,9 @@ def trr_report(n: int, i: int = 1, db: RelationDatabase | None = None) -> dict:
     db = db or RelationDatabase()
     derived = boundary_expression(0, n, ({i: 1}, {}), db).value
     literal = TautClass(0, n)
-    for size in (n - 2,):
-        for I in itertools.combinations(range(1, n + 1), size):
-            if i in I:
-                literal._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
+    for I in itertools.combinations(range(1, n + 1), n - 2):
+        if i in I:
+            literal._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
     j, k = [x for x in range(1, n + 1) if x != i][:2]
     fixed = TautClass(0, n)
     for size in range(2, n - 1):

@@ -293,6 +293,8 @@ class TautClass:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if not isinstance(other, TautClass):
+            return NotImplemented
         return (self.g, self.n) == (other.g, other.n) and self.terms == other.terms
 
     def is_zero(self) -> bool:
@@ -681,6 +683,9 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
     StableGraph.attachments (legs by label, then half-edges)."""
     g, n = ambient.genus, ambient.n_legs
     markings = ambient.attachments()
+    if len(vertex_classes) != ambient.n_vertices:
+        raise AmbientMismatchError(
+            f"{len(vertex_classes)} vertex classes for {ambient.n_vertices} vertices")
     for v, cls in enumerate(vertex_classes):
         expected = (ambient.genera[v], len(markings[v]))
         if (cls.g, cls.n) != expected:
@@ -688,60 +693,30 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
                 f"vertex {v} class lives on {(cls.g, cls.n)}, expected {expected}")
     out = TautClass(g, n)
     for combo in itertools.product(*[cls.sorted_terms() for cls in vertex_classes]):
-        coeff = Fraction(1)
-        offsets = []
-        total = 0
-        for term, c in combo:
-            coeff = coeff * c if offsets else c
-            offsets.append(total)
-            total += term.graph.n_vertices
-        genera = []
-        for term, _ in combo:
+        coeff = combo[0][1]
+        for _, c in combo[1:]:
+            coeff = coeff * c
+        genera, kappa, edges, psi_edge = [], {}, [], []
+        at = {}     # attachment tag -> (glued vertex, psi exponent there)
+        for tags, (term, _) in zip(markings, combo):
+            off = len(genera)
             genera.extend(term.graph.genera)
-        legs = [None] * n
-        psi_leg = {}
-        edges = []
-        psi_edge = {}
-        kappa = {}
-        for v, (term, _) in enumerate(combo):
-            off = offsets[v]
             for w, vk in enumerate(term.kappa):
                 if vk:
-                    kappa[off + w] = {a: x for a, x in vk}
-            for e, (a, b) in enumerate(term.graph.edges):
-                idx = len(edges)
+                    kappa[off + w] = dict(vk)
+            for a, b in term.graph.edges:
                 edges.append((off + a, off + b))
-                p, q = term.psi_edge[e]
-                if p:
-                    psi_edge[(idx, 0)] = p
-                if q:
-                    psi_edge[(idx, 1)] = q
-        # ambient legs land wherever the local leg of matching rank sits
-        for v, (term, _) in enumerate(combo):
-            off = offsets[v]
-            for rank, tag in enumerate(markings[v]):
-                if tag[0] != "l":
-                    continue
-                lab = tag[1]
-                legs[lab - 1] = off + term.graph.legs[rank]
-                y = term.psi_leg[rank]
-                if y:
-                    psi_leg[lab] = y
-        # ambient edges connect the local legs of matching rank
-        for e, (a, b) in enumerate(ambient.edges):
-            ra = markings[a].index(("h", e, 0))
-            rb = markings[b].index(("h", e, 1))
-            term_a = combo[a][0]
-            term_b = combo[b][0]
-            idx = len(edges)
-            edges.append((offsets[a] + term_a.graph.legs[ra],
-                          offsets[b] + term_b.graph.legs[rb]))
-            ya = term_a.psi_leg[ra]
-            yb = term_b.psi_leg[rb]
-            if ya:
-                psi_edge[(idx, 0)] = ya
-            if yb:
-                psi_edge[(idx, 1)] = yb
-        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg, psi_edge,
-                     coeff)
+            psi_edge.extend(term.psi_edge)
+            for tag, w, y in zip(tags, term.graph.legs, term.psi_leg):
+                at[tag] = (off + w, y)
+        legs, psi_leg = [], {}
+        for lab in range(1, n + 1):
+            w, psi_leg[lab] = at[("l", lab)]
+            legs.append(w)
+        for e in range(ambient.n_edges):
+            (a, p), (b, q) = at[("h", e, 0)], at[("h", e, 1)]
+            edges.append((a, b))
+            psi_edge.append((p, q))
+        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg,
+                     _psi_edge_dict(psi_edge), coeff)
     return out

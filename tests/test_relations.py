@@ -406,10 +406,36 @@ def test_boundary_expression_genus_zero_kappa(no_elimination_lemma):
 
 
 def test_boundary_expression_deeper_marked_spaces(no_elimination_lemma):
+    # kappa1 = delta_irr/6 + delta_0,{1,2} (Mumford's kappa1 = 12 lambda -
+    # delta + psi with psi_i = lambda + delta_0,{1,2} and 12 lambda =
+    # delta_irr), the loop stratum being twice delta_irr; its route solves
+    # the pulled-back relation for kappa1 with psi2 substituted.  kappa1 psi2
+    # integrates to 1/24 + 1/24 = <tau_0 tau_1 tau_2>_1 = 1/12
+    loop = stable_graph((0,), (0, 0), ((0, 0),))
+    bridge = stable_graph((0, 1), (0, 0), ((0, 1),))
+    expected = {
+        "kappa1": TautClass(1, 2).add_term(loop, {}, {}, {}, Fraction(1, 12))
+        .add_term(bridge, {}, {}, {}, Fraction(1)),
+        "kappa1*psi2": TautClass(1, 2).add_term(loop, {0: {1: 1}}, {}, {},
+                                                Fraction(1, 24))
+        .add_term(bridge, {1: {1: 1}}, {}, {}, Fraction(1)),
+    }
     db = RelationDatabase()
     for key in ("psi1*psi2", "kappa1", "psi1^2", "kappa1*psi2"):
         be = boundary_expression(1, 2, key, db)
         assert all(t.graph.n_edges >= 1 for t in be.value.terms)
+        if key in expected:
+            assert be.value == expected[key], key
+
+
+def test_genus_one_pullback_route_golden_digest(no_elimination_lemma):
+    # kappa1^2 on (1,3) is pulled back twice, each time solving for the
+    # target with kappa1*psi_n and psi_n^2 open; value and provenance, bit
+    # for bit as first computed
+    be = boundary_expression(1, 3, "kappa1^2")
+    blob = json.dumps(be.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "53cb6c1c71a1eda48d221477f5a3b686f1d505da1afe02c8998a629aaff8d301"
 
 
 def test_one_marked_genus_one_is_history_independent(no_elimination_lemma):

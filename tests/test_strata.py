@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautring import strata
+from tautring.algebra import MultiPoly
 from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
 from tautring.strata import (
     AmbientMismatchError,
@@ -34,6 +35,12 @@ def loop_stratum(g, n):
 
 def test_normalize_merges_like_terms():
     assert psi(1, 1, 1) + psi(1, 1, 1) == psi(1, 1, 1, 2)
+
+
+def test_class_compares_unequal_to_a_non_class():
+    assert TautClass(0, 3) != 0
+    assert not TautClass(0, 3) == 0
+    assert TautClass.fundamental(0, 3) != "1"
 
 
 def test_normalize_drops_over_dimension():
@@ -236,9 +243,10 @@ def test_glue_decorated_tree():
 
 def test_glue_rejects_wrong_vertex_space():
     T1 = stable_graph((1, 0), (1, 1), ((0, 1),))
-    with pytest.raises(AmbientMismatchError):
-        gluing_pushforward(T1, [TautClass.fundamental(0, 3),
-                                TautClass.fundamental(0, 3)])
+    m12, m03 = TautClass.fundamental(1, 2), TautClass.fundamental(0, 3)
+    for classes in ([m03, m03], [m12], [m12, m03, m03]):
+        with pytest.raises(AmbientMismatchError):
+            gluing_pushforward(T1, classes)
 
 
 def test_glue_two_stage_matches_direct():
@@ -280,6 +288,120 @@ def test_projection_formula_psi_through_glue():
                 lhs = glued.mul_psi(lab)
                 rhs = gluing_pushforward(ambient, inner)
                 assert lhs == rhs, (g, n, ambient, lab)
+
+
+def _reference_gluing_pushforward(ambient, vertex_classes):
+    """Frozen reference: the hand-indexed gluing, one pass each for vertex
+    offsets, local kappa and edges, ambient legs by rank, and ambient edges
+    by the rank of each half-edge among its vertex's attachments."""
+    g, n = ambient.genus, ambient.n_legs
+    markings = ambient.attachments()
+    out = TautClass(g, n)
+    for combo in itertools.product(*[cls.sorted_terms() for cls in vertex_classes]):
+        coeff = Fraction(1)
+        offsets = []
+        total = 0
+        for term, c in combo:
+            coeff = coeff * c if offsets else c
+            offsets.append(total)
+            total += term.graph.n_vertices
+        genera = []
+        for term, _ in combo:
+            genera.extend(term.graph.genera)
+        legs = [None] * n
+        psi_leg = {}
+        edges = []
+        psi_edge = {}
+        kappa = {}
+        for v, (term, _) in enumerate(combo):
+            off = offsets[v]
+            for w, vk in enumerate(term.kappa):
+                if vk:
+                    kappa[off + w] = {a: x for a, x in vk}
+            for e, (a, b) in enumerate(term.graph.edges):
+                idx = len(edges)
+                edges.append((off + a, off + b))
+                p, q = term.psi_edge[e]
+                if p:
+                    psi_edge[(idx, 0)] = p
+                if q:
+                    psi_edge[(idx, 1)] = q
+        for v, (term, _) in enumerate(combo):
+            off = offsets[v]
+            for rank, tag in enumerate(markings[v]):
+                if tag[0] != "l":
+                    continue
+                lab = tag[1]
+                legs[lab - 1] = off + term.graph.legs[rank]
+                y = term.psi_leg[rank]
+                if y:
+                    psi_leg[lab] = y
+        for e, (a, b) in enumerate(ambient.edges):
+            ra = markings[a].index(("h", e, 0))
+            rb = markings[b].index(("h", e, 1))
+            term_a = combo[a][0]
+            term_b = combo[b][0]
+            idx = len(edges)
+            edges.append((offsets[a] + term_a.graph.legs[ra],
+                          offsets[b] + term_b.graph.legs[rb]))
+            ya = term_a.psi_leg[ra]
+            yb = term_b.psi_leg[rb]
+            if ya:
+                psi_edge[(idx, 0)] = ya
+            if yb:
+                psi_edge[(idx, 1)] = yb
+        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg, psi_edge,
+                     coeff)
+    return out
+
+
+def _random_vertex_class(rng, g, n, coefficient):
+    """Three seeded terms on (g, n): strata with at most one edge, random
+    kappa, leg and edge psi decorations, and coefficient(rng) each."""
+    candidates = enumerate_stable_graphs(g, n, 1)
+    out = TautClass(g, n)
+    for _ in range(3):
+        graph = rng.choice(candidates)
+        out.add_term(graph, *_random_decoration(rng, graph), coefficient(rng))
+    return out
+
+
+def _random_fraction(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+
+def test_glue_matches_hand_indexed_reference():
+    # every ambient graph with one or two edges, with seeded vertex classes
+    # of several terms; the glued classes must agree to the byte
+    rng = random.Random(16)
+    checked = 0
+    for g, n in [(0, 5), (0, 6), (1, 3), (1, 4), (2, 2), (2, 3)]:
+        for ambient in enumerate_stable_graphs(g, n, 2):
+            if ambient.n_edges == 0:
+                continue
+            classes = [_random_vertex_class(rng, gv, len(tags), _random_fraction)
+                       for gv, tags in zip(ambient.genera, ambient.attachments())]
+            glued = gluing_pushforward(ambient, classes)
+            assert glued.to_json() == \
+                _reference_gluing_pushforward(ambient, classes).to_json(), ambient
+            checked += not glued.is_zero()
+    assert checked > 200
+
+
+def test_glue_matches_hand_indexed_reference_with_polynomial_coefficients():
+    variables = ("a1", "a2")
+    a1, a2 = (MultiPoly.variable(variables, v) for v in variables)
+    rng = random.Random(7)
+
+    def polynomial(rng):
+        return a1 * _random_fraction(rng) + a2 * a2 * _random_fraction(rng)
+
+    ambient = stable_graph((1, 0), (0, 1, 1, 1), ((0, 1), (0, 1)))
+    classes = [_random_vertex_class(rng, gv, len(tags), polynomial)
+               for gv, tags in zip(ambient.genera, ambient.attachments())]
+    glued = gluing_pushforward(ambient, classes)
+    assert not glued.is_zero()
+    assert glued.to_json() == _reference_gluing_pushforward(ambient, classes).to_json()
 
 
 # -- forgetful maps -----------------------------------------------------------
