@@ -282,10 +282,27 @@ _UNREADABLE = (ValueError, LookupError, TypeError, ArithmeticError,
                AttributeError, RelationPipelineError)
 
 
+def _canonical(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def _record_hash(key_json: dict, value_json: dict) -> str:
-    blob = json.dumps({"key": key_json, "value": value_json},
-                      sort_keys=True, separators=(",", ":"))
+    """The SHA-256 of a v1 record: its key and decoded value, not its
+    provenance."""
+    return hashlib.sha256(
+        _canonical({"key": key_json, "value": value_json}).encode()).hexdigest()
+
+
+def _text_hash(key_json: dict, provenance, value_text: str) -> str:
+    """The SHA-256 of a v2 record: its key, its provenance and the exact
+    text of its value."""
+    blob = _canonical([key_json, provenance]) + "\n" + value_text
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _value_text(rec: dict) -> str:
+    """The canonical text of a verified record's value, whatever its version."""
+    return rec["value"] if "v" in rec else _canonical(rec["value"])
 
 
 class RelationDatabase:
@@ -293,14 +310,25 @@ class RelationDatabase:
     (g, n, monomial).  Recomputation must reproduce stored values bit-exactly
     or fail loudly.
 
+    Each line is one record, written as
+    `{"key": {"g", "n", "monomial"}, "provenance": [...], "sha256": ...,
+    "v": 2, "value": "<canonical JSON text of the class>"}`, whose SHA-256
+    covers the key, the provenance and the exact value text (`_text_hash`).
+    A line without "v" is a v1 record, whose value is the decoded class and
+    whose SHA-256 covers the key and the canonically re-serialized value but
+    not the provenance (`_record_hash`); such lines are read as before and
+    never rewritten.  Any other "v" is corrupt.
+
     Opening a file checks every line: it must be JSON, match its SHA-256 and
-    name a (g, n, monomial) key.  A record is decoded into a class, and its
-    class checked to live on its key's space, when its key is first read or
-    stored; until then `records` holds its verified line and line number.
-    A failure at either time is a `CacheIntegrityError`, so a correctly
-    hashed record that does not decode fails only once its key is touched.
-    A missing file is an empty database, but a missing directory fails the
-    open with FileNotFoundError."""
+    name a (g, n, monomial) key, and a key on two lines must hold the same
+    value on both (the first line is kept).  A v2 value is hashed as stored
+    text, so opening re-serializes no class.  A record is decoded into a
+    class, and its class checked to live on its key's space, when its key is
+    first read or stored; until then `records` holds its verified line and
+    line number.  A failure at either time is a `CacheIntegrityError`, so a
+    correctly hashed record that does not decode fails only once its key is
+    touched.  A missing file is an empty database, but a missing directory
+    fails the open with FileNotFoundError."""
 
     def __init__(self, path=None):
         self.path = path
@@ -320,20 +348,32 @@ class RelationDatabase:
                 with handle:
                     for lineno, line in enumerate(handle, start=1):
                         line = line.strip()
-                        if not line:
-                            continue
-                        # a torn or hand-edited line is corruption, not bad input
-                        try:
-                            rec = json.loads(line)
-                            if _record_hash(rec["key"], rec["value"]) != rec["sha256"]:
-                                raise CacheIntegrityError(
-                                    f"corrupt record for key {rec['key']}")
-                            key = (rec["key"]["g"], rec["key"]["n"],
-                                   rec["key"]["monomial"])
-                            # keep the line, not the parsed dict: it takes less memory
-                            self.records[key] = (lineno, line)
-                        except _UNREADABLE as exc:
-                            raise self._unreadable(lineno, exc) from exc
+                        if line:
+                            self._verify(lineno, line)
+
+    def _verify(self, lineno: int, line: bytes) -> None:
+        # a torn or hand-edited line is corruption, not bad input
+        try:
+            rec = json.loads(line)
+            if "v" not in rec:
+                digest = _record_hash(rec["key"], rec["value"])
+            elif rec["v"] == 2 and type(rec["v"]) is int:
+                # a value that is not text fails the concatenation: TypeError
+                digest = _text_hash(rec["key"], rec["provenance"], rec["value"])
+            else:
+                raise ValueError(f"unknown record version {rec['v']!r}")
+            if digest != rec["sha256"]:
+                raise CacheIntegrityError(f"corrupt record for key {rec['key']}")
+            key = (rec["key"]["g"], rec["key"]["n"], rec["key"]["monomial"])
+            first = self.records.get(key)
+            if first is None:
+                # keep the line, not the parsed dict: it takes less memory
+                self.records[key] = (lineno, line)
+            elif _value_text(json.loads(first[1])) != _value_text(rec):
+                raise ValueError(
+                    f"key {key} holds another value than on line {first[0]}")
+        except _UNREADABLE as exc:
+            raise self._unreadable(lineno, exc) from exc
 
     def _unreadable(self, lineno: int, exc: Exception) -> CacheIntegrityError:
         return CacheIntegrityError(
@@ -345,7 +385,10 @@ class RelationDatabase:
         if type(entry) is tuple:
             lineno, line = entry
             try:
-                entry = BoundaryExpression.from_json(json.loads(line))
+                rec = json.loads(line)
+                if "v" in rec:
+                    rec["value"] = json.loads(rec["value"])
+                entry = BoundaryExpression.from_json(rec)
                 if (entry.value.g, entry.value.n) != (g, n):
                     raise ValueError(
                         f"record for key {key} holds a class on "
@@ -360,21 +403,21 @@ class RelationDatabase:
         key = (g, n, monomial)
         if key in self.records:
             stored = self.get(g, n, monomial)
-            old = json.dumps(stored.to_json()["value"], sort_keys=True)
-            new = json.dumps(expression.to_json()["value"], sort_keys=True)
-            if old != new:
+            if (_canonical(stored.value.to_json())
+                    != _canonical(expression.value.to_json())):
                 raise CacheConsistencyError(
                     f"recomputed value for {key} differs from the stored record")
             return stored
         self.records[key] = expression
         if self.path is not None:
             key_json = {"g": g, "n": n, "monomial": monomial}
-            value_json = expression.to_json()["value"]
+            value_text = _canonical(expression.value.to_json())
             rec = {
+                "v": 2,
                 "key": key_json,
-                "value": value_json,
                 "provenance": expression.provenance,
-                "sha256": _record_hash(key_json, value_json),
+                "sha256": _text_hash(key_json, expression.provenance, value_text),
+                "value": value_text,
             }
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(rec, sort_keys=True) + "\n")

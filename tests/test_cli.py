@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from tautring import cli
 from tautring.cli import main
-from tautring.relations import _record_hash
+from tautring.relations import CacheIntegrityError, RelationDatabase, _record_hash
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -156,12 +158,38 @@ def test_corrupt_cache_exits_three(tmp_path):
     del record["value"]
     db.write_text(good + json.dumps(record) + "\n")
     assert run(argv) == 3
-    # a nonzero value whose unhashed provenance was emptied
+    # a v1 record (no "v", the decoded value inline, hashed without its
+    # provenance) for a nonzero value whose unhashed provenance was emptied:
+    # it opens, and fails on first read
     record = json.loads(good.splitlines()[-1])
-    assert record["value"]["terms"]
-    record["provenance"] = []
-    db.write_text(json.dumps(record) + "\n")
+    key, value = record["key"], json.loads(record["value"])
+    assert value["terms"]
+    v1 = {"key": key, "value": value, "provenance": [],
+          "sha256": _record_hash(key, value)}
+    db.write_text(json.dumps(v1) + "\n")
     assert run(argv) == 3
+    # v2 records fail at open: a provenance emptied or edited under its
+    # hash, one whitespace byte inserted in the value text (the same JSON),
+    # a torn line, an unknown or missing version, a value that is an object
+    # rather than text
+    def alone(record):
+        db.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CacheIntegrityError):
+            RelationDatabase(str(db))
+        return run(argv)
+
+    record = json.loads(good.splitlines()[-1])
+    for provenance in ([], record["provenance"] + ["hand-edited"]):
+        assert alone({**record, "provenance": provenance}) == 3, provenance
+    spaced = record["value"].replace(",", ", ", 1)
+    assert json.loads(spaced) == json.loads(record["value"])
+    assert alone({**record, "value": spaced}) == 3
+    db.write_text(good + good.splitlines()[-1][:-60] + "\n")
+    assert run(argv) == 3
+    for version in (3, 1, "2", None):
+        assert alone({**record, "v": version}) == 3, version
+    assert alone({k: v for k, v in record.items() if k != "v"}) == 3
+    assert alone({**record, "value": json.loads(record["value"])}) == 3
     # bytes that are not text at all
     db.write_bytes(good.encode() + b"\x80\xff\n")
     assert run(argv) == 3

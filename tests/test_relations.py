@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -37,6 +38,7 @@ from tautring.relations import (
     _formal_monomial_pullback,
     _record_hash,
     _solve_for_target,
+    _text_hash,
 )
 from tautring.strata import (
     TautClass,
@@ -601,6 +603,66 @@ def _hashed_line(key, value):
                        "sha256": _record_hash(key_json, value)}) + "\n"
 
 
+def test_database_reads_v1_records_and_appends_v2(tmp_path):
+    path = tmp_path / "relations.jsonl"
+    computed = RelationDatabase()
+    boundary_expression(0, 5, "psi1^2", computed)
+    values = {key: computed.get(*key).value for key in computed.records}
+    v1 = "".join(_hashed_line(key, value.to_json())
+                 for key, value in values.items())
+    path.write_text(v1)
+    db = RelationDatabase(str(path))
+    assert set(db.records) == set(values) and (0, 4, "psi2") not in values
+    for key, value in values.items():
+        assert db.get(*key).value == value
+        assert db.get(*key).provenance == ["hand-made"]
+    db.store(0, 4, "psi2", boundary_expression(0, 4, "psi2", RelationDatabase()))
+    text = path.read_text()
+    assert text.startswith(v1)
+    assert json.loads(text[len(v1):])["v"] == 2
+    reopened = RelationDatabase(str(path))
+    assert reopened.get(0, 4, "psi2").value == db.get(0, 4, "psi2").value
+    # a v1 record is still verified against its hash on open
+    bad = json.loads(v1.splitlines()[-1])
+    bad["sha256"] = bad["sha256"][::-1]
+    path.write_text(v1 + json.dumps(bad) + "\n")
+    with pytest.raises(CacheIntegrityError):
+        RelationDatabase(str(path))
+
+
+def test_database_rejects_one_key_with_two_values(tmp_path):
+    path = tmp_path / "relations.jsonl"
+    boundary_expression(0, 4, "psi1", RelationDatabase(str(path)))
+    good = path.read_text()
+    (line,) = [line for line in good.splitlines() if '"psi1", "n": 4' in line]
+    record = json.loads(line)
+    value = json.loads(record["value"])
+    assert value["terms"]
+    other = copy.deepcopy(value)
+    for term in other["terms"]:
+        term["coeff"] = "7"
+    other_text = json.dumps(other, sort_keys=True, separators=(",", ":"))
+    rehashed = {**record, "value": other_text,
+                "sha256": _text_hash(record["key"], record["provenance"], other_text)}
+    key = (0, 4, "psi1")
+    v1, v1_other = _hashed_line(key, value), _hashed_line(key, other)
+    # v2 lines compare value texts, v1 lines their values, whatever the
+    # provenance, a v2 against a v1 line included
+    for text in (good + json.dumps(rehashed) + "\n", v1 + v1_other,
+                 good + v1_other):
+        path.write_text(text)
+        with pytest.raises(CacheIntegrityError, match="another value"):
+            RelationDatabase(str(path))
+    # agreeing lines are accepted, and the first line of the key is kept
+    for text in (good + line + "\n", v1 + v1, good + v1):
+        path.write_text(text)
+        db = RelationDatabase(str(path))
+        keys = [json.loads(entry)["key"] for entry in text.splitlines()]
+        assert len(db.records) == len(keys) - 1
+        assert db.records[key][0] == keys.index(record["key"]) + 1
+        assert db.get(*key).value.to_json() == value
+
+
 def test_database_verifies_every_hash_on_open(tmp_path):
     path = tmp_path / "relations.jsonl"
     boundary_expression(0, 4, "psi1", RelationDatabase(str(path)))
@@ -648,9 +710,27 @@ def test_database_open_decodes_nothing(tmp_path, monkeypatch):
         calls.append(data)
         return decode(data)
 
+    # a v2 value is hashed as its stored text: opening serializes the small
+    # key and provenance headers, never a class
+    dumps = json.dumps
+    dumped = []
+
+    def serializing(obj, *args, **kwargs):
+        dumped.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    def holds_class(obj):
+        if isinstance(obj, dict):
+            return "terms" in obj or any(map(holds_class, obj.values()))
+        return isinstance(obj, list) and any(map(holds_class, obj))
+
     monkeypatch.setattr(BoundaryExpression, "from_json", staticmethod(counting))
+    monkeypatch.setattr(json, "dumps", serializing)
     db = RelationDatabase(str(path))
+    monkeypatch.setattr(json, "dumps", dumps)
     assert calls == []
+    assert len(dumped) == n_lines
+    assert not any(map(holds_class, dumped))
     assert len(db.records) == n_lines
     key = next(iter(db.records))
     first = db.get(*key)
