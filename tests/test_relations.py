@@ -553,6 +553,7 @@ def test_star_reduce_census_battery(no_elimination_lemma):
     loop_g1 = stable_graph((1,), (0,), ((0, 0),))
     battery.append(TautClass(2, 1).add_term(loop_g1, {0: {1: 1}}, {}, {},
                                             Fraction(1)))
+    digests = []
     for c in battery:
         g = c.g
         reduced = theorem_star_reduce(c, db)
@@ -561,6 +562,18 @@ def test_star_reduce_census_battery(no_elimination_lemma):
             k = term.degree
             rational = sum(1 for gv in term.graph.genera if gv == 0)
             assert rational >= k - g + 1, (c, term)
+        blob = json.dumps(reduced.to_json(), sort_keys=True, separators=(",", ":"))
+        digests.append(hashlib.sha256(blob.encode()).hexdigest())
+    # the reduced values, bit for bit as first computed
+    assert digests == [
+        "60f7933ee06c13b8a00b48af0fb49981054b3227bb0a0e90fa31276791de2675",
+        "a29e8a52025da3a71fcd92b6522b3a37e0bcfdcb66dbe37ef82b7605c2ff3aca",
+        "ded6750f1c45debb17f5a8d901881f1fc1d8e21a5cd7413581cddd7e4844645b",
+        "91ad65065a0012b1bae0406b24766911d469e20618aaaf482849253e4e321695",
+        "c225d1dd6663e69fb950fe51d85f413b0b88dfe70423021ed4b5ae8ba7965937",
+        "993599a8d0f85d8070aabc17341e5b0ab18bdd76cd251289c446e62530f2e9fc",
+        "b040327d5e5c83975d679999796fde2b5f74ccc69967adbd94273142df0aabbb",
+    ]
 
 
 # -- database -----------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from tautring import strata
 from tautring.algebra import MultiPoly
-from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
+from tautring.graphs import (
+    enumerate_stable_graphs,
+    graph_to_json,
+    stable_graph,
+    trivial_graph,
+)
 from tautring.strata import (
     AmbientMismatchError,
     TautClass,
@@ -185,6 +192,15 @@ def test_boundary_self_product_excess():
     # the node psi on the three-marked side dies; only the five-marked side
     # survives, and there are no compatible degenerations
     assert sq == expected
+    # on the 7-marked space, a stratum of D = delta_0,{1,2,3} whose node
+    # carries psi on the four-marked side only: the excess -psi' - psi''
+    # raises each side of the pair (0, 1) once, and both terms fit
+    graph = stable_graph((0, 0), (0, 0, 0, 1, 1, 1, 1), ((0, 1),))
+    c = TautClass(0, 7).add_term(graph, {}, {}, {(0, 1): 1}, Fraction(1))
+    expected = TautClass(0, 7).add_term(graph, {}, {}, {(0, 0): 1, (0, 1): 1},
+                                        Fraction(-1)) \
+        .add_term(graph, {}, {}, {(0, 1): 2}, Fraction(-1))
+    assert c.mul_boundary(("sep", 0, (1, 2, 3))) == expected
 
 
 def test_boundary_product_transverse():
@@ -839,3 +855,124 @@ def test_boundary_products_commute_property(case):
     d1 = ("irr",) if c.g >= 1 else ("sep", 0, (1, 2))
     d2 = ("sep", 0, tuple(sorted({i, c.n})))
     assert c.mul_boundary(d1).mul_boundary(d2) == c.mul_boundary(d2).mul_boundary(d1)
+
+
+# -- golden surgery battery -----------------------------------------------------
+
+_GOLDEN_SPACES = [(0, 5), (0, 6), (1, 2), (1, 3), (2, 1)]
+
+
+def _golden_class(rng, g, n):
+    """Five seeded terms on (g, n), decoded from JSON: strata with at most
+    two edges, kappa_1/kappa_2 at vertices and psi at legs and half-edges,
+    each vertex decorated to its dimension or up to two degrees below."""
+    graphs = enumerate_stable_graphs(g, n, 2)
+    terms = []
+    for _ in range(5):
+        n_edges = rng.choice((0, 1, 1, 2))
+        graph = rng.choice([gr for gr in graphs if gr.n_edges == n_edges])
+        kappa = [{} for _ in graph.genera]
+        psi_legs = [0] * n
+        psi_edges = [[0, 0] for _ in graph.edges]
+        for v, (gv, tags) in enumerate(zip(graph.genera, graph.attachments())):
+            dim = 3 * gv - 3 + len(tags)
+            budget = rng.randint(max(0, dim - 2), dim)
+            while budget:
+                slot = rng.choice(tags + [("k", 1), ("k", 2)])
+                if slot[0] == "k" and slot[1] > budget:
+                    continue
+                if slot[0] == "k":
+                    kappa[v][str(slot[1])] = kappa[v].get(str(slot[1]), 0) + 1
+                elif slot[0] == "l":
+                    psi_legs[slot[1] - 1] += 1
+                else:
+                    psi_edges[slot[1]][slot[2]] += 1
+                budget -= slot[1] if slot[0] == "k" else 1
+        terms.append({"graph": graph_to_json(graph),
+                      "decoration": {"kappa": kappa, "psi_legs": psi_legs,
+                                     "psi_edges": psi_edges},
+                      "coeff": str(_random_fraction(rng))})
+    return TautClass.from_json({"g": g, "n": n, "terms": terms})
+
+
+def _golden_surgery(c):
+    """Each surgery op of the battery applied to c, by name."""
+    g, n = c.g, c.n
+    sep = ("sep", 1, (1,)) if g == 2 else ("sep", 0, (1, 2))
+    cycle = {i: (i % min(n, 3) + 1 if i <= 3 else i) for i in range(1, n + 1)}
+    bridge = stable_graph((g, 0), (0,) * (n - 1) + (1, 1), ((0, 1),))
+    out = {
+        "input": c,
+        "mul_psi": c.mul_psi(1),
+        "mul_kappa": c.mul_kappa(1),
+        "mul_boundary_irr": c.mul_boundary(("irr",)),
+        "mul_boundary_sep": c.mul_boundary(sep),
+        "forget_pullback": c.forget_pullback(),
+        "forget_pushforward": c.forget_pushforward(),
+        "relabel_legs": c.relabel_legs(cycle),
+        "gluing_bridge": gluing_pushforward(bridge,
+                                            [c, TautClass.fundamental(0, 3)]),
+        "from_json": TautClass.from_json(c.to_json()),
+    }
+    if n >= 2:
+        loop = stable_graph((g,), (0,) * (n - 2), ((0, 0),))
+        out["gluing_loop"] = gluing_pushforward(loop, [c])
+    return out
+
+
+# SHA-256 of the canonical JSON of the list, over the battery's spaces, of
+# each op's result; first computed before the decoration form changed
+_GOLDEN_SURGERY_DIGESTS = {
+    "input":
+        "6c9eaf668ef9effa22592bf0b5b5f4a879151e5453ed6960d24591a3f6f12d16",
+    "mul_psi":
+        "9a53635b7d2bc3b30a6f988dbf0d6cc9b6e2d0417812e8b0e108380146319f9c",
+    "mul_kappa":
+        "8b1591a61ddad696e0130af4c2d7fc80bdf1f165ede4a8154d0c2d7de9579ebe",
+    "mul_boundary_irr":
+        "f086afd3159e1afd664706b7dcd16b4000407f50cc0bae0e9f2a78f4493a21f7",
+    "mul_boundary_sep":
+        "35201a3d3e556e1972ace1ffb7cd83b21db2b628926d249e265e49a06ec682d3",
+    "forget_pullback":
+        "b563507ee5eb21c36afdd6b0ad6d27764f2192dc7751f51d1c380b41ca97e4b6",
+    "forget_pushforward":
+        "447cc3e271f62d669fc67fe7ca0e796df315cc68d5a13ae796dded53ffee6f49",
+    "relabel_legs":
+        "c490093e9d5b4a7bb1b2b279da5bb70f0fdef1f09a65c713d39c119f19601286",
+    "gluing_bridge":
+        "b70a117ffcd6afbb3d6ebb9e7c7844f459c05e447c3b0b500e8931cc1c8c9b7a",
+    "from_json":
+        "6c9eaf668ef9effa22592bf0b5b5f4a879151e5453ed6960d24591a3f6f12d16",
+    "gluing_loop":
+        "da907c0974c68da9a37a7508fc7c2ffc561b23d32bf5cedf61dddba96a2266f9",
+}
+
+
+def test_surgery_golden_battery():
+    rng = random.Random(18)
+    results = {}
+    for g, n in _GOLDEN_SPACES:
+        for name, cls in _golden_surgery(_golden_class(rng, g, n)).items():
+            results.setdefault(name, []).append(cls)
+    inputs = [term for c in results["input"] for term in c.terms]
+    assert any(any(t.kappa) for t in inputs)
+    assert any(any(t.psi_leg) for t in inputs)
+    assert any(any(map(any, t.psi_edge)) for t in inputs)
+    digests = {}
+    for name, classes in results.items():
+        assert any(not c.is_zero() for c in classes), name
+        blob = json.dumps([c.to_json() for c in classes], sort_keys=True,
+                          separators=(",", ":"))
+        digests[name] = hashlib.sha256(blob.encode()).hexdigest()
+    assert digests == _GOLDEN_SURGERY_DIGESTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes(slack=2), st.sampled_from((1, 2)))
+def test_kappa_commutes_with_boundary_property(case, a):
+    # kappa_a restricts to a boundary stratum as the sum of the kappa_a of
+    # its vertices, so a vertex split shares out the vertex's kappa monomial;
+    # d is the irreducible divisor or puts legs i and n on a rational bubble
+    c, _, i = case
+    for d in (("irr",), ("sep", 0, tuple(sorted({i, c.n})))):
+        assert c.mul_kappa(a).mul_boundary(d) == c.mul_boundary(d).mul_kappa(a), d
