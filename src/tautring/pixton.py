@@ -132,22 +132,18 @@ def _edge_orders(graph: StableGraph, max_degree: int) -> tuple:
 
 def _edge_splits(js) -> list:
     """The layout of the edge series of orders js: (psi_edge, coefficient)
-    for each binomial split of (psi' + psi'')^j_e, with the coefficient
+    for each binomial split of (psi' + psi'')^j_e, psi_edge holding the
+    per-edge pairs (s_e, j_e - s_e), with the coefficient
     prod_e (-1)^j_e / (j_e + 1)! * binomial(j_e, s_e)."""
     edge_coeff = Fraction(1)
     for j in js:
         edge_coeff *= Fraction((-1) ** j, math.factorial(j + 1))
     splits = []
     for split in itertools.product(*[range(j + 1) for j in js]):
-        psi_edge = {}
         coeff = edge_coeff
-        for e, (j, s) in enumerate(zip(js, split)):
-            if s:
-                psi_edge[(e, 0)] = s
-            if j - s:
-                psi_edge[(e, 1)] = j - s
+        for j, s in zip(js, split):
             coeff *= math.comb(j, s)
-        splits.append((psi_edge, coeff))
+        splits.append((tuple((s, j - s) for j, s in zip(js, split)), coeff))
     return splits
 
 
@@ -167,6 +163,7 @@ def _add_graph(out: TautClass, graph: StableGraph, points, scalars, orders,
     that sum is nonzero."""
     ne = graph.n_edges
     aut = automorphism_count(graph)
+    kappa = ((),) * graph.n_vertices
     budget = degrees[-1] - ne
     for i, js in enumerate(orders):
         column = [(weight * values[i], powers)
@@ -187,9 +184,8 @@ def _add_graph(out: TautClass, graph: StableGraph, points, scalars, orders,
             value = Fraction(total, den * aut * 2 ** sum(leg_exps)
                              * math.prod(map(math.factorial, leg_exps)))
             splits = splits or _edge_splits(js)
-            psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
             for psi_edge, coeff in splits:
-                term = canonical_term(graph, {}, psi_leg, psi_edge)
+                term = canonical_term(graph, kappa, leg_exps, psi_edge)
                 if term is not None:
                     out._accumulate(term, coeff * value)
 

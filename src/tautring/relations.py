@@ -363,7 +363,7 @@ class RelationDatabase:
             else:
                 raise ValueError(f"unknown record version {rec['v']!r}")
             if digest != rec["sha256"]:
-                raise CacheIntegrityError(f"corrupt record for key {rec['key']}")
+                raise ValueError(f"corrupt record for key {rec['key']}")
             key = (rec["key"]["g"], rec["key"]["n"], rec["key"]["monomial"])
             first = self.records.get(key)
             if first is None:

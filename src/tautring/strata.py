@@ -3,12 +3,17 @@
 A tautological class is a finite linear combination of decorated strata: a
 stable graph with a kappa-monomial at each vertex and a psi-power at each
 half-edge and leg, representing the pushforward of that decoration along the
-gluing map.  Coefficients are exact (Fraction) or polynomials in ramification
-variables (MultiPoly).  Every class is kept in normal form: strata are
-replaced by canonical representatives with the decoration transported along
-the canonicalizing isomorphism, like terms merged, zeros dropped, and any
-stratum carrying a decoration that exceeds the dimension of one of its vertex
-moduli discarded (such a decoration already vanishes on the vertex factor).
+gluing map.  A decoration has one form, the tuples a StrataTerm holds: per
+vertex the kappa monomial as (index, exponent) pairs in increasing index
+order, per leg label its psi exponent, and per edge the (side 0, side 1)
+pair of psi exponents.  Every surgery op edits those tuples and hands them
+to canonical_term as they are.  Coefficients are exact (Fraction) or
+polynomials in ramification variables (MultiPoly).  Every class is kept in
+normal form: strata are replaced by canonical representatives with the
+decoration transported along the canonicalizing isomorphism, like terms
+merged, zeros dropped, and any stratum carrying a decoration that exceeds
+the dimension of one of its vertex moduli discarded (such a decoration
+already vanishes on the vertex factor).
 
 Products are supported against the codimension-one generators (psi, kappa and
 boundary divisors); that is exactly what the theta-power and coefficient
@@ -58,7 +63,7 @@ class StrataTerm:
 
     def __init__(self, graph, kappa, psi_leg, psi_edge):
         self.graph = graph
-        self.kappa = kappa          # per vertex: sorted tuple of (index, exponent)
+        self.kappa = kappa          # per vertex: (index, exponent), index increasing
         self.psi_leg = psi_leg      # exponent per leg label 1..n
         self.psi_edge = psi_edge    # per edge: (exp at side 0, exp at side 1)
         self._hash = hash((graph, kappa, psi_leg, psi_edge))
@@ -145,54 +150,53 @@ def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     return StrataTerm(canonical_graph(graph), best[0], psi_leg, best[1])
 
 
-def canonical_term(graph: StableGraph, kappa_by_vertex, psi_leg_by_label,
-                   psi_edge_by_index):
+def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     """Canonical representative of a decorated stratum, or None when the
     decoration exceeds the dimension of some vertex moduli (the class is 0).
 
-    kappa_by_vertex: per vertex a mapping {index: exponent};
-    psi_leg_by_label: mapping {leg label: exponent};
-    psi_edge_by_index: mapping {(edge, side): exponent}.
-    """
-    kappa = tuple(
-        tuple(sorted((a, x) for a, x in dict(kappa_by_vertex.get(v, {})).items() if x))
-        for v in range(graph.n_vertices))
-    psi_leg = tuple(psi_leg_by_label.get(lab, 0) for lab in range(1, graph.n_legs + 1))
-    psi_edge = tuple(
-        (psi_edge_by_index.get((e, 0), 0), psi_edge_by_index.get((e, 1), 0))
-        for e in range(graph.n_edges))
-    if any(a < 1 or x < 0 for vk in kappa for a, x in vk) or \
-            any(x < 0 for x in psi_leg) or any(x < 0 for p in psi_edge for x in p):
+    The decoration is given as a StrataTerm holds it, tuples throughout:
+    kappa, per vertex, (index, exponent) pairs with increasing indices >= 1
+    and exponents >= 1; psi_leg, the exponent per leg label 1..n; psi_edge,
+    per edge, the (side 0, side 1) pair of exponents.  Any other shape is a
+    ValueError."""
+    if (len(kappa), len(psi_leg), len(psi_edge)) != \
+            (graph.n_vertices, graph.n_legs, graph.n_edges):
+        raise ValueError("decoration does not fit the graph")
+    for vk in kappa:
+        if vk and (vk[0][0] < 1 or any(x < 1 for _, x in vk)
+                   or any(a >= b for (a, _), (b, _) in zip(vk, vk[1:]))):
+            raise ValueError(f"kappa monomial {vk!r} is not increasing "
+                             "(index, exponent) pairs of positive integers")
+    if any(x < 0 for x in psi_leg) or any(p < 0 or q < 0 for p, q in psi_edge):
         raise ValueError("negative decoration exponent")
     if not _local_dim_ok(graph, kappa, psi_leg, psi_edge):
         return None
     return _canonical_term(graph, kappa, psi_leg, psi_edge)
 
 
-def _term_dicts(term: StrataTerm):
-    """Mutable decoration dictionaries for surgery on a term."""
-    kappa = {v: {a: x for a, x in vk} for v, vk in enumerate(term.kappa)}
-    psi_leg = {lab: e for lab, e in enumerate(term.psi_leg, start=1) if e}
-    return kappa, psi_leg, _psi_edge_dict(term.psi_edge)
+def bare(graph: StableGraph) -> tuple:
+    """The empty decoration of a graph: (kappa, psi_leg, psi_edge)."""
+    return ((),) * graph.n_vertices, (0,) * graph.n_legs, ((0, 0),) * graph.n_edges
 
 
-def _psi_edge_dict(psi_edge_pairs):
-    """{(edge, side): exponent} for the nonzero per-edge exponent pairs."""
-    psi_edge = {}
-    for e, (p, q) in enumerate(psi_edge_pairs):
-        if p:
-            psi_edge[(e, 0)] = p
-        if q:
-            psi_edge[(e, 1)] = q
-    return psi_edge
+def _put(entries: tuple, i: int, value) -> tuple:
+    """The tuple with entry i replaced by value."""
+    return entries[:i] + (value,) + entries[i + 1:]
+
+
+def _kappa_times(vk: tuple, a: int) -> tuple:
+    """The kappa monomial vk times kappa_a."""
+    exps = dict(vk)
+    exps[a] = exps.get(a, 0) + 1
+    return tuple(sorted(exps.items()))
 
 
 def _set_psi(psi_leg, psi_edge, tag, exponent):
-    """Set the psi exponent at an attachment tag in the decoration dicts."""
+    """(psi_leg, psi_edge) with the psi exponent at an attachment tag set."""
     if tag[0] == "l":
-        psi_leg[tag[1]] = exponent
-    else:
-        psi_edge[tag[1:]] = exponent
+        return _put(psi_leg, tag[1] - 1, exponent), psi_edge
+    _, e, s = tag
+    return psi_leg, _put(psi_edge, e, _put(psi_edge[e], s, exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -220,32 +224,36 @@ class TautClass:
 
     @classmethod
     def fundamental(cls, g, n):
-        return cls(g, n).add_term(trivial_graph(g, n), {}, {}, {}, Fraction(1))
+        return cls.monomial(g, n)
 
     @classmethod
     def psi(cls, g, n, i, coeff=Fraction(1)):
-        return cls(g, n).add_term(trivial_graph(g, n), {}, {i: 1}, {}, coeff)
+        return cls.monomial(g, n, {i: 1}, coeff=coeff)
 
     @classmethod
     def kappa(cls, g, n, a, coeff=Fraction(1)):
-        return cls(g, n).add_term(trivial_graph(g, n), {}, {}, {}, coeff).mul_kappa(a)
+        return cls.monomial(g, n, kappas={a: 1}, coeff=coeff)
 
     @classmethod
     def monomial(cls, g, n, psi_exps=None, kappas=None, coeff=Fraction(1)):
-        """Edgeless class psi1^d1...psin^dn * prod kappa_a^x."""
-        out = cls(g, n).add_term(
-            trivial_graph(g, n), {0: dict(kappas or {})},
-            dict(psi_exps or {}), {}, coeff)
-        return out
+        """Edgeless class psi1^d1...psin^dn * prod kappa_a^x, from
+        {label: d} and {a: x}; zero exponents are dropped, and a nonzero
+        one on a label outside 1..n is a ValueError."""
+        psi_exps = psi_exps or {}
+        if any(d and not 1 <= i <= n for i, d in psi_exps.items()):
+            raise ValueError(f"psi labels {sorted(psi_exps)} outside 1..{n}")
+        kappa = tuple(sorted((a, x) for a, x in (kappas or {}).items() if x))
+        psi_leg = tuple(psi_exps.get(i, 0) for i in range(1, n + 1))
+        return cls(g, n).add_term(trivial_graph(g, n), (kappa,), psi_leg, (), coeff)
 
-    def add_term(self, graph, kappa_by_vertex, psi_leg, psi_edge, coeff):
+    def add_term(self, graph, kappa, psi_leg, psi_edge, coeff):
         """Add coeff times the canonical form of the decorated stratum to this
         class in place (nothing if the decoration exceeds the dimension of a
         vertex moduli) and return this class, so constructors can chain.
         The arguments are those of canonical_term."""
         if (graph.genus, graph.n_legs) != (self.g, self.n):
             raise AmbientMismatchError("stratum does not live on the ambient space")
-        term = canonical_term(graph, kappa_by_vertex, psi_leg, psi_edge)
+        term = canonical_term(graph, kappa, psi_leg, psi_edge)
         if term is not None:
             self._accumulate(term, coeff)
         return self
@@ -346,9 +354,10 @@ class TautClass:
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
             graph = relabel_legs(term.graph, perm)
-            kappa, psi_leg, psi_edge = _term_dicts(term)
-            psi_leg = {perm[lab]: e for lab, e in psi_leg.items()}
-            out.add_term(graph, kappa, psi_leg, psi_edge, coeff)
+            psi_leg = [0] * self.n
+            for old, new in perm.items():
+                psi_leg[new - 1] = term.psi_leg[old - 1]
+            out.add_term(graph, term.kappa, tuple(psi_leg), term.psi_edge, coeff)
         return out
 
     # -- products with codimension-one generators ----------------------------
@@ -358,9 +367,8 @@ class TautClass:
             raise ValueError(f"no leg labeled {i}")
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
-            kappa, psi_leg, psi_edge = _term_dicts(term)
-            psi_leg[i] = psi_leg.get(i, 0) + 1
-            out.add_term(term.graph, kappa, psi_leg, psi_edge, coeff)
+            psi_leg = _put(term.psi_leg, i - 1, term.psi_leg[i - 1] + 1)
+            out.add_term(term.graph, term.kappa, psi_leg, term.psi_edge, coeff)
         return out
 
     def mul_kappa(self, a: int) -> "TautClass":
@@ -368,10 +376,9 @@ class TautClass:
             raise ValueError("kappa index must be >= 1")
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
-            for v in range(term.graph.n_vertices):
-                kappa, psi_leg, psi_edge = _term_dicts(term)
-                kappa.setdefault(v, {})[a] = kappa[v].get(a, 0) + 1
-                out.add_term(term.graph, kappa, psi_leg, psi_edge, coeff)
+            for v, vk in enumerate(term.kappa):
+                out.add_term(term.graph, _put(term.kappa, v, _kappa_times(vk, a)),
+                             term.psi_leg, term.psi_edge, coeff)
         return out
 
     def mul_monomial(self, psi_exps=None, kappas=None) -> "TautClass":
@@ -401,20 +408,22 @@ class TautClass:
             graph = term.graph
             # excess: edges already sitting on the divisor contribute
             # -psi' - psi'' at the node
-            for e in range(graph.n_edges):
+            for e, (p, q) in enumerate(term.psi_edge):
                 if edge_profile(graph, e) != kind:
                     continue
-                for side in (0, 1):
-                    kappa, psi_leg, psi_edge = _term_dicts(term)
-                    psi_edge[(e, side)] = psi_edge.get((e, side), 0) + 1
-                    out.add_term(graph, kappa, psi_leg, psi_edge, -coeff)
+                for pair in ((p + 1, q), (p, q + 1)):
+                    out.add_term(graph, term.kappa, term.psi_leg,
+                                 _put(term.psi_edge, e, pair), -coeff)
             # degenerations: per vertex over labeled local boundary divisors
             # (separating splits with weight 1, a local loop with weight 1/2)
-            # so that multiplicity is the honest intersection multiplicity
+            # so that multiplicity is the honest intersection multiplicity;
+            # the new edge comes last, and a split's new vertex too
+            psi_edge = term.psi_edge + ((0, 0),)
             for v, tags in enumerate(graph.attachments()):
                 if kind == ("irr",) and graph.genera[v] >= 1:
                     degen, _ = add_loop(graph, v)
-                    out.add_term(degen, *_term_dicts(term), coeff * half)
+                    out.add_term(degen, term.kappa, term.psi_leg, psi_edge,
+                                 coeff * half)
                 for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
                     degen, new_e = split_vertex(graph, v, g1, moved_tags)
                     if edge_profile(degen, new_e) != kind:
@@ -424,11 +433,8 @@ class TautClass:
                     weight = half if (not tags and 2 * g1 == graph.genera[v]) \
                         else Fraction(1)
                     for kept, moved, mult in _kappa_splits(term.kappa[v]):
-                        kappa, psi_leg, psi_edge = _term_dicts(term)
-                        kappa[v] = kept
-                        kappa[degen.n_vertices - 1] = moved
-                        out.add_term(degen, kappa, psi_leg, psi_edge,
-                                     coeff * weight * mult)
+                        out.add_term(degen, _put(term.kappa, v, kept) + (moved,),
+                                     term.psi_leg, psi_edge, coeff * weight * mult)
         return out
 
     # -- forgetful maps ------------------------------------------------------
@@ -445,23 +451,23 @@ class TautClass:
                 # kappa corrections (kappa_a - psi_new^a)^x at the vertex
                 # acquiring the point
                 for kept, moved, mult in _kappa_splits(term.kappa[v]):
-                    kappa, psi_leg, psi_edge = _term_dicts(term)
-                    kappa[v] = kept
-                    psi_leg[new_n] = sum(a * j for a, j in moved.items())
-                    out.add_term(placed, kappa, psi_leg, psi_edge,
-                                 coeff * ((-1) ** sum(moved.values()) * mult))
+                    psi_new = sum(a * j for a, j in moved)
+                    out.add_term(placed, _put(term.kappa, v, kept),
+                                 term.psi_leg + (psi_new,), term.psi_edge,
+                                 coeff * ((-1) ** sum(j for _, j in moved) * mult))
                 # bubble corrections, one per decorated marking at v: the
-                # marking and the new point move to a genus-0 bubble
+                # marking and the new point move to a genus-0 bubble, joined
+                # by a new last edge whose side 0 is at v
                 for tag in tags:
                     y = term.psi_at(tag)
                     if y == 0:
                         continue
-                    bubbled, new_e = split_vertex(placed, v, graph.genera[v],
-                                                  (tag, ("l", new_n)))
-                    kappa, psi_leg, psi_edge = _term_dicts(term)
-                    _set_psi(psi_leg, psi_edge, tag, 0)
-                    psi_edge[(new_e, 0)] = y - 1
-                    out.add_term(bubbled, kappa, psi_leg, psi_edge, -coeff)
+                    bubbled, _ = split_vertex(placed, v, graph.genera[v],
+                                              (tag, ("l", new_n)))
+                    psi_leg, psi_edge = _set_psi(term.psi_leg + (0,),
+                                                 term.psi_edge, tag, 0)
+                    out.add_term(bubbled, term.kappa + ((),), psi_leg,
+                                 psi_edge + ((y - 1, 0),), -coeff)
         return out
 
     def forget_pushforward(self) -> "TautClass":
@@ -507,13 +513,12 @@ class TautClass:
     def from_json(cls, data: dict) -> "TautClass":
         out = cls(data["g"], data["n"])
         for item in data["terms"]:
-            graph = graph_from_json(item["graph"])
             dec = item["decoration"]
-            kappa = {v: {int(a): x for a, x in vk.items()}
-                     for v, vk in enumerate(dec["kappa"])}
-            psi_leg = {i + 1: e for i, e in enumerate(dec["psi_legs"]) if e}
-            psi_edge = _psi_edge_dict(dec["psi_edges"])
-            out.add_term(graph, kappa, psi_leg, psi_edge, decode_coeff(item["coeff"]))
+            kappa = tuple(tuple(sorted((int(a), x) for a, x in vk.items()))
+                          for vk in dec["kappa"])
+            out.add_term(graph_from_json(item["graph"]), kappa,
+                         tuple(dec["psi_legs"]), tuple(map(tuple, dec["psi_edges"])),
+                         decode_coeff(item["coeff"]))
         return out
 
 
@@ -566,36 +571,30 @@ def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
         return -TautClass.psi(g, n, kind[1])
     if kind[0] == "irr":
         graph, _ = add_loop(trivial_graph(g, n), 0)
-        return TautClass(g, n).add_term(graph, {}, {}, {}, Fraction(1, 2))
+        return TautClass(g, n).add_term(graph, *bare(graph), Fraction(1, 2))
     _, h, legs = kind
     moved = [("l", lab) for lab in range(1, n + 1) if lab not in legs]
     graph, _ = split_vertex(trivial_graph(g, n), 0, h, moved)
     # an attachment-free symmetric split has the automorphism swapping its sides
     weight = Fraction(1, 2) if n == 0 and 2 * h == g else Fraction(1)
-    return TautClass(g, n).add_term(graph, {}, {}, {}, weight)
+    return TautClass(g, n).add_term(graph, *bare(graph), weight)
 
 
 def _kappa_splits(vertex_kappa):
     """Binomial splits of a kappa monomial prod kappa_a^{x_a}, given as
-    (a, x_a) pairs: yields fresh dicts (kept, moved) with kept[a] + moved[a]
-    = x_a, and the multiplicity prod C(x_a, moved[a]) as a Fraction.
+    (a, x_a) pairs: yields kappa monomials (kept, moved), in the same form,
+    with kept[a] + moved[a] = x_a, and the multiplicity prod C(x_a, moved[a])
+    as a Fraction.
 
     A vertex split sends `moved` to the new vertex (kappa classes restrict
     additively to a boundary gluing).  The forgetful pullback expands
     prod (kappa_a - psi_new^a)^{x_a}: `moved` becomes psi_new^(sum a*j) with
     sign (-1)^(sum j)."""
-    entries = list(vertex_kappa)
-    for picks in itertools.product(*[range(x + 1) for _, x in entries]):
-        kept = {}
-        moved = {}
-        mult = 1
-        for (a, x), j in zip(entries, picks):
-            mult *= math.comb(x, j)
-            if x - j:
-                kept[a] = x - j
-            if j:
-                moved[a] = j
-        yield kept, moved, Fraction(mult)
+    for picks in itertools.product(*[range(x + 1) for _, x in vertex_kappa]):
+        pairs = tuple(zip(vertex_kappa, picks))
+        yield (tuple((a, x - j) for (a, x), j in pairs if x - j),
+               tuple((a, j) for (a, _), j in pairs if j),
+               Fraction(math.prod(math.comb(x, j) for (_, x), j in pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +608,11 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
     collect bubble terms."""
     graph = term.graph
     target = StableGraph(graph.genera, graph.legs[:-1], graph.edges)
+    psi_leg = term.psi_leg[:-1]
     kappa0 = 2 * graph.genera[v] - 2 + (len(tags) - 1)
     for kept, moved, mult in _kappa_splits(term.kappa[v]):
         # conversion kappa_a -> psi_new^a carries no sign on pushforward
-        k_total = k + sum(a * j for a, j in moved.items())
-        kappa, psi_leg, psi_edge = _term_dicts(term)
-        psi_leg.pop(lab, None)
-        kappa[v] = kept
+        k_total = k + sum(a * j for a, j in moved)
         if k_total >= 1:
             # psi_new^(d+1) integrates to kappa_d; kappa_0 is the scalar 2g-2+n
             drop = k_total - 1
@@ -623,21 +620,21 @@ def _push_stable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
             if drop == 0:
                 scale = Fraction(kappa0)
             else:
-                kappa[v][drop] = kappa[v].get(drop, 0) + 1
-            out.add_term(target, kappa, psi_leg, psi_edge, coeff * mult * scale)
+                kept = _kappa_times(kept, drop)
+            out.add_term(target, _put(term.kappa, v, kept), psi_leg,
+                         term.psi_edge, coeff * mult * scale)
         else:
-            # k_total == 0 happens only for the pure pullback piece; it
-            # integrates to the bubble sum over decorated markings at v
+            # k_total == 0 happens only for the pure pullback piece (nothing
+            # moved, kept is the whole monomial); it integrates to the
+            # bubble sum over decorated markings at v
             for tag in tags:
                 if tag[0] == "l" and tag[1] == lab:
                     continue
                 y = term.psi_at(tag)
                 if y == 0:
                     continue
-                kappa2, psi_leg2, psi_edge2 = _term_dicts(term)
-                psi_leg2.pop(lab, None)
-                _set_psi(psi_leg2, psi_edge2, tag, y - 1)
-                out.add_term(target, kappa2, psi_leg2, psi_edge2, coeff)
+                out.add_term(target, term.kappa,
+                             *_set_psi(psi_leg, term.psi_edge, tag, y - 1), coeff)
 
 
 def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
@@ -662,13 +659,16 @@ def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
     if other[:2] == ("h", e):
         raise AssertionError("loop on an unstable vertex cannot occur here")
     contracted, remap = contract_edge(term.graph, e)
-    kappa, psi_leg, psi_edge = _term_dicts(term)
-    kappa = {remap[u]: vk for u, vk in kappa.items() if u != v}
-    psi_edge = {(e2 - (e2 > e), s2): x for (e2, s2), x in psi_edge.items()
-                if e2 != e}
-    _set_psi(psi_leg, psi_edge, other, term.psi_edge[e][1 - s])
+    # v merges into its neighbor, whose kappa monomial it takes
+    kappa = [()] * contracted.n_vertices
+    for u, vk in enumerate(term.kappa):
+        if u != v:
+            kappa[remap[u]] = vk
+    psi_leg, psi_edge = _set_psi(term.psi_leg[:-1],
+                                 term.psi_edge[:e] + term.psi_edge[e + 1:],
+                                 other, term.psi_edge[e][1 - s])
     target = StableGraph(contracted.genera, contracted.legs[:-1], contracted.edges)
-    out.add_term(target, kappa, psi_leg, psi_edge, coeff)
+    out.add_term(target, tuple(kappa), psi_leg, psi_edge, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -696,27 +696,26 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
         coeff = combo[0][1]
         for _, c in combo[1:]:
             coeff = coeff * c
-        genera, kappa, edges, psi_edge = [], {}, [], []
+        genera, kappa, edges, psi_edge = [], [], [], []
         at = {}     # attachment tag -> (glued vertex, psi exponent there)
         for tags, (term, _) in zip(markings, combo):
             off = len(genera)
             genera.extend(term.graph.genera)
-            for w, vk in enumerate(term.kappa):
-                if vk:
-                    kappa[off + w] = dict(vk)
+            kappa.extend(term.kappa)
             for a, b in term.graph.edges:
                 edges.append((off + a, off + b))
             psi_edge.extend(term.psi_edge)
             for tag, w, y in zip(tags, term.graph.legs, term.psi_leg):
                 at[tag] = (off + w, y)
-        legs, psi_leg = [], {}
+        legs, psi_leg = [], []
         for lab in range(1, n + 1):
-            w, psi_leg[lab] = at[("l", lab)]
+            w, y = at[("l", lab)]
             legs.append(w)
+            psi_leg.append(y)
         for e in range(ambient.n_edges):
             (a, p), (b, q) = at[("h", e, 0)], at[("h", e, 1)]
             edges.append((a, b))
             psi_edge.append((p, q))
-        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg,
-                     _psi_edge_dict(psi_edge), coeff)
+        out.add_term(stable_graph(genera, legs, edges), tuple(kappa),
+                     tuple(psi_leg), tuple(psi_edge), coeff)
     return out

@@ -24,8 +24,10 @@ from tautring.relations import (
     theta_generators,
     trr_report,
 )
-from tautring.strata import TautClass, boundary_divisor_class
+from tautring.strata import TautClass, bare, boundary_divisor_class
 from tautring.graphs import stable_graph
+
+from dict_decoration import decorated
 
 DB = RelationDatabase()
 
@@ -149,9 +151,9 @@ def test_criterion_6_dr_sanity_at_zero():
     omega = omega_constant_term(1, (0,), 1)
     loop = stable_graph((0,), (0,), ((0, 0),))
     loop_term = next(iter(TautClass(1, 1).add_term(
-        loop, {}, {}, {}, Fraction(1)).terms))
+        loop, *bare(loop), Fraction(1)).terms))
     assert omega.degree_part(1) == TautClass(1, 1).add_term(
-        loop, {}, {}, {}, constant)
+        loop, *bare(loop), constant)
     assert omega.coefficient(loop_term) == constant
     print("PASS criterion 6: degree-1 class at zero ramification is the loop "
           "stratum with coefficient -1/24 (constant term of (r^2-1)/24)")
@@ -204,15 +206,15 @@ def test_criterion_9_star_census():
     battery.append((1, TautClass.monomial(1, 2, kappas={1: 2})))
     battery.append((1, TautClass.monomial(1, 2, psi_exps={1: 1}, kappas={1: 1})))
     two_ones = stable_graph((1, 1), (0,), ((0, 1),))
-    battery.append((2, TautClass(2, 1).add_term(two_ones, {}, {1: 1}, {},
-                                                Fraction(1))))
-    battery.append((2, TautClass(2, 1).add_term(two_ones, {1: {1: 1}}, {}, {},
-                                                Fraction(1))))
-    loop_g1 = stable_graph((1,), (0,), ((0, 0),))
-    battery.append((2, TautClass(2, 1).add_term(loop_g1, {0: {1: 1}}, {}, {},
-                                                Fraction(1))))
     battery.append((2, TautClass(2, 1).add_term(
-        loop_g1, {}, {}, {(0, 0): 1}, Fraction(1))))
+        *decorated(two_ones, {}, {1: 1}, {}), Fraction(1))))
+    battery.append((2, TautClass(2, 1).add_term(
+        *decorated(two_ones, {1: {1: 1}}, {}, {}), Fraction(1))))
+    loop_g1 = stable_graph((1,), (0,), ((0, 0),))
+    battery.append((2, TautClass(2, 1).add_term(
+        *decorated(loop_g1, {0: {1: 1}}, {}, {}), Fraction(1))))
+    battery.append((2, TautClass(2, 1).add_term(
+        *decorated(loop_g1, {}, {}, {(0, 0): 1}), Fraction(1))))
     for g, cls in battery:
         reduced = theorem_star_reduce(cls, DB)
         for term in reduced.terms:

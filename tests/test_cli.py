@@ -140,16 +140,22 @@ def test_boundary_expression_refuses_low_degree(tmp_path):
                 "--monomial", "psi1"]) == 1
 
 
-def test_corrupt_cache_exits_three(tmp_path):
+def test_corrupt_cache_exits_three(tmp_path, capsys):
     db = tmp_path / "db.jsonl"
     run(["boundary-expression", "--genus", "0", "--markings", "4",
          "--monomial", "psi1", "--db", str(db)])
     good = db.read_text()
     argv = ["boundary-expression", "--genus", "0", "--markings", "4",
             "--monomial", "psi1", "--db", str(db)]
-    # a record whose content no longer matches its hash
+    # a record whose content no longer matches its hash, named by line and
+    # file like every other corrupt record
     db.write_text(good.replace('"psi1"', '"psi9"', 1))
+    capsys.readouterr()
     assert run(argv) == 3
+    lineno = next(i for i, line in enumerate(good.splitlines(), start=1)
+                  if '"psi1"' in line)
+    err = capsys.readouterr().err
+    assert f"on line {lineno} of {db}" in err and "psi9" in err, err
     # a torn last line, as left by an interrupted append
     db.write_text(good + good.splitlines()[-1][:40])
     assert run(argv) == 3

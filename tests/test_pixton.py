@@ -28,7 +28,9 @@ from tautring.pixton import (
     weighting_map,
 )
 from tautring.relations import dr_relation_coefficient
-from tautring.strata import TautClass, boundary_divisor_class, canonical_term
+from tautring.strata import TautClass, bare, boundary_divisor_class, canonical_term
+
+from dict_decoration import decorated
 
 
 def loop_stratum_class(g, n):
@@ -202,7 +204,7 @@ def test_omega_zero_edge_weight_contributes_nothing():
     # edge, so its stratum is absent in every degree
     c = omega_r(1, (1, -1), 7, 2)
     tree = stable_graph((1, 0), (1, 1), ((0, 1),))
-    tree_class = TautClass(1, 2).add_term(tree, {}, {}, {}, Fraction(1))
+    tree_class = TautClass(1, 2).add_term(tree, *bare(tree), Fraction(1))
     tree_term = next(iter(tree_class.terms))
     assert c.coefficient(tree_term) == 0
 
@@ -256,7 +258,7 @@ def _reference_omega_r(g, A, r, max_degree):
                             psi_leg[lab] = k
                     if coeff == 0:
                         continue
-                    term = canonical_term(graph, {}, psi_leg, base_psi_edge)
+                    term = canonical_term(*decorated(graph, {}, psi_leg, base_psi_edge))
                     if term is not None:
                         out._accumulate(term, coeff * scale)
     return out
@@ -330,7 +332,7 @@ def _reference_constant_term(g, A, d):
                     for series, k in zip(leg_series, leg_exps):
                         leg_coeff *= series[k]
                     psi_leg = {lab: k for lab, k in enumerate(leg_exps, start=1) if k}
-                    term = canonical_term(graph, {}, psi_leg, psi_edge)
+                    term = canonical_term(*decorated(graph, {}, psi_leg, psi_edge))
                     if term is not None:
                         out._accumulate(term, leg_coeff * constant)
     return out

@@ -43,9 +43,12 @@ from tautring.relations import (
 from tautring.strata import (
     TautClass,
     _kappa_splits,
+    bare,
     boundary_divisor_class,
     gluing_pushforward,
 )
+
+from dict_decoration import decorated
 
 
 def dirr(g, n):
@@ -241,7 +244,7 @@ def test_one_loop_graph_contributes_nothing_to_top_monomial():
     # the one-vertex loop summand depends on the ramification only through a
     # quadratic, so the four-variable monomial coefficient it contributes is 0
     loop = stable_graph((0,), (0, 0, 0, 0, 0), ((0, 0),))
-    probe = TautClass(1, 5).add_term(loop, {}, {}, {}, Fraction(1))
+    probe = TautClass(1, 5).add_term(loop, *bare(loop), Fraction(1))
     loop_terms = set(probe.terms)
 
     def f(point):
@@ -416,11 +419,11 @@ def test_boundary_expression_deeper_marked_spaces(no_elimination_lemma):
     loop = stable_graph((0,), (0, 0), ((0, 0),))
     bridge = stable_graph((0, 1), (0, 0), ((0, 1),))
     expected = {
-        "kappa1": TautClass(1, 2).add_term(loop, {}, {}, {}, Fraction(1, 12))
-        .add_term(bridge, {}, {}, {}, Fraction(1)),
-        "kappa1*psi2": TautClass(1, 2).add_term(loop, {0: {1: 1}}, {}, {},
+        "kappa1": TautClass(1, 2).add_term(loop, *bare(loop), Fraction(1, 12))
+        .add_term(bridge, *bare(bridge), Fraction(1)),
+        "kappa1*psi2": TautClass(1, 2).add_term(*decorated(loop, {0: {1: 1}}, {}, {}),
                                                 Fraction(1, 24))
-        .add_term(bridge, {1: {1: 1}}, {}, {}, Fraction(1)),
+        .add_term(*decorated(bridge, {1: {1: 1}}, {}, {}), Fraction(1)),
     }
     db = RelationDatabase()
     for key in ("psi1*psi2", "kappa1", "psi1^2", "kappa1*psi2"):
@@ -477,11 +480,12 @@ def _reference_formal_pullback(g, n, psi, kappa):
     n-1 to n markings, written out from the exponents."""
     out = TautClass(g, n)
     for kept, moved, mult in _kappa_splits(sorted(kappa.items())):
+        kept, moved = dict(kept), dict(moved)
         exps = dict(psi)
         j_total = sum(a * j for a, j in moved.items())
         if j_total:
             exps[n] = exps.get(n, 0) + j_total
-        out.add_term(trivial_graph(g, n), {0: kept}, exps, {},
+        out.add_term(*decorated(trivial_graph(g, n), {0: kept}, exps, {}),
                      (-1) ** sum(moved.values()) * mult)
     for i, y in psi.items():
         if y == 0:
@@ -491,8 +495,8 @@ def _reference_formal_pullback(g, n, psi, kappa):
                                    for lab in range(1, n + 1)),
                              ((0, 1),))
         rest = {j: e for j, e in psi.items() if j != i}
-        out.add_term(graph, {0: dict(kappa)}, rest,
-                     {(0, 0): y - 1} if y > 1 else {}, Fraction(-1))
+        out.add_term(*decorated(graph, {0: dict(kappa)}, rest,
+                                {(0, 0): y - 1} if y > 1 else {}), Fraction(-1))
     return out
 
 
@@ -547,11 +551,12 @@ def test_star_reduce_census_battery(no_elimination_lemma):
     # one-marked genus-2 inputs of codimension >= 2 whose decorated vertices
     # have genus at most 1
     two_ones = stable_graph((1, 1), (0,), ((0, 1),))
-    battery.append(TautClass(2, 1).add_term(two_ones, {}, {1: 1}, {}, Fraction(1)))
-    battery.append(TautClass(2, 1).add_term(two_ones, {1: {1: 1}}, {}, {},
+    battery.append(TautClass(2, 1).add_term(*decorated(two_ones, {}, {1: 1}, {}),
+                                            Fraction(1)))
+    battery.append(TautClass(2, 1).add_term(*decorated(two_ones, {1: {1: 1}}, {}, {}),
                                             Fraction(1)))
     loop_g1 = stable_graph((1,), (0,), ((0, 0),))
-    battery.append(TautClass(2, 1).add_term(loop_g1, {0: {1: 1}}, {}, {},
+    battery.append(TautClass(2, 1).add_term(*decorated(loop_g1, {0: {1: 1}}, {}, {}),
                                             Fraction(1)))
     digests = []
     for c in battery:
@@ -763,11 +768,11 @@ def _boundary_records(draw):
     value = TautClass(g, n)
     for graph in draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3)):
         coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
-        value.add_term(graph, {}, {}, {}, coeff)
+        value.add_term(graph, *bare(graph), coeff)
     if draw(st.booleans()):
         value = value.mul_psi(1)
     if value.is_zero():
-        value = TautClass(g, n).add_term(divisors[0], {}, {}, {}, Fraction(1))
+        value = TautClass(g, n).add_term(divisors[0], *bare(divisors[0]), Fraction(1))
     monomial = draw(st.sampled_from(("psi1", "kappa1", "psi1*kappa1")))
     provenance = draw(st.lists(st.text(min_size=1, max_size=12),
                                min_size=1, max_size=3))

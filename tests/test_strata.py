@@ -19,11 +19,14 @@ from tautring.graphs import (
 from tautring.strata import (
     AmbientMismatchError,
     TautClass,
+    bare,
     boundary_divisor_class,
     canonical_term,
     gluing_pushforward,
     normalize_divisor,
 )
+
+from dict_decoration import decorated
 
 
 def psi(g, n, i, c=1):
@@ -89,20 +92,54 @@ def test_incidence_tables_match_per_vertex_definition():
                 fits = all(degrees[v] <= 3 * graph.genera[v] - 3 + len(tags_at[v])
                            for v in range(graph.n_vertices))
                 assert strata._local_dim_ok(graph, kappa, psi_leg, psi_edge) == fits
-                term = canonical_term(
-                    graph, {v: dict(vk) for v, vk in enumerate(kappa)},
-                    dict(enumerate(psi_leg, start=1)),
-                    strata._psi_edge_dict(psi_edge))
+                term = canonical_term(graph, kappa, psi_leg, psi_edge)
                 assert (term is not None) == fits
                 if term is not None:
                     assert sorted(term.vertex_degrees()) == sorted(degrees)
 
 
+def test_canonical_term_takes_the_stored_decoration_form():
+    # the decoration goes in as a StrataTerm holds it; anything else is a
+    # ValueError, not a silently different stratum
+    graph = stable_graph((1, 0), (0, 1, 1), ((0, 1),))
+    kappa, psi_leg, psi_edge = (((1, 1),), ()), (1, 0, 0), ((0, 0),)
+    term = canonical_term(graph, kappa, psi_leg, psi_edge)
+    assert term.degree == 3 and term.psi_leg == psi_leg
+    assert canonical_term(graph, *bare(graph)) is not None
+    bad = {
+        "one kappa monomial short": (kappa[:1], psi_leg, psi_edge),
+        "a leg too many": (kappa, psi_leg + (0,), psi_edge),
+        "an edge too many": (kappa, psi_leg, psi_edge + ((0, 0),)),
+        "negative leg psi": (kappa, (0, -1, 0), psi_edge),
+        "negative edge psi": (kappa, psi_leg, ((0, -1),)),
+        "negative kappa exponent": ((((1, -1),), ()), psi_leg, psi_edge),
+        "zero kappa exponent": ((((1, 0),), ()), psi_leg, psi_edge),
+        "kappa index zero": ((((0, 1),), ()), psi_leg, psi_edge),
+        "decreasing kappa indices": ((((2, 1), (1, 1)), ()), psi_leg, psi_edge),
+        "repeated kappa index": ((((1, 1), (1, 1)), ()), psi_leg, psi_edge),
+    }
+    for decoration in bad.values():
+        with pytest.raises(ValueError):
+            canonical_term(graph, *decoration)
+        with pytest.raises(ValueError):
+            TautClass(1, 3).add_term(graph, *decoration, Fraction(1))
+
+
+def test_psi_label_outside_the_markings_is_rejected():
+    for i in (0, 2, -1):
+        with pytest.raises(ValueError):
+            TautClass.psi(1, 1, i)
+    with pytest.raises(ValueError):
+        TautClass.monomial(0, 4, psi_exps={5: 1, 1: 1})
+    # a zero exponent names no class, wherever its label
+    assert TautClass.monomial(0, 4, psi_exps={5: 0, 1: 1}) == psi(0, 4, 1)
+
+
 def test_normalize_identifies_isomorphic_presentations():
     banana_a = stable_graph((0, 0), (0, 1), ((0, 1), (0, 1)))
     banana_b = stable_graph((0, 0), (1, 0), ((1, 0), (0, 1)))
-    c = TautClass(1, 2).add_term(banana_a, {}, {}, {}, Fraction(1)) \
-        .add_term(banana_b, {}, {}, {}, Fraction(1))
+    c = TautClass(1, 2).add_term(banana_a, *bare(banana_a), Fraction(1)) \
+        .add_term(banana_b, *bare(banana_b), Fraction(1))
     assert len(c.terms) == 1
     assert next(iter(c.terms.values())) == 2
 
@@ -111,7 +148,8 @@ def test_normalize_rejects_mixed_ambient():
     with pytest.raises(AmbientMismatchError):
         psi(1, 1, 1) + psi(1, 2, 1)
     with pytest.raises(AmbientMismatchError):
-        TautClass(0, 4).add_term(trivial_graph(0, 5), {}, {}, {}, Fraction(1))
+        TautClass(0, 4).add_term(trivial_graph(0, 5), *bare(trivial_graph(0, 5)),
+                                 Fraction(1))
     # a serialized class whose stratum has more legs than the class declares
     data = boundary_divisor_class(1, 2, ("irr",)).to_json()
     data["n"] = 1
@@ -140,7 +178,8 @@ def test_mul_psi_kills_small_genus_zero_side():
 def test_mul_kappa_on_irreducible_divisor():
     c = boundary_divisor_class(1, 1, ("irr",)).mul_kappa(1)
     loop = stable_graph((0,), (0,), ((0, 0),))
-    expected = TautClass(1, 1).add_term(loop, {0: {1: 1}}, {}, {}, Fraction(1, 2))
+    expected = TautClass(1, 1).add_term(*decorated(loop, {0: {1: 1}}, {}, {}),
+                                        Fraction(1, 2))
     assert c == expected
 
 
@@ -188,7 +227,8 @@ def test_boundary_self_product_excess():
     d12 = boundary_divisor_class(0, 5, ("sep", 0, (1, 2)))
     sq = d12.mul_boundary(("sep", 0, (1, 2)))
     graph = stable_graph((0, 0), (0, 0, 1, 1, 1), ((0, 1),))
-    expected = TautClass(0, 5).add_term(graph, {}, {}, {(0, 1): 1}, Fraction(-1))
+    expected = TautClass(0, 5).add_term(*decorated(graph, {}, {}, {(0, 1): 1}),
+                                        Fraction(-1))
     # the node psi on the three-marked side dies; only the five-marked side
     # survives, and there are no compatible degenerations
     assert sq == expected
@@ -196,10 +236,10 @@ def test_boundary_self_product_excess():
     # carries psi on the four-marked side only: the excess -psi' - psi''
     # raises each side of the pair (0, 1) once, and both terms fit
     graph = stable_graph((0, 0), (0, 0, 0, 1, 1, 1, 1), ((0, 1),))
-    c = TautClass(0, 7).add_term(graph, {}, {}, {(0, 1): 1}, Fraction(1))
-    expected = TautClass(0, 7).add_term(graph, {}, {}, {(0, 0): 1, (0, 1): 1},
-                                        Fraction(-1)) \
-        .add_term(graph, {}, {}, {(0, 1): 2}, Fraction(-1))
+    c = TautClass(0, 7).add_term(*decorated(graph, {}, {}, {(0, 1): 1}), Fraction(1))
+    expected = TautClass(0, 7).add_term(
+        *decorated(graph, {}, {}, {(0, 0): 1, (0, 1): 1}), Fraction(-1)) \
+        .add_term(*decorated(graph, {}, {}, {(0, 1): 2}), Fraction(-1))
     assert c.mul_boundary(("sep", 0, (1, 2, 3))) == expected
 
 
@@ -207,7 +247,7 @@ def test_boundary_product_transverse():
     d12 = boundary_divisor_class(0, 5, ("sep", 0, (1, 2)))
     prod = d12.mul_boundary(("sep", 0, (3, 4)))
     chain = stable_graph((0, 0, 0), (0, 0, 1, 1, 2), ((0, 2), (1, 2)))
-    expected = TautClass(0, 5).add_term(chain, {}, {}, {}, Fraction(1))
+    expected = TautClass(0, 5).add_term(chain, *bare(chain), Fraction(1))
     assert prod == expected
 
 
@@ -237,8 +277,9 @@ def test_irr_self_product_multiplicity():
     sq = dirr.mul_boundary(("irr",))
     loop = stable_graph((0,), (0, 0), ((0, 0),))
     banana = stable_graph((0, 0), (0, 1), ((0, 1), (0, 1)))
-    expected = TautClass(1, 2).add_term(loop, {}, {}, {(0, 1): 1}, Fraction(-1)) \
-        + TautClass(1, 2).add_term(banana, {}, {}, {}, Fraction(1))
+    expected = TautClass(1, 2).add_term(*decorated(loop, {}, {}, {(0, 1): 1}),
+                                        Fraction(-1)) \
+        + TautClass(1, 2).add_term(banana, *bare(banana), Fraction(1))
     assert sq == expected
 
 
@@ -253,7 +294,8 @@ def test_glue_fundamental_loop_gives_irr_stratum():
 def test_glue_decorated_tree():
     T1 = stable_graph((1, 0), (1, 1), ((0, 1),))
     glued = gluing_pushforward(T1, [psi(1, 1, 1), TautClass.fundamental(0, 3)])
-    expected = TautClass(1, 2).add_term(T1, {}, {}, {(0, 0): 1}, Fraction(1))
+    expected = TautClass(1, 2).add_term(*decorated(T1, {}, {}, {(0, 0): 1}),
+                                        Fraction(1))
     assert glued == expected
 
 
@@ -272,17 +314,17 @@ def test_glue_two_stage_matches_direct():
     inner = loop_stratum(1, 1)  # the loop stratum as a class on (1,1)
     staged = gluing_pushforward(ambient, [TautClass.fundamental(1, 2), inner])
     direct_graph = stable_graph((1, 0), (0,), ((0, 1), (1, 1)))
-    direct = TautClass(2, 1).add_term(direct_graph, {}, {}, {}, Fraction(1))
+    direct = TautClass(2, 1).add_term(direct_graph, *bare(direct_graph), Fraction(1))
     assert staged == direct
 
     # same with a separating degeneration inside a two-marked genus-1 vertex:
     # the marked vertex of a two-component graph degenerates into a chain
     ambient2 = stable_graph((1, 1), (0,), ((0, 1),))
     inner_graph = stable_graph((1, 0), (1, 1), ((0, 1),))
-    inner2 = TautClass(1, 2).add_term(inner_graph, {}, {}, {}, Fraction(1))
+    inner2 = TautClass(1, 2).add_term(inner_graph, *bare(inner_graph), Fraction(1))
     staged2 = gluing_pushforward(ambient2, [inner2, TautClass.fundamental(1, 1)])
     direct_graph2 = stable_graph((1, 0, 1), (1,), ((0, 1), (1, 2)))
-    direct2 = TautClass(2, 1).add_term(direct_graph2, {}, {}, {}, Fraction(1))
+    direct2 = TautClass(2, 1).add_term(direct_graph2, *bare(direct_graph2), Fraction(1))
     assert staged2 == direct2
 
 
@@ -366,8 +408,8 @@ def _reference_gluing_pushforward(ambient, vertex_classes):
                 psi_edge[(idx, 0)] = ya
             if yb:
                 psi_edge[(idx, 1)] = yb
-        out.add_term(stable_graph(genera, legs, edges), kappa, psi_leg, psi_edge,
-                     coeff)
+        out.add_term(*decorated(stable_graph(genera, legs, edges), kappa, psi_leg,
+                                psi_edge), coeff)
     return out
 
 
@@ -378,7 +420,8 @@ def _random_vertex_class(rng, g, n, coefficient):
     out = TautClass(g, n)
     for _ in range(3):
         graph = rng.choice(candidates)
-        out.add_term(graph, *_random_decoration(rng, graph), coefficient(rng))
+        out.add_term(*decorated(graph, *_random_decoration(rng, graph)),
+                     coefficient(rng))
     return out
 
 
@@ -512,7 +555,7 @@ def test_pushforward_boundary_stratum_stabilizes():
     # the two parallel edges fuse into a loop once the middle bubble loses
     # its marking
     banana = stable_graph((0, 0), (0, 0, 0, 0, 1), ((0, 1), (0, 1)))
-    c = TautClass(1, 5).add_term(banana, {}, {}, {}, Fraction(1))
+    c = TautClass(1, 5).add_term(banana, *bare(banana), Fraction(1))
     c = c.mul_psi(2).mul_psi(3).mul_psi(4)
     assert c.pushforward_to(1) == loop_stratum(1, 1) * 6
 
@@ -521,9 +564,10 @@ def test_pushforward_fuses_bridge_keeping_half_edge_psi():
     # A(1,2,3) - v(7) - B(4,5,6): forgetting 7 fuses the two edges into one
     # A - B edge, and the psi on A's half-edge stays on A's side
     bridge = stable_graph((0, 0, 0), (0, 0, 0, 2, 2, 2, 1), ((0, 1), (1, 2)))
-    c = TautClass(0, 7).add_term(bridge, {}, {}, {(0, 0): 1}, Fraction(1))
+    c = TautClass(0, 7).add_term(*decorated(bridge, {}, {}, {(0, 0): 1}), Fraction(1))
     ab = stable_graph((0, 0), (0, 0, 0, 1, 1, 1), ((0, 1),))
-    expected = TautClass(0, 6).add_term(ab, {}, {}, {(0, 0): 1}, Fraction(1))
+    expected = TautClass(0, 6).add_term(*decorated(ab, {}, {}, {(0, 0): 1}),
+                                        Fraction(1))
     assert not expected.is_zero()
     assert c.forget_pushforward() == expected
 
@@ -643,7 +687,7 @@ def test_pushforward_at_unstable_vertex_matches_hand_built_reference():
                 continue
             for _ in range(4):
                 c = TautClass(g, n).add_term(
-                    graph, *_random_decoration(rng, graph), Fraction(1))
+                    *decorated(graph, *_random_decoration(rng, graph)), Fraction(1))
                 (term,) = c.terms
                 if term in seen:
                     continue
@@ -652,7 +696,8 @@ def test_pushforward_at_unstable_vertex_matches_hand_built_reference():
                 kind, *stabilized = _reference_push_unstable_vertex(
                     term, v, term.graph.attachments()[v], n)
                 kinds[kind] += 1
-                expected = TautClass(g, n - 1).add_term(*stabilized, Fraction(1))
+                expected = TautClass(g, n - 1).add_term(*decorated(*stabilized),
+                                                        Fraction(1))
                 assert c.forget_pushforward() == expected, (g, n, term)
     assert min(kinds.values()) > 0, kinds
 
@@ -709,8 +754,8 @@ def _check_relabeling_invariance(g, n, graph, kappa, psi_leg, psi_edge):
     import random
     rng = random.Random(99)
     base_graph = stable_graph(*graph)
-    reference = TautClass(g, n).add_term(base_graph, kappa, psi_leg, psi_edge,
-                                         Fraction(1))
+    reference = TautClass(g, n).add_term(
+        *decorated(base_graph, kappa, psi_leg, psi_edge), Fraction(1))
     assert not reference.is_zero()
     nv = base_graph.n_vertices
     for _ in range(100):
@@ -739,8 +784,8 @@ def _check_relabeling_invariance(g, n, graph, kappa, psi_leg, psi_edge):
                 new_psi_edge[(slot, 1)] = sides[1]
         relabeled = stable_graph(genera, legs, edges)
         new_kappa = {perm[v]: dict(k) for v, k in kappa.items()}
-        moved = TautClass(g, n).add_term(relabeled, new_kappa, psi_leg,
-                                         new_psi_edge, Fraction(1))
+        moved = TautClass(g, n).add_term(
+            *decorated(relabeled, new_kappa, psi_leg, new_psi_edge), Fraction(1))
         assert moved == reference
 
 
@@ -792,7 +837,8 @@ def _relabeled_classes(draw, slack=0):
                 vk = kappa.setdefault(slot[1], {})
                 vk[slot[2]] = vk.get(slot[2], 0) + 1
         coeff = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
-        c = c + TautClass(g, n).add_term(graph, kappa, psi_leg, psi_edge, coeff)
+        c = c + TautClass(g, n).add_term(*decorated(graph, kappa, psi_leg, psi_edge),
+                                         coeff)
     sigma = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
     return c, sigma, draw(st.integers(1, n))
 
