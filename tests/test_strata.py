@@ -577,7 +577,7 @@ def _reference_push_unstable_vertex(term, v, tags, lab):
     special points once leg lab is forgotten: delete v, re-index vertices
     and edges, then a leg slides onto the neighbor or two edges fuse into
     one, and psi decorations ride along.  Returns (kind, graph, kappa,
-    psi_leg, psi_edge) for TautClass.add_term."""
+    psi_leg, psi_edge) as dicts for decorated."""
     graph = term.graph
     kappa = {u: dict(vk) for u, vk in enumerate(term.kappa)}
     psi_leg = {i + 1: x for i, x in enumerate(term.psi_leg) if x}
