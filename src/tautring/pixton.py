@@ -10,7 +10,7 @@ class itself is the constant term.
 A weighting modulo r is fixed by its residues on the h1 edges off a spanning
 tree; each tree edge carries the leg charge on one side of it plus a signed
 sum of them.  That affine map (weighting_map) is built and checked once per
-graph and serves every modulus.
+graph and vertex charges (see below) and serves every modulus.
 
 Only the weightings depend on r.  Expanding each edge series to order j_e,
 a graph contributes, for each vector j of edge orders, the scalar
@@ -36,17 +36,23 @@ h1, which the factor 1 / r^h1 takes back.  Each window holds 2d + 1 moduli.
 For every scalar, the interpolant through the first window must reproduce
 each sample of the second, which proves it right for any true degree up to
 4d + 1; otherwise the bound is enlarged and that graph alone is sampled
-again.  This is the one retry policy, per graph, for every caller.  Every
-stratum coefficient of the class is a linear combination of the scalars, so
-agreement of all scalars implies agreement of the classes: the check is at
-least as strict as comparing the interpolated classes.
+again.  This is the one retry policy, per sampled graph, for every caller.
+Every stratum coefficient of the class is a linear combination of the
+scalars, so agreement of all scalars implies agreement of the classes: the
+check is at least as strict as comparing the interpolated classes.
 
-The sums see A only through the vertex charges, so a linear combination of
-constant-term classes over several A (weighted_constant_term, which the
-finite differences of the relations layer use, and dr_relation at one A)
-samples each graph once per charge vector and sums the scalars before any
-stratum is built.  No class and no scalar outlives the call that computed
-it.
+The scalars see a graph only through its labeled skeleton (vertex count and
+edges: weighting_map reads the legs only through the vertex charges, and
+the edge orders depend only on the edge count) and A only through the
+vertex charges.  So a linear combination of constant-term classes over
+several A (weighted_constant_term, which the finite differences of the
+relations layer use, and dr_relation at one A) takes F_j once per
+(skeleton, charges) key, shared by every graph and point that reach it, and
+sums the scalars before any stratum is built.  The windows of a key come
+from the first A that reaches it; F_j is exact and certified on any pair of
+windows, so which A that is changes no value.  A memoized F_j list is only
+read, never mutated, and no class and no scalar outlives the call that
+computed it.
 """
 
 from __future__ import annotations
@@ -341,18 +347,24 @@ def weighted_constant_term(g: int, points, degree: int) -> TautClass:
     omega_constant_term(g, A_p, degree), for points (A_p, w_p) with A_p of
     one common length, without building a class per point."""
     points = [(validate_ramification(A), weight) for A, weight in points]
+    if len({len(A) for A, _ in points}) != 1:
+        raise ValueError("points must be a nonempty list of ramification "
+                         "vectors of one common length")
     return _graph_sums(g, points, range(degree, degree + 1))
 
 
 def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
     """sum_p w_p times the part in `degrees` of the constant-term class at
-    A_p, over points (A_p, w_p).  Per graph, F_j is taken once per vertex
-    charge vector (the sums see A only through it): in closed form on a
-    tree, and on a graph with cycles sampled, for the first point A with
-    those charges, at the given windows or else on the schedule
-    _windows(minimum_modulus(A), top degree).  Then the graph's strata are
-    built once, for the (j, k) whose weighted sum over the points is
-    nonzero."""
+    A_p, over points (A_p, w_p).  F_j is taken once per key (labeled
+    skeleton (n_vertices, edges), vertex charges), in a memo local to this
+    call: in closed form on a tree, and on a graph with cycles sampled, for
+    the first graph and point A to reach the key, at the given windows or
+    else on the schedule _windows(minimum_modulus(A), top degree).  Another
+    A with the same charges may have another minimum modulus, but F_j is
+    exact on either schedule, and _add_graph only reads the shared lists.
+    Trees and cycle graphs never share a key: h1 follows from the skeleton.
+    Then each graph's strata are built once, for the (j, k) whose weighted
+    sum over the points is nonzero."""
     top = degrees.stop - 1
     if top < 0:
         raise ValueError("degree must be >= 0")
@@ -360,9 +372,10 @@ def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
     legs = [(weight, _leg_powers(A, top)) for A, weight in points]
     out = TautClass(g, n)
     lagrange: dict = {}
+    skeletons: dict = {}
     for graph in enumerate_stable_graphs(g, n, top):
         orders = _edge_orders(graph, top)
-        by_charges: dict = {}
+        by_charges = skeletons.setdefault((graph.n_vertices, graph.edges), {})
         scalars = []
         for A, _ in points:
             charges = [0] * graph.n_vertices

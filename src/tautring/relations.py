@@ -24,6 +24,7 @@ _solve_for_target.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
@@ -419,8 +420,12 @@ class RelationDatabase:
                 "sha256": _text_hash(key_json, expression.provenance, value_text),
                 "value": value_text,
             }
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(rec, sort_keys=True) + "\n")
+            line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+            # one locked write per record: processes sharing the file cannot
+            # interleave their lines
+            with open(self.path, "ab") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+                handle.write(line)
         return expression
 
 

@@ -1,4 +1,8 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -236,6 +240,49 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
                   "sha256": _record_hash(key, value)}
         db.write_text(json.dumps(record) + "\n")
         assert run(argv_11) == 3, corrupt.__name__
+
+
+# Each process stores `count` records of one ~20 KB class on M0,8 (every
+# separating divisor through leg 1), scaled per record, under keys of its leg.
+# Both start storing once both have built the class, so their appends overlap.
+STORE_MANY = """
+import itertools, os, sys, time
+from tautring.relations import BoundaryExpression, RelationDatabase
+from tautring.strata import TautClass, boundary_divisor_class
+path, leg, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+value = TautClass(0, 8)
+for size in range(1, 6):
+    for rest in itertools.combinations(range(2, 9), size):
+        value = value + boundary_divisor_class(0, 8, ("sep", 0, (1, *rest)))
+open(f"{path}.ready{leg}", "w").close()
+for _ in range(3000):
+    if all(os.path.exists(f"{path}.ready{other}") for other in (1, 2)):
+        break
+    time.sleep(0.01)
+db = RelationDatabase(path)
+for k in range(1, count + 1):
+    db.store(0, 8, f"psi{leg}^{k}", BoundaryExpression(value * k, ["stored"]))
+"""
+
+
+def test_concurrent_stores_from_two_processes_keep_every_line(tmp_path):
+    db, count = tmp_path / "db.jsonl", 150
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    workers = [subprocess.Popen([sys.executable, "-c", STORE_MANY, str(db),
+                                 str(leg), str(count)], env=env)
+               for leg in (1, 2)]
+    assert [worker.wait(timeout=300) for worker in workers] == [0, 0]
+    lines = db.read_bytes().splitlines()
+    assert len(lines) == 2 * count
+    assert min(map(len, lines)) > 10_000
+    reopened = RelationDatabase(str(db))
+    assert len(reopened.records) == 2 * count
+    value = reopened.get(0, 8, "psi1^1").value
+    assert len(value.terms) == 2 ** 7 - 8 - 1
+    for leg, k in itertools.product((1, 2), range(1, count + 1)):
+        assert reopened.get(0, 8, f"psi{leg}^{k}").value == value * k
 
 
 def test_unusable_path_exits_one(tmp_path, capsys):

@@ -9,6 +9,7 @@ from tautring.algebra import (
     InterpolationError,
     bounded_tuples,
     finite_difference_extract,
+    finite_difference_stencil,
     lagrange_interpolate,
     lagrange_weights,
 )
@@ -380,6 +381,54 @@ def test_weighted_constant_term_keeps_vertex_charges_apart():
         expected._add_in_place(_reference_constant_term(1, A, 3).degree_part(3) * weight)
     assert not expected.is_zero()
     assert pixton.weighted_constant_term(1, points, 3) == expected
+
+
+@pytest.mark.parametrize("points", [
+    # a trailing zero keeps the sum, so only the length tells them apart
+    [((2, -1, -1), 1), ((2, -1, -1, 0), 1)],
+    [((2, -1, -1, 0), 1), ((2, -1, -1), 1)],
+    [((1, -1), 1), ((2, -1, -1), 1), ((1, -1), 1)],
+    # no point at all
+    [],
+])
+def test_weighted_constant_term_needs_points_of_one_length(points):
+    with pytest.raises(ValueError, match="nonempty list .* of one common length"):
+        pixton.weighted_constant_term(1, points, 2)
+
+
+def test_sampling_runs_once_per_skeleton_and_charges(monkeypatch):
+    # a graph's F_j depends only on its vertex count, its edges and its
+    # vertex charges, so the stencil of a DR coefficient is sampled once
+    # per such key across all graphs and points
+    g, d = 1, 2
+    stencil = [(point + (-sum(point),), weight) for point, weight
+               in finite_difference_stencil((3, 1, 0, 0), 4)]
+    pairs, keys, cycle_keys = 0, set(), set()
+    for graph in enumerate_stable_graphs(g, 5, d):
+        for A, _ in stencil:
+            charges = tuple(sum(a for a, v in zip(A, graph.legs) if v == u)
+                            for u in range(graph.n_vertices))
+            key = (graph.n_vertices, graph.edges, charges)
+            pairs += 1
+            keys.add(key)
+            if graph.h1:
+                cycle_keys.add(key)
+    assert cycle_keys and len(keys) < pairs
+    calls = {"_sampled_constant_terms": 0, "weighting_map": 0}
+
+    def counted(name):
+        original = getattr(pixton, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(pixton, name, wrapper)
+
+    counted("_sampled_constant_terms")
+    counted("weighting_map")
+    pixton.weighted_constant_term(g, stencil, d)
+    assert calls == {"_sampled_constant_terms": len(cycle_keys),
+                     "weighting_map": len(keys)}
 
 
 def test_omega_constant_term_loop_value():
