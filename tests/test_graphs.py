@@ -8,6 +8,7 @@ from tautring.graphs import (
     InvalidGraphError,
     StableGraph,
     _canonical,
+    _canonical_search,
     _enumerate_cached,
     automorphism_count,
     canonical_graph,
@@ -16,6 +17,7 @@ from tautring.graphs import (
     enumerate_stable_graphs,
     graph_from_json,
     graph_to_json,
+    graph_transports,
     is_stable_pair,
     one_edge_degenerations,
     relabel_legs,
@@ -23,6 +25,8 @@ from tautring.graphs import (
     trivial_graph,
     vertex_split_options,
 )
+
+import reference_canonical
 
 
 def test_validate_examples():
@@ -56,22 +60,24 @@ def test_enumerate_deterministic_order():
 
 
 def _reference_enumeration(g, n, limit):
-    """Reference enumeration: every candidate through the memoized
-    canonical_graph and canonical_key, each level sorted by key."""
-    start = canonical_graph(trivial_graph(g, n))
-    levels = [{start.canonical_key(): start}]
+    """Reference enumeration: every candidate validated and labeled by the
+    frozen reference search, each level sorted by canonical key."""
+    start = reference_canonical.canonical_search(trivial_graph(g, n))[0]
+    levels = [{reference_canonical.encoding_key(start): start}]
     for _ in range(limit):
         nxt: dict = {}
-        for parent in levels[-1].values():
-            for candidate, _e in one_edge_degenerations(parent):
-                canon = canonical_graph(candidate)
-                nxt.setdefault(canon.canonical_key(), canon)
+        for encoding in levels[-1].values():
+            for candidate, _e in one_edge_degenerations(StableGraph(*encoding)):
+                checked = stable_graph(candidate.genera, candidate.legs,
+                                       candidate.edges)
+                canon = reference_canonical.canonical_search(checked)[0]
+                nxt.setdefault(reference_canonical.encoding_key(canon), canon)
         if not nxt:
             break
         levels.append(nxt)
     out = []
     for level in levels:
-        out.extend(level[k] for k in sorted(level))
+        out.extend(StableGraph(*level[k]) for k in sorted(level))
     return out
 
 
@@ -79,6 +85,40 @@ def _reference_enumeration(g, n, limit):
                                        (3, 3, 3)])
 def test_enumeration_matches_reference_order(g, n, limit):
     assert enumerate_stable_graphs(g, n, limit) == _reference_enumeration(g, n, limit)
+
+
+def _relabeled(graph, rng):
+    """The graph under a random vertex permutation, edge order and edge
+    flips: the same class, presented as enumeration never does."""
+    perm = list(range(graph.n_vertices))
+    rng.shuffle(perm)
+    genera = [0] * graph.n_vertices
+    for old, new in enumerate(perm):
+        genera[new] = graph.genera[old]
+    edges = [(perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b])
+             for a, b in graph.edges]
+    rng.shuffle(edges)
+    return StableGraph(tuple(genera), tuple(perm[v] for v in graph.legs),
+                       tuple(edges))
+
+
+@pytest.mark.parametrize("g,n,limit,most", [(0, 7, 4, 1), (2, 3, 3, 2),
+                                            (3, 3, 3, 6), (3, 4, 3, 6)])
+def test_canonical_search_matches_frozen_reference(g, n, limit, most):
+    rng = random.Random(1000 * g + n)
+    most_orders = 0
+    try:
+        for graph in enumerate_stable_graphs(g, n, limit):
+            for presented in (graph, _relabeled(graph, rng), _relabeled(graph, rng)):
+                expected = reference_canonical.canonical_search(presented)
+                assert _canonical_search(presented) == expected
+                assert list(graph_transports(presented)) == \
+                    reference_canonical.transports(presented)
+                most_orders = max(most_orders, len(expected[1]))
+    finally:
+        _canonical.cache_clear()
+    # the most canonical orderings any graph of the space has
+    assert most_orders == most
 
 
 def test_enumeration_leaves_canonical_cache_empty():
