@@ -9,13 +9,16 @@ relabeling of vertices and edges carries one presentation to the other while
 keeping every leg label on a matching vertex.
 
 Canonical labeling is by exhaustive search over vertex orderings refined by
-(genus, attached legs, valence) invariants; graphs at desk scale have at most
-a handful of vertices, so certified exactness is cheap.  The search is
-memoized per labeled graph for the strata layer and automorphism counts,
-which look the same graph up again and again.  Enumeration searches each
-of its one-edge degenerations exactly once and bypasses that cache: most
-candidates are throwaway presentations, and as cache keys they would stay
-alive for the life of the process.
+(genus, attached legs, valence, loops) invariants, read in one pass over legs
+and edges; graphs at desk scale have at most a handful of vertices, so
+certified exactness is cheap.  The search is memoized per labeled graph for
+the strata layer, which looks the same graph up again and again.
+Enumeration searches each of its one-edge degenerations exactly once and
+bypasses that cache: most candidates are throwaway presentations, and as
+cache keys they would stay alive for the life of the process.  Those
+candidates are built unvalidated, and enumeration validates once per class,
+on the class's canonical representative: stability and connectivity are
+isomorphism invariants.
 """
 
 from __future__ import annotations
@@ -158,47 +161,59 @@ def trivial_graph(g: int, n: int) -> StableGraph:
 
 def _candidate_orders(graph: StableGraph):
     """Vertex orderings consistent with the sorted refinement by the vertex
-    invariant (genus, attached legs, valence, loops)."""
-    loops = [0] * graph.n_vertices
+    invariant (genus, attached legs, valence, loops), read in one pass over
+    legs and edges.  Distinct vertices carry disjoint leg sets, so a
+    vertex's least leg label, 0 for none, orders them as the sets do."""
+    genera, legs = graph.genera, graph.legs
+    nv = len(genera)
+    least = [0] * nv
+    valence = [0] * nv
+    loops = [0] * nv
+    for label in range(len(legs), 0, -1):
+        v = legs[label - 1]
+        least[v] = label
+        valence[v] += 1
     for a, b in graph.edges:
+        valence[a] += 1
+        valence[b] += 1
         if a == b:
             loops[a] += 1
-    groups: dict = {}
-    for v, tags in enumerate(graph.attachments()):
-        legs = tuple(tag[1] for tag in tags if tag[0] == "l")
-        groups.setdefault((graph.genera[v], legs, len(tags), loops[v]),
-                          []).append(v)
-    keys = sorted(groups)
-    for perm_blocks in itertools.product(
-            *[itertools.permutations(groups[k]) for k in keys]):
-        order = []
-        for block in perm_blocks:
-            order.extend(block)
+    invariant = list(zip(genera, least, valence, loops))
+    # a stable sort: each invariant class stays in increasing vertex order
+    order = sorted(range(nv), key=invariant.__getitem__)
+    if len(set(invariant)) == nv:
+        # every invariant class has one vertex: one ordering
         yield tuple(order)
+        return
+    blocks = [tuple(block) for _, block in
+              itertools.groupby(order, key=invariant.__getitem__)]
+    for perm_blocks in itertools.product(*map(itertools.permutations, blocks)):
+        yield tuple(itertools.chain.from_iterable(perm_blocks))
 
 
-def _relabel_encoding(graph: StableGraph, order):
-    """Encoding of the graph under the vertex ordering; lower is canonical."""
-    pos = [0] * graph.n_vertices
+def _positions(order) -> list:
+    """pos[old vertex] = its index in the ordering."""
+    pos = [0] * len(order)
     for new, old in enumerate(order):
         pos[old] = new
-    genera = tuple(graph.genera[old] for old in order)
-    legs = tuple(pos[v] for v in graph.legs)
-    # (vertex pair, edge, flipped) per edge, by pair and then by edge
-    slots = []
-    for e, (a, b) in enumerate(graph.edges):
-        na, nb = pos[a], pos[b]
-        slots.append(((na, nb), e, False) if na <= nb else ((nb, na), e, True))
-    slots.sort()
-    return (genera, legs, tuple(slot[0] for slot in slots)), slots
+    return pos
 
 
 def _canonical_search(graph: StableGraph):
-    """Minimal encoding plus every vertex ordering achieving it."""
+    """Minimal encoding plus every vertex ordering achieving it.  Under an
+    ordering the encoding is (genera, leg vertices, sorted edge pairs), each
+    pair (lower end, upper end); lower is canonical."""
     best = None
     best_orders = []
     for order in _candidate_orders(graph):
-        encoding, _ = _relabel_encoding(graph, order)
+        pos = _positions(order)
+        pairs = []
+        for a, b in graph.edges:
+            a, b = pos[a], pos[b]
+            pairs.append((a, b) if a <= b else (b, a))
+        pairs.sort()
+        encoding = (tuple([graph.genera[old] for old in order]),
+                    tuple([pos[v] for v in graph.legs]), tuple(pairs))
         if best is None or encoding < best:
             best = encoding
             best_orders = [order]
@@ -210,10 +225,10 @@ def _canonical_search(graph: StableGraph):
 @lru_cache(maxsize=None)
 def _canonical(graph: StableGraph):
     """Memoized _canonical_search, for callers that look the same labeled
-    graph up repeatedly (canonical_key, the strata layer's canonical terms).
-    Every key stays alive with the cache, so enumeration calls
-    _canonical_search on its candidates instead, and so does
-    automorphism_count, which is memoized itself."""
+    graph up repeatedly (canonical_key, canonical_graph, graph_transports
+    and so the strata layer's canonical terms).  Every key stays alive with
+    the cache, so enumeration calls _canonical_search on its candidates
+    instead, and so does automorphism_count, which is memoized itself."""
     return _canonical_search(graph)
 
 
@@ -239,7 +254,13 @@ def graph_transports(graph: StableGraph):
     transport in the strata layer picks the least of those choices."""
     _, orders = _canonical(graph)
     for order in orders:
-        yield order, _relabel_encoding(graph, order)[1]
+        pos = _positions(order)
+        slots = []
+        for e, (a, b) in enumerate(graph.edges):
+            na, nb = pos[a], pos[b]
+            slots.append(((na, nb), e, False) if na <= nb else ((nb, na), e, True))
+        slots.sort()
+        yield order, slots
 
 
 @lru_cache(maxsize=None)
@@ -315,33 +336,40 @@ def separating_spec(g: int, n: int, h: int, legs) -> tuple:
     return ("sep",) + min((h, legs), other)
 
 
+def _split_fields(graph: StableGraph, v: int, g1: int, moved) -> tuple:
+    """The (genera, legs, edges) of split_vertex, unvalidated."""
+    nv = len(graph.genera)
+    genera = graph.genera[:v] + (g1,) + graph.genera[v + 1:] + \
+        (graph.genera[v] - g1,)
+    legs = list(graph.legs)
+    edges = list(graph.edges)
+    for tag in moved:
+        if tag[0] == "l":
+            legs[tag[1] - 1] = nv
+        else:
+            a, b = edges[tag[1]]
+            edges[tag[1]] = (nv, b) if tag[2] == 0 else (a, nv)
+    edges.append((v, nv))
+    return genera, tuple(legs), tuple(edges)
+
+
+def _loop_fields(graph: StableGraph, v: int) -> tuple:
+    """The (genera, legs, edges) of add_loop, unvalidated."""
+    genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
+    return genera, graph.legs, graph.edges + ((v, v),)
+
+
 def split_vertex(graph: StableGraph, v: int, g1: int, moved) -> tuple:
     """Split v into genus g1, keeping index v and the attachments not in
     `moved`, and a fresh vertex of genus g(v)-g1 carrying the tags in
     `moved`, joined by a new edge.  Returns (graph', new_edge_index).  Leg
     and edge identifiers are stable."""
-    nv = graph.n_vertices
-    genera = list(graph.genera)
-    genera[v] = g1
-    genera.append(graph.genera[v] - g1)
-    legs = list(graph.legs)
-    edges = [list(e) for e in graph.edges]
-    for tag in moved:
-        if tag[0] == "l":
-            legs[tag[1] - 1] = nv
-        else:
-            edges[tag[1]][tag[2]] = nv
-    edges.append([v, nv])
-    return (stable_graph(genera, legs, [tuple(e) for e in edges]),
-            len(edges) - 1)
+    return stable_graph(*_split_fields(graph, v, g1, moved)), graph.n_edges
 
 
 def add_loop(graph: StableGraph, v: int) -> tuple:
     """Genus-reducing loop at v (inverse of loop contraction)."""
-    genera = list(graph.genera)
-    genera[v] -= 1
-    edges = list(graph.edges) + [(v, v)]
-    return stable_graph(genera, graph.legs, edges), len(edges) - 1
+    return stable_graph(*_loop_fields(graph, v)), graph.n_edges
 
 
 def vertex_split_options(gv: int, tags):
@@ -371,13 +399,17 @@ def one_edge_degenerations(graph: StableGraph):
     """Every labeled (graph', new_edge) whose contraction at new_edge returns
     the input: a loop at each vertex of positive genus, then one split per
     labeled unordered split of each vertex (vertex_split_options).  Pairs
-    may be isomorphic; callers that need classes dedup by canonical key."""
+    may be isomorphic; callers that need classes dedup by canonical key.
+    The graphs are add_loop's and split_vertex's, unvalidated: each is
+    stable and connected whenever the input is."""
+    new_edge = graph.n_edges
     found = []
     for v, tags in enumerate(graph.attachments()):
         if graph.genera[v] >= 1:
-            found.append(add_loop(graph, v))
+            found.append((StableGraph(*_loop_fields(graph, v)), new_edge))
         for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
-            found.append(split_vertex(graph, v, g1, moved_tags))
+            found.append((StableGraph(*_split_fields(graph, v, g1, moved_tags)),
+                          new_edge))
     return found
 
 
@@ -393,15 +425,20 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
-    # levels hold canonical encodings, and each candidate is searched once,
-    # uncached (see _canonical)
+    # levels hold canonical encodings; each candidate is searched once,
+    # uncached, and each class is validated once (module docstring)
     level = {_canonical_search(trivial_graph(g, n))[0]}
     out = []
     for edges in range(limit + 1):
         # the canonical key is the hex of the text form, where "10" < "2",
         # so encodings are not sorted as tuples
-        parents = [StableGraph(*encoding)
-                   for encoding in sorted(level, key=_encode_hex)]
+        parents = []
+        for encoding in sorted(level, key=_encode_hex):
+            # validate the class, and keep a graph on the encoding's own
+            # tuples: kept copies from stable_graph would leave the freed
+            # originals scattered among them, raising peak RSS
+            stable_graph(*encoding)
+            parents.append(StableGraph(*encoding))
         out.extend(parents)
         if edges == limit:
             break
@@ -444,8 +481,17 @@ def graph_to_json(graph: StableGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> StableGraph:
+    """Read graph_to_json's form back; a leg labeling other than 1..n once
+    each, or an edge that is not two half-edges, is InvalidGraphError."""
     genera = tuple(data["vertices"])
-    legs_map = {label: v for label, v in data["legs"]}
-    legs = tuple(legs_map[i + 1] for i in range(len(legs_map)))
+    labels = sorted(label for label, _ in data["legs"])
+    if labels != list(range(1, len(labels) + 1)):
+        raise InvalidGraphError(f"leg labels {labels} are not 1..{len(labels)} "
+                                "once each")
+    legs_map = dict(data["legs"])
+    legs = tuple(legs_map[i + 1] for i in range(len(labels)))
+    for e, pair in enumerate(data["edges"]):
+        if len(pair) != 2:
+            raise InvalidGraphError(f"edge {e} has {len(pair)} half-edges, not 2")
     edges = tuple((pair[0][0], pair[1][0]) for pair in data["edges"])
     return stable_graph(genera, legs, edges)

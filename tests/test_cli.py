@@ -222,18 +222,25 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
     db.write_text(json.dumps(record) + "\n")
     assert run(argv_11) == 3
     # correctly hashed records that are malformed deeper down: a zero
-    # denominator, a half-edge pair with one half, a kappa entry that is no
-    # mapping
+    # denominator, a half-edge pair with one half or with three, a leg label
+    # given twice, a kappa entry that is no mapping
     def zero_denominator(term):
         term["coeff"] = "1/0"
 
     def lone_half_edge(term):
         term["graph"]["edges"][0] = term["graph"]["edges"][0][:1]
 
+    def third_half_edge(term):
+        term["graph"]["edges"][0].append([0, 2])
+
+    def leg_label_twice(term):
+        term["graph"]["legs"].append(term["graph"]["legs"][0])
+
     def bare_kappa(term):
         term["decoration"]["kappa"] = [5]
 
-    for corrupt in (zero_denominator, lone_half_edge, bare_kappa):
+    for corrupt in (zero_denominator, lone_half_edge, third_half_edge,
+                    leg_label_twice, bare_kappa):
         value = boundary_divisor_class(1, 1, ("irr",)).to_json()
         corrupt(value["terms"][0])
         record = {"key": key, "value": value, "provenance": ["hand-made"],

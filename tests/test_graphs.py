@@ -95,11 +95,10 @@ def _relabeled(graph, rng):
     genera = [0] * graph.n_vertices
     for old, new in enumerate(perm):
         genera[new] = graph.genera[old]
-    edges = [(perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b])
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
              for a, b in graph.edges]
     rng.shuffle(edges)
-    return StableGraph(tuple(genera), tuple(perm[v] for v in graph.legs),
-                       tuple(edges))
+    return stable_graph(genera, tuple(perm[v] for v in graph.legs), edges)
 
 
 @pytest.mark.parametrize("g,n,limit,most", [(0, 7, 4, 1), (2, 3, 3, 2),
@@ -119,6 +118,20 @@ def test_canonical_search_matches_frozen_reference(g, n, limit, most):
         _canonical.cache_clear()
     # the most canonical orderings any graph of the space has
     assert most_orders == most
+
+
+@pytest.mark.parametrize("g,n,limit", [(0, 6, 3), (1, 4, 4), (2, 2, 4),
+                                       (3, 0, 6)])
+def test_enumerated_graphs_are_valid_canonical_representatives(g, n, limit):
+    # candidates are built unvalidated and only each class is validated, so
+    # every graph enumeration returns must pass validation and be its own
+    # canonical representative
+    try:
+        for graph in enumerate_stable_graphs(g, n, limit):
+            assert stable_graph(graph.genera, graph.legs, graph.edges) == graph
+            assert canonical_graph(graph) == graph
+    finally:
+        _canonical.cache_clear()
 
 
 def test_enumeration_leaves_canonical_cache_empty():
@@ -213,21 +226,8 @@ def test_canonical_random_relabeling_oracle():
     rng = random.Random(41)
     base = stable_graph((0, 1, 1), (0, 0, 1), ((0, 1), (0, 2), (1, 2), (0, 0)))
     key = base.canonical_key()
-    nv = base.n_vertices
     for _ in range(100):
-        perm = list(range(nv))
-        rng.shuffle(perm)
-        genera = [0] * nv
-        for old, new in enumerate(perm):
-            genera[new] = base.genera[old]
-        legs = tuple(perm[v] for v in base.legs)
-        edges = []
-        for a, b in base.edges:
-            e = (perm[a], perm[b])
-            edges.append(e if rng.random() < 0.5 else (e[1], e[0]))
-        rng.shuffle(edges)
-        relabeled = stable_graph(genera, legs, edges)
-        assert relabeled.canonical_key() == key
+        assert _relabeled(base, rng).canonical_key() == key
 
 
 def _brute_force_automorphisms(graph):
@@ -371,6 +371,22 @@ def test_graph_json_round_trip():
         data = graph_to_json(graph)
         back = graph_from_json(data)
         assert back.canonical_key() == graph.canonical_key()
+
+
+def test_graph_from_json_rejects_malformed_edges_and_legs():
+    two_vertices = {"vertices": [0, 0], "legs": [[1, 0], [2, 0], [3, 1], [4, 1]],
+                    "edges": [[[0, 0], [1, 0]]]}
+    assert graph_from_json(two_vertices) == stable_graph((0, 0), (0, 0, 1, 1),
+                                                         ((0, 1),))
+    # an edge with a third half-edge is not cut to its first two
+    three_halves = {**two_vertices, "edges": [[[0, 0], [1, 0], [1, 1]]]}
+    with pytest.raises(InvalidGraphError, match="edge 0 has 3 half-edges"):
+        graph_from_json(three_halves)
+    # a duplicate or a missing leg label, rather than a bare KeyError
+    for legs in ([[1, 0], [2, 0], [2, 1], [4, 1]], [[1, 0], [2, 0], [4, 1]],
+                 [[1, 0], [1, 0], [2, 0], [3, 1], [4, 1]]):
+        with pytest.raises(InvalidGraphError, match="leg labels"):
+            graph_from_json({**two_vertices, "legs": legs})
 
 
 def test_canonical_key_is_hex():
