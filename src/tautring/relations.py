@@ -15,11 +15,12 @@ the same per-graph route at the one point A, uncached.  Symbolic
 ramification variables appear solely in compact-type theta computations,
 where polynomiality is manifest.
 
-boundary_expression is the one memo path: its routes store nothing, and
-psi1 and kappa1 on the one-marked genus-one space always come from the base
-system of two pushed relations.  Every route that solves one relation for
-its target monomial (_induct_n_route, _p_route, _unmarked_route) does so in
-_solve_for_target.
+_lemma_record reads and writes the elimination records (degree-(g+1)
+psi-monomials on the (2g+3)-marked space) and boundary_expression every other
+record; no other route stores.  psi1 and kappa1 on the one-marked genus-one
+space always come from the base system of two pushed relations.  Every route
+that solves one relation for its target monomial (_induct_n_route, _p_route,
+_unmarked_route) does so in _solve_for_target.
 """
 
 from __future__ import annotations
@@ -402,6 +403,8 @@ class RelationDatabase:
     def store(self, g: int, n: int, monomial: str,
               expression: BoundaryExpression) -> BoundaryExpression:
         key = (g, n, monomial)
+        if self.records.get(key) is expression:
+            return expression
         if key in self.records:
             stored = self.get(g, n, monomial)
             if (_canonical(stored.value.to_json())
@@ -460,70 +463,62 @@ def _elimination_monomial(g: int, K: tuple, k: int) -> tuple:
 def psi_boundary_lemma(g: int, db: RelationDatabase | None = None) -> dict:
     """Boundary expressions for every degree-(g+1) psi-monomial on the
     (2g+3)-marked space of genus g, by descending elimination on the power of
-    the last psi-class.  Returns {monomial key: BoundaryExpression}."""
+    the last psi-class, stage by stage; records already in db are read, not
+    recomputed.  Returns {monomial key: BoundaryExpression}."""
     db = db or RelationDatabase()
-    n = 2 * g + 3
     width = 2 * g + 2
-    results: dict = {}
+    targets = [(0,) * width + (g + 1,)] + [
+        K + (k - 1,) for k in range(g + 1, 0, -1)
+        for K in _compositions(g + 2 - k, width)]
+    return {_psi_monomial_key(t): _lemma_record(g, t, db) for t in targets}
 
-    def record(full_exps: tuple, expression: TautClass, provenance):
-        key = _psi_monomial_key(full_exps)
-        be = BoundaryExpression(expression, provenance)
-        db.store(g, n, key, be)
-        results[key] = be
 
-    if g + 1 > 3 * g - 3 + n:
-        # genus 0: every degree-one psi-monomial on the three-marked space
-        # already exceeds the dimension, so the expressions are zero
-        for i in range(n):
-            exps = [0] * n
-            exps[i] = g + 1
-            record(tuple(exps), TautClass(g, n), [])
-        return results
-
+def _lemma_record(g: int, exps: tuple, db: RelationDatabase) -> BoundaryExpression:
+    """The boundary expression of the degree-(g+1) psi-monomial with exponents
+    exps on the (2g+3)-marked space: read from db, or solved from its
+    elimination coefficient and stored, after the other open monomials of
+    that coefficient (each with a higher power of psi_{2g+3}) are."""
+    n = 2 * g + 3
+    key = _psi_monomial_key(exps)
+    stored = db.get(g, n, key)
+    if stored is not None:
+        # another route's record may hold another valid expression: refuse it
+        if stored.provenance and not stored.provenance[0].startswith(
+                f"dr-coefficient g={g} "):
+            raise CacheConsistencyError(
+                f"stored record for {(g, n, key)} is not an elimination record")
+        return stored
+    if g == 0:
+        # every degree-one psi-monomial on the three-marked space already
+        # exceeds the dimension, so the expressions are zero
+        return db.store(g, n, key, BoundaryExpression(TautClass(g, n), []))
+    k = exps[-1] + 1
+    m = _elimination_monomial(g, exps[:-1], k)
     # The doubled-divisor normalization 2^{g+1} (g+1)! [omega]_{g+1} makes
     # every pivot the literal multinomial coefficient of the squared bracket;
     # the produced boundary expressions are scale-independent.
-    scale = Fraction(2 ** (g + 1))
-
-    # base: the all-ones monomial isolates psi_{2g+3}^{g+1}
-    base_m = (1,) * width
-    rel = dr_relation_coefficient(g, base_m) * scale
+    rel = dr_relation_coefficient(g, m) * Fraction(2 ** (g + 1))
     open_part, boundary = open_monomial_decomposition(rel)
-    base_key = _psi_monomial_key((0,) * width + (g + 1,))
-    expected = math.factorial(width)
-    if set(open_part) != {base_key} or open_part[base_key] != expected:
+    # base (k = g+2): the all-ones monomial isolates psi_{2g+3}^{g+1}
+    if k == g + 2 and open_part != {key: math.factorial(2 * g + 2)}:
+        raise RelationPipelineError(f"base step expected (2g+2)! {key}, got {open_part}")
+    _check_key_observation(g, m, open_part)
+    if key not in open_part:
+        raise RelationPipelineError(f"elimination step lost its target {key}")
+    c_k = open_part.pop(key)
+    if not (c_k > 0 and c_k.denominator == 1):
         raise RelationPipelineError(
-            f"base elimination step expected {expected} * psi_{n}^{g+1}, got {open_part}")
-    record((0,) * width + (g + 1,), -boundary * Fraction(1, expected),
-           [f"dr-coefficient g={g} monomial={base_m} (base step)"])
-
-    for k in range(g + 1, 0, -1):
-        deg = g + 1 - (k - 1)
-        for K in _compositions(deg, width):
-            target = K + (k - 1,)
-            m = _elimination_monomial(g, K, k)
-            rel = dr_relation_coefficient(g, m) * scale
-            open_part, boundary = open_monomial_decomposition(rel)
-            _check_key_observation(g, m, open_part)
-            target_key = _psi_monomial_key(target)
-            if target_key not in open_part:
-                raise RelationPipelineError(
-                    f"elimination step lost its target {target_key}")
-            c_k = open_part.pop(target_key)
-            if not (c_k > 0 and c_k.denominator == 1):
-                raise RelationPipelineError(
-                    f"pivot for {target_key} is not a positive integer: {c_k}")
-            acc = -boundary
-            for other_key, coeff in open_part.items():
-                exps = _psi_exps_from_key(other_key, n)
-                if exps[-1] < k:
-                    raise RelationPipelineError(
-                        f"unresolved open monomial {other_key} in step {target_key}")
-                acc._add_in_place(results[other_key].value * -coeff)
-            record(target, acc * Fraction(1, c_k),
-                   [f"dr-coefficient g={g} monomial={m} (stage k={k})"])
-    return results
+            f"pivot for {key} is not a positive integer: {c_k}")
+    acc = -boundary
+    for other_key, coeff in open_part.items():
+        other = _psi_exps_from_key(other_key, n)
+        if other[-1] < k:
+            raise RelationPipelineError(
+                f"unresolved open monomial {other_key} in step {key}")
+        acc._add_in_place(_lemma_record(g, other, db).value * -coeff)
+    stage = "base step" if k == g + 2 else f"stage k={k}"
+    return db.store(g, n, key, BoundaryExpression(
+        acc * Fraction(1, c_k), [f"dr-coefficient g={g} monomial={m} ({stage})"]))
 
 
 def _compositions(total: int, width: int):
@@ -561,7 +556,8 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
 
     Requires k >= g for n >= 1 (k >= 1 in genus zero, k >= g-1 for n = 0);
     classes of degree beyond the dimension are zero.  The result and every
-    expression it requests are memoized here; the routes store nothing.
+    expression it requests are memoized here or, for elimination records,
+    in _lemma_record; no other route stores.
     """
     if not is_stable_pair(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not a stable pair")
@@ -620,6 +616,9 @@ def _boundary_expression_route(g, n, psi, kappa, db, _active) -> BoundaryExpress
         return _genus0_kappa_route(n, kappa, db, _active)
     if n == 0:
         return _unmarked_route(g, kappa, db, _active)
+    if n == 2 * g + 3 and not kappa and sum(psi.values()) == g + 1:
+        # genus >= 2: the elimination alone writes these records
+        return _lemma_record(g, tuple(psi.get(i, 0) for i in range(1, n + 1)), db)
     if n >= 2 and any(psi.get(i, 0) == 0 for i in range(1, n + 1)):
         return _induct_n_route(g, n, psi, kappa, db, _active)
     return _p_route(g, n, psi, kappa, db, _active)
@@ -803,12 +802,7 @@ def _p_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
         exps[j] = 1
     exps[width - 1] = 1
     K = _choose_core(g, n, tuple(exps))
-    core = db.get(g, width, _psi_monomial_key(K))
-    if core is None:
-        psi_boundary_lemma(g, db)
-        core = db.get(g, width, _psi_monomial_key(K))
-    if core is None:
-        raise RelationPipelineError("missing core boundary expression")
+    core = _lemma_record(g, K, db)
     mult = {i + 1: e - K[i] for i, e in enumerate(exps) if e - K[i] > 0}
     pushed = core.value.mul_monomial(psi_exps=mult).pushforward_to(n)
     provenance = core.provenance + [

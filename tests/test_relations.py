@@ -360,15 +360,76 @@ def test_psi_boundary_lemma_substitution_is_formal_zero():
         assert acc.is_zero(), m
 
 
+@pytest.fixture
+def coefficient_calls(monkeypatch):
+    """The monomials of every dr_relation_coefficient call made by relations."""
+    calls = []
+    inner = relations.dr_relation_coefficient
+
+    def counting(g, a_monomial, *args, **kwargs):
+        calls.append(tuple(a_monomial))
+        return inner(g, a_monomial, *args, **kwargs)
+    monkeypatch.setattr(relations, "dr_relation_coefficient", counting)
+    return calls
+
+
+GENUS_ONE_LEMMA_SHA256 = \
+    "26bbf982da7aaaef72b8a2625cc905469f42f5c26453652e6d7a03c35d380452"
+
+
+def _genus_one_lemma_lines(path):
+    psi_boundary_lemma(1, RelationDatabase(str(path)))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GENUS_ONE_LEMMA_SHA256
+    return data.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("kept", [1, 7, 14])
+def test_truncated_lemma_database_resumes_to_the_same_bytes(tmp_path, kept,
+                                                           coefficient_calls):
+    lines = _genus_one_lemma_lines(tmp_path / "full.jsonl")
+    assert len(lines) == 15 and len(coefficient_calls) == 15
+    path = tmp_path / "cut.jsonl"
+    path.write_bytes(b"".join(lines[:kept]))
+    coefficient_calls.clear()
+    psi_boundary_lemma(1, RelationDatabase(str(path)))
+    assert len(coefficient_calls) == 15 - kept
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENUS_ONE_LEMMA_SHA256
+
+
+def test_lemma_refuses_a_record_another_route_wrote():
+    # genus-1 requests never take the elimination, and their psi1^2 on
+    # (1,5) is another expression than the lemma's: the lemma must not
+    # build on it
+    db = RelationDatabase()
+    boundary_expression(1, 5, "psi1^2", db)
+    with pytest.raises(CacheConsistencyError, match=r"psi1\^2"):
+        psi_boundary_lemma(1, db)
+
+
+def test_genus_two_elimination_monomial_is_asked_of_the_lemma(monkeypatch):
+    # one writer per key: the pullback route would store another expression
+    # under a key the elimination also writes
+    asked = []
+
+    def lemma(g, exps, db):
+        asked.append((g, exps))
+        return db.store(g, 7, "psi1^3", BoundaryExpression(
+            TautClass(g, 7), ["dr-coefficient g=2 stub"]))
+    monkeypatch.setattr(relations, "_lemma_record", lemma)
+    boundary_expression(2, 7, "psi1^3", RelationDatabase())
+    assert asked == [(2, (3, 0, 0, 0, 0, 0, 0))]
+
+
 # -- boundary expressions --------------------------------------------------------
 
 @pytest.fixture
 def no_elimination_lemma(monkeypatch):
     """Genus-0/1 boundary expressions never take the (2g+3)-marked
     elimination: every route there is a base case, a pullback or a product."""
-    def refuse(g, db=None):
-        raise AssertionError(f"psi_boundary_lemma({g}) ran")
-    monkeypatch.setattr(relations, "psi_boundary_lemma", refuse)
+    def refuse(g, exps, db):
+        raise AssertionError(f"_lemma_record({g}, {exps}) ran")
+    monkeypatch.setattr(relations, "_lemma_record", refuse)
 
 
 def test_boundary_expression_m04_psi(no_elimination_lemma):
@@ -462,13 +523,21 @@ def test_one_marked_genus_one_is_history_independent(no_elimination_lemma):
         {(1, 5, "psi1"), (1, 5, "psi1^2")}
 
 
-def test_pushforward_route_agrees_with_the_base_system():
+def test_pushforward_route_agrees_with_the_base_system(tmp_path, coefficient_calls):
     # only genus >= 2 requests take the pushed-core route, so it is run
     # directly here: on the one-marked genus-one space, where the degree-one
     # boundary classes are multiples of delta_irr, both give kappa1 exactly
-    db = RelationDatabase()
+    path = tmp_path / "core.jsonl"
+    db = RelationDatabase(str(path))
     pushed = relations._p_route(1, 1, {}, {1: 1}, db, set())
     assert pushed.provenance[0].startswith("dr-coefficient g=1")
+    # the core psi2*psi5 needs its own coefficient and that of the one open
+    # monomial it holds, psi5^2, not the whole lemma
+    assert coefficient_calls == [(1, 2, 1, 0), (1, 1, 1, 1)]
+    # and stores them as the full lemma does, byte for byte
+    core_lines = path.read_bytes().splitlines(keepends=True)
+    assert len(core_lines) == 2
+    assert set(core_lines) <= set(_genus_one_lemma_lines(tmp_path / "full.jsonl"))
     assert pushed.value == boundary_expression(1, 1, "kappa1", db).value
 
 
