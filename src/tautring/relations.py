@@ -17,10 +17,12 @@ where polynomiality is manifest.
 
 _lemma_record reads and writes the elimination records (degree-(g+1)
 psi-monomials on the (2g+3)-marked space) and boundary_expression every other
-record; no other route stores.  psi1 and kappa1 on the one-marked genus-one
-space always come from the base system of two pushed relations.  Every route
-that solves one relation for its target monomial (_induct_n_route, _p_route,
-_unmarked_route) does so in _solve_for_target.
+record; no other route stores, and where genus 0 and 1 give an elimination
+key a second route, each refuses the other's record.  psi1 and kappa1 on the
+one-marked genus-one space always come from the base system of two pushed
+relations.  Every route that solves one relation for its target monomial
+(_induct_n_route, _p_route, _unmarked_route) does so in _solve_for_target,
+and every solve substitutes for its other open monomials in _substitute.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class CacheConsistencyError(RuntimeError):
 # Theta divisor and its powers
 # ---------------------------------------------------------------------------
 
-def _a_vars(n: int) -> tuple:
-    return tuple(f"a{i}" for i in range(1, n + 1))
-
-
 def theta_generators(g: int, n: int, A=None):
     """The theta pullback as a list of (generator, coefficient) pairs.
 
@@ -81,7 +79,7 @@ def theta_generators(g: int, n: int, A=None):
             raise ValueError("ramification vector length differs from n")
         a, zero = A, Fraction(0)
     else:
-        variables = _a_vars(n)
+        variables = tuple(f"a{i}" for i in range(1, n + 1))
         a = [MultiPoly.variable(variables, v) for v in variables]
         zero = MultiPoly(variables)
 
@@ -136,30 +134,6 @@ def dr_relation(g: int, A) -> TautClass:
     return weighted_constant_term(g, [(A, 1)], g + 1) * math.factorial(g + 1)
 
 
-def _upstairs_coefficient(g: int, a_monomial, mult: dict, forget):
-    """Check the arguments of dr_relation_coefficient; return the coefficient
-    of a_monomial in the DR relation on the (2g+3)-marked space and the
-    number of markings left after forgetting."""
-    n_up = 2 * g + 3
-    a_monomial = tuple(a_monomial)
-    if len(a_monomial) != 2 * g + 2:
-        raise ValueError("monomial must list exponents of a_1..a_{2g+2}")
-    if sum(a_monomial) != 2 * g + 2:
-        raise ValueError("monomial degree must be exactly 2g+2")
-    forget = set(forget)
-    target_n = n_up - len(forget)
-    if forget != set(range(target_n + 1, n_up + 1)):
-        raise ValueError("forgotten legs must be the top labels")
-    for i in forget:
-        if i != n_up and mult.get(i, 0) < 1:
-            raise ValueError(
-                f"multiplier must contain psi_{i} to forget leg {i}")
-    stencil = [(point + (-sum(point),), weight) for point, weight
-               in finite_difference_stencil(a_monomial, 2 * g + 2)]
-    upstairs = weighted_constant_term(g, stencil, g + 1) * math.factorial(g + 1)
-    return upstairs, target_n
-
-
 def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
                             forget=()) -> TautClass:
     """Coefficient of a ramification monomial in the pushed relation.
@@ -173,31 +147,25 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     scalars, never on classes at the points), and only that one class is
     multiplied and pushed forward.
     """
-    mult = dict(psi_multiplier or {})
-    upstairs, target_n = _upstairs_coefficient(g, a_monomial, mult, forget)
-    return upstairs.mul_monomial(psi_exps=mult).pushforward_to(target_n)
-
-
-def pushforward_relation(g: int, n: int, psi_multiplier, a_monomial) -> TautClass:
-    """Pushed relation on the n-marked space with the boundary-control check:
-    the part of the relation supported on the boundary upstairs must push to
-    classes supported on the boundary downstairs.  Both are pushed from one
-    upstairs coefficient, taken and checked as in dr_relation_coefficient."""
-    if n > g:
-        raise ValueError("the pushed-relation route needs n <= g")
+    n_up = 2 * g + 3
     a_monomial = tuple(a_monomial)
-    if any(a_monomial[i - 1] < 1 for i in range(1, n + 1)):
-        raise ValueError("monomial must be a multiple of a_1..a_n")
+    if len(a_monomial) != 2 * g + 2:
+        raise ValueError("monomial must list exponents of a_1..a_{2g+2}")
+    if sum(a_monomial) != 2 * g + 2:
+        raise ValueError("monomial degree must be exactly 2g+2")
     mult = dict(psi_multiplier or {})
-    upstairs, _ = _upstairs_coefficient(g, a_monomial, mult, range(n + 1, 2 * g + 4))
-    # psi-classes keep every stratum's graph: the boundary part of the
-    # product is the product of the boundary part
-    upstairs = upstairs.mul_monomial(psi_exps=mult)
-    leak = (upstairs - upstairs.restrict("open")).pushforward_to(n)
-    if not leak.restrict("open").is_zero():
-        raise RelationPipelineError(
-            "boundary terms leaked into the open locus after pushforward")
-    return upstairs.pushforward_to(n)
+    forget = set(forget)
+    target_n = n_up - len(forget)
+    if forget != set(range(target_n + 1, n_up + 1)):
+        raise ValueError("forgotten legs must be the top labels")
+    for i in forget:
+        if i != n_up and mult.get(i, 0) < 1:
+            raise ValueError(
+                f"multiplier must contain psi_{i} to forget leg {i}")
+    stencil = [(point + (-sum(point),), weight) for point, weight
+               in finite_difference_stencil(a_monomial, 2 * g + 2)]
+    upstairs = weighted_constant_term(g, stencil, g + 1) * math.factorial(g + 1)
+    return upstairs.mul_monomial(psi_exps=mult).pushforward_to(target_n)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +450,7 @@ def _lemma_record(g: int, exps: tuple, db: RelationDatabase) -> BoundaryExpressi
     key = _psi_monomial_key(exps)
     stored = db.get(g, n, key)
     if stored is not None:
-        # another route's record may hold another valid expression: refuse it
-        if stored.provenance and not stored.provenance[0].startswith(
-                f"dr-coefficient g={g} "):
-            raise CacheConsistencyError(
-                f"stored record for {(g, n, key)} is not an elimination record")
+        _check_writer(g, n, key, stored, elimination=True)
         return stored
     if g == 0:
         # every degree-one psi-monomial on the three-marked space already
@@ -509,16 +473,28 @@ def _lemma_record(g: int, exps: tuple, db: RelationDatabase) -> BoundaryExpressi
     if not (c_k > 0 and c_k.denominator == 1):
         raise RelationPipelineError(
             f"pivot for {key} is not a positive integer: {c_k}")
-    acc = -boundary
-    for other_key, coeff in open_part.items():
+
+    def fetch(other_key):
         other = _psi_exps_from_key(other_key, n)
         if other[-1] < k:
             raise RelationPipelineError(
                 f"unresolved open monomial {other_key} in step {key}")
-        acc._add_in_place(_lemma_record(g, other, db).value * -coeff)
+        return _lemma_record(g, other, db)
+
+    acc = _substitute(open_part, boundary, fetch, [])
     stage = "base step" if k == g + 2 else f"stage k={k}"
     return db.store(g, n, key, BoundaryExpression(
-        acc * Fraction(1, c_k), [f"dr-coefficient g={g} monomial={m} ({stage})"]))
+        acc * Fraction(-1, c_k), [f"dr-coefficient g={g} monomial={m} ({stage})"]))
+
+
+def _check_writer(g, n, key, stored, elimination) -> None:
+    """Refuse a stored record of an elimination key that the other route
+    wrote: genus 0 and 1 give those keys two different valid values.  A zero
+    record with no provenance belongs to both routes."""
+    if stored.provenance and elimination != stored.provenance[0].startswith(
+            f"dr-coefficient g={g} "):
+        raise CacheConsistencyError(
+            f"stored record for {(g, n, key)} was written by another route")
 
 
 def _compositions(total: int, width: int):
@@ -578,6 +554,8 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
             f"degree {deg} below the vanishing threshold {threshold} on ({g},{n})")
     cached = db.get(g, n, key)
     if cached is not None:
+        if g <= 1 and n == 2 * g + 3 and not kappa and deg == g + 1:
+            _check_writer(g, n, key, cached, elimination=False)
         return cached
     if deg > 3 * g - 3 + n:
         return db.store(g, n, key, BoundaryExpression(TautClass(g, n), []))
@@ -593,12 +571,12 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
     return db.store(g, n, key, be)
 
 
-def _substitute_open(g, n, c: TautClass, db, _active, provenance):
-    """Replace every edgeless monomial of c by its boundary expression."""
-    open_part, boundary = open_monomial_decomposition(c)
-    acc = boundary
-    for mkey, coeff in open_part.items():
-        sub = boundary_expression(g, n, mkey, db, _active)
+def _substitute(open_part: dict, acc: TautClass, fetch, provenance: list) -> TautClass:
+    """The one substitution step: add fetch(key) * coeff into acc, the
+    caller's own class, for each open monomial in order, and append each
+    fetched expression's provenance.  Fetched records are never added into."""
+    for key, coeff in open_part.items():
+        sub = fetch(key)
         provenance.extend(sub.provenance)
         acc._add_in_place(sub.value * coeff)
     return acc
@@ -653,8 +631,9 @@ def _genus0_kappa_route(n, kappa, db, _active) -> BoundaryExpression:
     rest[a] -= 1
     upstairs = boundary_expression(0, n + 1, ({n + 1: a + 1}, {}), db, _active)
     provenance = list(upstairs.provenance) + [f"pushforward of psi{n+1}^{a+1}"]
-    pushed = upstairs.value.forget_pushforward()
-    acc = _substitute_open(0, n, pushed, db, _active, provenance)
+    open_part, acc = open_monomial_decomposition(upstairs.value.forget_pushforward())
+    _substitute(open_part, acc, lambda key: boundary_expression(0, n, key, db, _active),
+                provenance)
     value = acc.mul_monomial(kappas={k: v for k, v in rest.items() if v})
     return BoundaryExpression(value, provenance +
                               [f"multiply by {monomial_key({}, rest)}"])
@@ -762,11 +741,9 @@ def solve_monomial_relations(relations) -> dict:
         if mkey not in solved:
             raise RelationPipelineError(f"system does not determine {mkey}")
         coeffs, rhs, provenance = solved[mkey]
-        acc = TautClass(rhs.g, rhs.n, rhs.terms)    # solved[mkey] stays as it is
-        for m, c in coeffs.items():
-            sub = resolve(m)
-            acc._add_in_place(sub.value * -c)
-            provenance = provenance + sub.provenance
+        provenance = list(provenance)               # solved[mkey] stays as it is
+        acc = _substitute({m: -c for m, c in coeffs.items()},
+                          TautClass(rhs.g, rhs.n, rhs.terms), resolve, provenance)
         out[mkey] = BoundaryExpression(acc, provenance)
         return out[mkey]
 
@@ -818,12 +795,14 @@ def _solve_for_target(g, n, relation, target_key, provenance, db,
                       _active) -> BoundaryExpression:
     """Solve a Chow-zero relation for its edgeless target monomial, with
     every other edgeless monomial replaced by its boundary expression."""
-    pivot = open_monomial_decomposition(relation)[0].get(target_key, 0)
+    open_part, boundary = open_monomial_decomposition(relation)
+    pivot = open_part.pop(target_key, 0)
     if pivot == 0:
         raise RelationPipelineError(
             f"relation lost its target {target_key} (zero pivot)")
-    rest = relation - monomial_class(g, n, target_key) * pivot
-    acc = _substitute_open(g, n, rest, db, _active, provenance)
+    acc = _substitute(open_part, boundary,
+                      lambda key: boundary_expression(g, n, key, db, _active),
+                      provenance)
     return BoundaryExpression(acc * (Fraction(-1) / pivot), provenance)
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from tautring import cli
 from tautring.cli import main
-from tautring.relations import CacheIntegrityError, RelationDatabase, _record_hash
+from tautring.relations import (CacheIntegrityError, RelationDatabase, _record_hash,
+                                psi_boundary_lemma)
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -342,3 +343,15 @@ def test_verify_m11(tmp_path):
     data = read_json(out)
     assert data["failures"] == 0
     assert all(check["pass"] for check in data["checks"])
+
+
+def test_request_on_a_lemma_database_exits_three(tmp_path, capsys):
+    # psi1^2 on (1,5) is an elimination key: a genus-1 request refuses the
+    # lemma's record rather than return another expression than its own
+    db = tmp_path / "lemma.jsonl"
+    psi_boundary_lemma(1, RelationDatabase(str(db)))
+    capsys.readouterr()
+    assert run(["boundary-expression", "--genus", "1", "--markings", "5",
+                "--monomial", "psi1^2", "--db", str(db)]) == 3
+    err = capsys.readouterr().err
+    assert "psi1^2" in err and "Traceback" not in err, err

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+import pathlib
+import shutil
 import tempfile
 from fractions import Fraction
 
@@ -28,7 +30,6 @@ from tautring.relations import (
     open_monomial_decomposition,
     parse_monomial,
     psi_boundary_lemma,
-    pushforward_relation,
     solve_monomial_relations,
     theorem_star_reduce,
     theta_divisor,
@@ -257,16 +258,15 @@ def test_one_loop_graph_contributes_nothing_to_top_monomial():
     assert finite_difference_extract(f, (1, 1, 1, 1), 4).is_zero()
 
 
-def test_pushforward_relation_checks_preconditions():
-    with pytest.raises(ValueError):
-        pushforward_relation(1, 1, {2: 1, 3: 1, 4: 1}, (0, 2, 1, 1))
-    with pytest.raises(ValueError):
-        pushforward_relation(1, 1, {2: 1, 3: 1}, (1, 1, 1, 1))
-
-
-def test_pushforward_relation_boundary_control():
-    rel = pushforward_relation(1, 1, {2: 1, 3: 1, 4: 1}, (1, 1, 1, 1))
-    assert rel == TautClass.kappa(1, 1, 1) * 144 - dirr(1, 1) * 12
+def test_dr_coefficient_boundary_control():
+    # with nothing forgotten the coefficient is the multiplied class upstairs:
+    # its boundary part must push to classes supported on the boundary
+    upstairs = dr_relation_coefficient(1, (1, 1, 1, 1), {2: 1, 3: 1, 4: 1})
+    assert (upstairs.g, upstairs.n) == (1, 5)
+    leak = (upstairs - upstairs.restrict("open")).pushforward_to(1)
+    assert leak.restrict("open").is_zero()
+    assert upstairs.pushforward_to(1) == \
+        TautClass.kappa(1, 1, 1) * 144 - dirr(1, 1) * 12
 
 
 def test_claim_three_pushforward_shape():
@@ -407,6 +407,19 @@ def test_lemma_refuses_a_record_another_route_wrote():
         psi_boundary_lemma(1, db)
 
 
+def test_request_refuses_a_record_the_lemma_wrote():
+    # and the other way round: a genus-1 request does not return the lemma's
+    # record, which holds another expression than its own route gives
+    db = RelationDatabase()
+    psi_boundary_lemma(1, db)
+    with pytest.raises(CacheConsistencyError, match=r"psi1\^2"):
+        boundary_expression(1, 5, "psi1^2", db)
+    # genus 0: both routes write the same zero record, with no provenance
+    db = RelationDatabase()
+    psi_boundary_lemma(0, db)
+    assert boundary_expression(0, 3, "psi1", db).value.is_zero()
+
+
 def test_genus_two_elimination_monomial_is_asked_of_the_lemma(monkeypatch):
     # one writer per key: the pullback route would store another expression
     # under a key the elimination also writes
@@ -539,6 +552,66 @@ def test_pushforward_route_agrees_with_the_base_system(tmp_path, coefficient_cal
     assert len(core_lines) == 2
     assert set(core_lines) <= set(_genus_one_lemma_lines(tmp_path / "full.jsonl"))
     assert pushed.value == boundary_expression(1, 1, "kappa1", db).value
+
+
+# -- genus-2 golden records ---------------------------------------------------
+
+# kappa1 on the unmarked space and psi1^2, kappa2, psi1*kappa1 on the
+# one-marked space, as the full elimination writes them (v2 lines)
+GENUS_TWO_RECORDS = pathlib.Path(__file__).parent / "data" / "genus2_records.jsonl"
+GENUS_TWO_SHA256 = {
+    (2, 0, "kappa1"): "92d0abf48dcf340d40bd05271f30b9ead26a3a1035d0d5867518449f21c03649",
+    (2, 1, "psi1^2"): "f63c0b53503e1bc5595da8b6c1ecb4ff10e84dc7f7b529c9ec3f16c9e83e2bbf",
+    (2, 1, "kappa2"): "2cfb6acc38e52db7447812266b018d931858ab224d7a45eac211c08437c54d76",
+    (2, 1, "psi1*kappa1"):
+        "f48e7ac094e8fdbdf2faef388c2422cea216da184fce57fa83f2572ef0dd865c",
+}
+
+
+def _golden_genus_two(tmp_path):
+    # a copy: star reduction appends the genus-1 records it asks for
+    path = tmp_path / "genus2.jsonl"
+    shutil.copyfile(GENUS_TWO_RECORDS, path)
+    return RelationDatabase(str(path))
+
+
+def test_genus_two_golden_records(tmp_path, coefficient_calls):
+    db = _golden_genus_two(tmp_path)
+    digests = {}
+    for key in GENUS_TWO_SHA256:
+        blob = json.dumps(db.get(*key).to_json(), sort_keys=True, separators=(",", ":"))
+        digests[key] = hashlib.sha256(blob.encode()).hexdigest()
+    assert digests == GENUS_TWO_SHA256
+    # Mumford (1983): kappa1 = 12 lambda1 - delta, with
+    # 10 lambda1 = delta_irr + 2 delta_1
+    mumford = (dirr(2, 0) * Fraction(1, 5)
+               + boundary_divisor_class(2, 0, ("sep", 1, ())) * Fraction(7, 5))
+    assert boundary_expression(2, 0, "kappa1", db).value == mumford
+    for key in ("psi1^2", "kappa2", "psi1*kappa1"):
+        reduced = theorem_star_reduce(monomial_class(2, 1, key), db)
+        assert len(reduced.terms) == 5, key
+        assert all(has_property_star(t) for t in reduced.terms), key
+    # genus-1 coefficients only (four exponents): every genus-2 one is read
+    assert all(len(m) == 4 for m in coefficient_calls), coefficient_calls
+
+
+def _assert_memory_matches_file(db):
+    reopened = RelationDatabase(db.path)
+    assert set(reopened.records) == set(db.records)
+    for key in db.records:
+        assert db.get(*key).to_json() == reopened.get(*key).to_json(), key
+
+
+def test_substituted_records_stay_as_stored(tmp_path):
+    # every solve adds the fetched records into a class of its own: a record
+    # once stored is never changed in memory
+    db = RelationDatabase(str(tmp_path / "round-trip.jsonl"))
+    boundary_expression(0, 6, "psi1^2*kappa1", db)
+    _assert_memory_matches_file(db)
+    db = _golden_genus_two(tmp_path)
+    for key in ("psi1^2", "kappa2", "psi1*kappa1"):
+        theorem_star_reduce(monomial_class(2, 1, key), db)
+        _assert_memory_matches_file(db)
 
 
 # -- substitution soundness: the produced expressions satisfy the pullback
