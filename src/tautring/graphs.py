@@ -372,21 +372,26 @@ def add_loop(graph: StableGraph, v: int) -> tuple:
     return stable_graph(*_loop_fields(graph, v)), graph.n_edges
 
 
+@lru_cache(maxsize=None)
+def _split_patterns(n: int) -> tuple:
+    """(bits, complement, sum of bits) per 0/1 pattern of length n."""
+    patterns = list(itertools.product((0, 1), repeat=n))
+    # product() counts in binary, so reading it backwards gives complements
+    return tuple(zip(patterns, reversed(patterns), map(sum, patterns)))
+
+
 def vertex_split_options(gv: int, tags):
     """Labeled separating splits of a genus-gv vertex with attachment tags,
     both sides stable, one per unordered split: (g1, moved_tags) for
     split_vertex.  Multiplicities matter for divisor products, so no
     isomorphism deduplication happens here."""
     n = len(tags)
-    # product() counts in binary, so reading it backwards gives complements
-    patterns = list(itertools.product((0, 1), repeat=n))
     # each unordered split is listed once, from its side of lower
     # (genus, tags), so g1 never exceeds gv - g1
     for g1 in range(gv // 2 + 1):
         g2 = gv - g1
-        for bits, rest in zip(patterns, reversed(patterns)):
+        for bits, rest, k1 in _split_patterns(n):
             # each side also gets the new edge's half-edge
-            k1 = sum(bits)
             if 2 * g1 - 1 + k1 <= 0 or 2 * g2 - 1 + n - k1 <= 0:
                 continue
             side2 = tuple(itertools.compress(tags, rest))

@@ -19,10 +19,9 @@ _lemma_record reads and writes the elimination records (degree-(g+1)
 psi-monomials on the (2g+3)-marked space) and boundary_expression every other
 record; no other route stores, and where genus 0 and 1 give an elimination
 key a second route, each refuses the other's record.  psi1 and kappa1 on the
-one-marked genus-one space always come from the base system of two pushed
-relations.  Every route that solves one relation for its target monomial
-(_induct_n_route, _p_route, _unmarked_route) does so in _solve_for_target,
-and every solve substitutes for its other open monomials in _substitute.
+one-marked genus-one space each come from one pushed DR coefficient.  Every
+solve of one relation for its target monomial, in the elimination, in each
+route and in solve_monomial_relations, is _solve_for_target.
 """
 
 from __future__ import annotations
@@ -467,9 +466,7 @@ def _lemma_record(g: int, exps: tuple, db: RelationDatabase) -> BoundaryExpressi
     if k == g + 2 and open_part != {key: math.factorial(2 * g + 2)}:
         raise RelationPipelineError(f"base step expected (2g+2)! {key}, got {open_part}")
     _check_key_observation(g, m, open_part)
-    if key not in open_part:
-        raise RelationPipelineError(f"elimination step lost its target {key}")
-    c_k = open_part.pop(key)
+    c_k = open_part.get(key, 0)
     if not (c_k > 0 and c_k.denominator == 1):
         raise RelationPipelineError(
             f"pivot for {key} is not a positive integer: {c_k}")
@@ -481,10 +478,10 @@ def _lemma_record(g: int, exps: tuple, db: RelationDatabase) -> BoundaryExpressi
                 f"unresolved open monomial {other_key} in step {key}")
         return _lemma_record(g, other, db)
 
-    acc = _substitute(open_part, boundary, fetch, [])
+    value = _solve_for_target(open_part, boundary, key, fetch, [])
     stage = "base step" if k == g + 2 else f"stage k={k}"
     return db.store(g, n, key, BoundaryExpression(
-        acc * Fraction(-1, c_k), [f"dr-coefficient g={g} monomial={m} ({stage})"]))
+        value, [f"dr-coefficient g={g} monomial={m} ({stage})"]))
 
 
 def _check_writer(g, n, key, stored, elimination) -> None:
@@ -571,21 +568,37 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
     return db.store(g, n, key, be)
 
 
-def _substitute(open_part: dict, acc: TautClass, fetch, provenance: list) -> TautClass:
-    """The one substitution step: add fetch(key) * coeff into acc, the
-    caller's own class, for each open monomial in order, and append each
-    fetched expression's provenance.  Fetched records are never added into."""
+def _solve_for_target(open_part: dict, boundary: TautClass, target_key: str,
+                      fetch, provenance: list) -> TautClass:
+    """The one solve step: the Chow-zero relation open_part + boundary solved
+    for its target.  The boundary, scaled by -1/pivot into a class of its
+    own, gets fetch(key) * coeff of each other open monomial added in order,
+    and each fetched provenance is appended; fetched records stay as stored."""
+    pivot = open_part.pop(target_key, 0)
+    if pivot == 0:
+        raise RelationPipelineError(
+            f"relation lost its target {target_key} (zero pivot)")
+    scale = Fraction(-1) / pivot
+    acc = boundary * scale
     for key, coeff in open_part.items():
         sub = fetch(key)
         provenance.extend(sub.provenance)
-        acc._add_in_place(sub.value * coeff)
+        acc._add_in_place(sub.value * (coeff * scale))
     return acc
+
+
+def _solve_by_requests(g, n, relation, target_key, provenance, db, _active):
+    """_solve_for_target on (g, n), the other open monomials requested."""
+    value = _solve_for_target(*open_monomial_decomposition(relation), target_key,
+                              lambda key: boundary_expression(g, n, key, db, _active),
+                              provenance)
+    return BoundaryExpression(value, provenance)
 
 
 def _boundary_expression_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     if (g, n) == (1, 1):
         # psi1 or kappa1: every other monomial here exceeds the dimension
-        return _one_marked_base(monomial_key(psi, kappa))
+        return _one_marked_base(monomial_key(psi, kappa), db, _active)
     if g <= 1 and psi:
         if not kappa and list(psi.values()) == [1]:
             return _psi_pullback_route(g, n, min(psi), db, _active)
@@ -624,17 +637,20 @@ def _relabel_route(g, n, psi, kappa, i, db, _active) -> BoundaryExpression:
 
 
 def _genus0_kappa_route(n, kappa, db, _active) -> BoundaryExpression:
-    """kappa-monomials in genus 0: kappa_a = pushforward of psi_{n+1}^{a+1};
-    the open spill is re-expressed recursively (its degree drops)."""
+    """kappa-monomials in genus 0: kappa_a - pi_*(B), B the boundary expression
+    of psi_{n+1}^{a+1}, solved for kappa_a, times the rest.  kappa_a is its
+    only open monomial: all of psi_{n+1}^{a+1} sits on the vertex carrying
+    n+1, and a three-pointed genus-0 bubble carries no decoration, so pi_*
+    contracts no edge of B."""
     a = min(kappa)
     rest = dict(kappa)
     rest[a] -= 1
     upstairs = boundary_expression(0, n + 1, ({n + 1: a + 1}, {}), db, _active)
     provenance = list(upstairs.provenance) + [f"pushforward of psi{n+1}^{a+1}"]
-    open_part, acc = open_monomial_decomposition(upstairs.value.forget_pushforward())
-    _substitute(open_part, acc, lambda key: boundary_expression(0, n, key, db, _active),
-                provenance)
-    value = acc.mul_monomial(kappas={k: v for k, v in rest.items() if v})
+    relation = TautClass.kappa(0, n, a) - upstairs.value.forget_pushforward()
+    solved = _solve_by_requests(0, n, relation, monomial_key({}, {a: 1}),
+                                provenance, db, _active)
+    value = solved.value.mul_monomial(kappas={k: v for k, v in rest.items() if v})
     return BoundaryExpression(value, provenance +
                               [f"multiply by {monomial_key({}, rest)}"])
 
@@ -676,31 +692,27 @@ def _induct_n_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     # positive psi_n or an extra bubble, and it equals the pulled boundary
     # expression even when the monomial vanishes on the smaller space
     relation = _formal_monomial_pullback(g, n, psi, kappa) - pulled
-    return _solve_for_target(g, n, relation, monomial_key(psi, kappa),
-                             provenance, db, _active)
+    return _solve_by_requests(g, n, relation, monomial_key(psi, kappa),
+                              provenance, db, _active)
 
 
-def _one_marked_base(key: str) -> BoundaryExpression:
-    """psi1 or kappa1 on the one-marked genus-one space, solved from the two
-    four-variable coefficient relations of the pushed degree-two relation."""
-    mult = {2: 1, 3: 1, 4: 1}
-    forget = (2, 3, 4, 5)
-    rel_k = dr_relation_coefficient(1, (1, 1, 1, 1), mult, forget)
-    rel_p = dr_relation_coefficient(1, (2, 1, 1, 0), mult, forget)
-    sol = solve_monomial_relations([
-        (rel_k, "coefficient a1a2a3a4 of the pushed relation"),
-        (rel_p, "coefficient a1^2a2a3 of the pushed relation"),
-    ])
-    if key not in sol:
-        raise RelationPipelineError(f"one-marked base system missed {key}")
-    return sol[key]
+def _one_marked_base(key: str, db, _active) -> BoundaryExpression:
+    """psi1 or kappa1 on the one-marked genus-one space, from one coefficient
+    of the pushed degree-two relation: a1a2a3a4 holds 144 kappa1 as its only
+    open part, a1^2a2a3 holds 72 kappa1 + 24 psi1 (kappa1 is requested)."""
+    monomial, label = {"kappa1": ((1, 1, 1, 1), "a1a2a3a4"),
+                       "psi1": ((2, 1, 1, 0), "a1^2a2a3")}[key]
+    relation = dr_relation_coefficient(1, monomial, {2: 1, 3: 1, 4: 1}, (2, 3, 4, 5))
+    return _solve_by_requests(1, 1, relation, key,
+                              [f"coefficient {label} of the pushed relation"],
+                              db, _active)
 
 
 def solve_monomial_relations(relations) -> dict:
     """Exact Gaussian elimination over the edgeless monomials of the given
     Chow-zero relations; returns boundary expressions for every monomial the
     system determines.  Rows are kept as sparse {monomial: Fraction} maps
-    with a boundary class on the right-hand side."""
+    with a boundary class on the right-hand side.  No route calls it."""
     rows = []
     for rel, label in relations:
         open_part, boundary = open_monomial_decomposition(rel)
@@ -736,15 +748,14 @@ def solve_monomial_relations(relations) -> dict:
     out: dict = {}
 
     def resolve(mkey):
-        if mkey in out:
-            return out[mkey]
         if mkey not in solved:
             raise RelationPipelineError(f"system does not determine {mkey}")
-        coeffs, rhs, provenance = solved[mkey]
-        provenance = list(provenance)               # solved[mkey] stays as it is
-        acc = _substitute({m: -c for m, c in coeffs.items()},
-                          TautClass(rhs.g, rhs.n, rhs.terms), resolve, provenance)
-        out[mkey] = BoundaryExpression(acc, provenance)
+        if mkey not in out:
+            coeffs, rhs, provenance = solved[mkey]
+            # the row reads mkey + sum c * m - rhs = 0; solved[mkey] stays as it is
+            provenance = list(provenance)
+            out[mkey] = BoundaryExpression(_solve_for_target(
+                {mkey: 1, **coeffs}, -rhs, mkey, resolve, provenance), provenance)
         return out[mkey]
 
     for mkey in list(solved):
@@ -787,23 +798,8 @@ def _p_route(g, n, psi, kappa, db, _active) -> BoundaryExpression:
     direct = TautClass.monomial(g, width, psi_exps={
         i + 1: e for i, e in enumerate(exps) if e}).pushforward_to(n)
     relation = direct - pushed        # Chow-zero with edgeless lead terms
-    return _solve_for_target(g, n, relation, monomial_key(psi, kappa),
-                             provenance, db, _active)
-
-
-def _solve_for_target(g, n, relation, target_key, provenance, db,
-                      _active) -> BoundaryExpression:
-    """Solve a Chow-zero relation for its edgeless target monomial, with
-    every other edgeless monomial replaced by its boundary expression."""
-    open_part, boundary = open_monomial_decomposition(relation)
-    pivot = open_part.pop(target_key, 0)
-    if pivot == 0:
-        raise RelationPipelineError(
-            f"relation lost its target {target_key} (zero pivot)")
-    acc = _substitute(open_part, boundary,
-                      lambda key: boundary_expression(g, n, key, db, _active),
-                      provenance)
-    return BoundaryExpression(acc * (Fraction(-1) / pivot), provenance)
+    return _solve_by_requests(g, n, relation, monomial_key(psi, kappa),
+                              provenance, db, _active)
 
 
 def _choose_core(g, n, exps: tuple) -> tuple:
@@ -828,15 +824,12 @@ def _unmarked_route(g, kappa, db, _active) -> BoundaryExpression:
     pushforward."""
     if not kappa:
         raise ValueError("the fundamental class has no boundary expression")
-    upstairs_monomial = (dict({1: 1}), dict(kappa))
-    upstairs = boundary_expression(g, 1, upstairs_monomial, db, _active)
+    upstairs = boundary_expression(g, 1, ({1: 1}, kappa), db, _active)
     provenance = list(upstairs.provenance) + ["pushforward to the unmarked space"]
-    pushed_lhs = upstairs.value.forget_pushforward()
-    direct = TautClass.monomial(g, 1, psi_exps={1: 1},
-                                kappas=kappa).forget_pushforward()
-    relation = direct - pushed_lhs
-    return _solve_for_target(g, 0, relation, monomial_key({}, kappa),
-                             provenance, db, _active)
+    direct = TautClass.monomial(g, 1, psi_exps={1: 1}, kappas=kappa)
+    relation = direct.forget_pushforward() - upstairs.value.forget_pushforward()
+    return _solve_by_requests(g, 0, relation, monomial_key({}, kappa),
+                              provenance, db, _active)
 
 
 # ---------------------------------------------------------------------------

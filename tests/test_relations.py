@@ -525,7 +525,8 @@ def test_one_marked_genus_one_is_history_independent(no_elimination_lemma):
     assert fresh.provenance == ["coefficient a1a2a3a4 of the pushed relation"]
     db = RelationDatabase()
     boundary_expression(1, 1, "psi1", db)
-    assert set(db.records) == {(1, 1, "psi1")}
+    # psi1 is solved from a1^2a2a3, which also holds kappa1: it asks for it
+    assert set(db.records) == {(1, 1, "psi1"), (1, 1, "kappa1")}
     after = boundary_expression(1, 1, "kappa1", db)
     assert after.to_json() == fresh.to_json()
     # a deeper request after kappa1 matches the same request made fresh
@@ -534,6 +535,19 @@ def test_one_marked_genus_one_is_history_independent(no_elimination_lemma):
         boundary_expression(1, 5, "psi1^2", RelationDatabase()).to_json()
     assert {key for key in db.records if key[1] == 5} == \
         {(1, 5, "psi1"), (1, 5, "psi1^2")}
+
+
+def test_one_marked_genus_one_takes_one_coefficient_per_record(coefficient_calls):
+    # psi1 computes its own coefficient and asks for kappa1, which computes
+    # the other; kappa1 asked afterwards is read, and equals a fresh one
+    db = RelationDatabase()
+    psi1 = boundary_expression(1, 1, "psi1", db)
+    kappa1 = boundary_expression(1, 1, "kappa1", db)
+    assert coefficient_calls == [(2, 1, 1, 0), (1, 1, 1, 1)]
+    assert psi1.provenance == ["coefficient a1^2a2a3 of the pushed relation",
+                               "coefficient a1a2a3a4 of the pushed relation"]
+    assert kappa1.to_json() == \
+        boundary_expression(1, 1, "kappa1", RelationDatabase()).to_json()
 
 
 def test_pushforward_route_agrees_with_the_base_system(tmp_path, coefficient_calls):
@@ -591,8 +605,9 @@ def test_genus_two_golden_records(tmp_path, coefficient_calls):
         reduced = theorem_star_reduce(monomial_class(2, 1, key), db)
         assert len(reduced.terms) == 5, key
         assert all(has_property_star(t) for t in reduced.terms), key
-    # genus-1 coefficients only (four exponents): every genus-2 one is read
-    assert all(len(m) == 4 for m in coefficient_calls), coefficient_calls
+    # one genus-1 coefficient per genus-1 record, kappa1 asked first: every
+    # genus-2 coefficient is read
+    assert coefficient_calls == [(1, 1, 1, 1), (2, 1, 1, 0)]
 
 
 def _assert_memory_matches_file(db):
@@ -980,11 +995,15 @@ def test_solve_for_target_substitutes_the_other_open_monomials():
     B = boundary_divisor_class(0, 5, ("sep", 0, (1, 2))).mul_psi(3)
     relation = (monomial_class(0, 5, "psi1^2") * 2
                 - monomial_class(0, 5, "psi2*psi3") * 3 + B)
-    solved = _solve_for_target(0, 5, relation, "psi1^2", ["relation"], db, set())
-    assert solved.value == (B - other.value * 3) * Fraction(-1, 2)
-    assert solved.provenance == ["relation"] + other.provenance
+    provenance = ["relation"]
+    solved = _solve_for_target(*open_monomial_decomposition(relation), "psi1^2",
+                               lambda key: boundary_expression(0, 5, key, db),
+                               provenance)
+    assert solved == (B - other.value * 3) * Fraction(-1, 2)
+    assert provenance == ["relation"] + other.provenance
     with pytest.raises(RelationPipelineError):
-        _solve_for_target(0, 5, B, "psi1^2", ["relation"], db, set())
+        _solve_for_target(*open_monomial_decomposition(B), "psi1^2",
+                          lambda key: boundary_expression(0, 5, key, db), ["relation"])
 
 
 def test_solve_monomial_relations_fills_in_and_back_substitutes():
