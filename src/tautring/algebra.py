@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -193,26 +192,6 @@ class MultiPoly:
                     bits.append(f"{name}^{e}")
             pieces.append("*".join(bits))
         return " + ".join(pieces)
-
-    @classmethod
-    def from_text(cls, variables: Sequence[str], text: str) -> "MultiPoly":
-        variables = tuple(variables)
-        text = text.strip()
-        if text == "0":
-            return cls(variables)
-        terms: dict = {}
-        for piece in text.split(" + "):
-            bits = piece.split("*")
-            coeff = Fraction(bits[0])
-            exps = [0] * len(variables)
-            for bit in bits[1:]:
-                m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", bit)
-                if not m or m.group(1) not in variables:
-                    raise AlgebraError(f"cannot parse monomial piece {bit!r}")
-                exps[variables.index(m.group(1))] += int(m.group(2) or 1)
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(variables, terms)
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"

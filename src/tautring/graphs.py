@@ -15,10 +15,13 @@ certified exactness is cheap.  The search is memoized per labeled graph for
 the strata layer, which looks the same graph up again and again.
 Enumeration searches each of its one-edge degenerations exactly once and
 bypasses that cache: most candidates are throwaway presentations, and as
-cache keys they would stay alive for the life of the process.  Those
-candidates are built unvalidated, and enumeration validates once per class,
-on the class's canonical representative: stability and connectivity are
-isomorphism invariants.
+cache keys they would stay alive for the life of the process.
+
+Graphs are validated where they enter the program: stable_graph checks the
+graphs that callers build and graph_from_json reads.  Every operation on
+stable graphs, here and in the strata layer, builds StableGraph directly:
+surgery, gluing and relabeling of stable graphs give stable graphs, and
+tests check their results with stable_graph.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ class InvalidGraphError(ValueError):
 
 @dataclass(frozen=True)
 class StableGraph:
+    """A stable graph, unchecked: operations on stable graphs build it
+    directly, and data from outside go through stable_graph."""
+
     genera: tuple
     legs: tuple
     edges: tuple
@@ -96,7 +102,9 @@ class StableGraph:
 
 
 def stable_graph(genera, legs, edges) -> StableGraph:
-    """Validate and build a stable graph; raises InvalidGraphError."""
+    """Validate and build a stable graph; raises InvalidGraphError.  The
+    check for graphs entering the program, not for results of operations on
+    stable graphs (module docstring)."""
     graph = StableGraph(tuple(genera), tuple(legs), tuple(tuple(e) for e in edges))
     nv = graph.n_vertices
     if nv == 0:
@@ -152,7 +160,7 @@ def is_stable_pair(g: int, n: int) -> bool:
 def trivial_graph(g: int, n: int) -> StableGraph:
     if not is_stable_pair(g, n):
         raise InvalidGraphError(f"(g, n) = ({g}, {n}) is not a stable pair")
-    return stable_graph((g,), (0,) * n, ())
+    return StableGraph((g,), (0,) * n, ())
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +314,7 @@ def contract_edge(graph: StableGraph, e: int) -> tuple:
         genera[keep] += genera.pop(drop)
     legs = tuple(remap[v] for v in graph.legs)
     edges = tuple((remap[x], remap[y]) for i, (x, y) in enumerate(graph.edges) if i != e)
-    return stable_graph(genera, legs, edges), remap
+    return StableGraph(tuple(genera), legs, edges), remap
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +344,11 @@ def separating_spec(g: int, n: int, h: int, legs) -> tuple:
     return ("sep",) + min((h, legs), other)
 
 
-def _split_fields(graph: StableGraph, v: int, g1: int, moved) -> tuple:
-    """The (genera, legs, edges) of split_vertex, unvalidated."""
+def split_vertex(graph: StableGraph, v: int, g1: int, moved) -> tuple:
+    """Split v into genus g1, keeping index v and the attachments not in
+    `moved`, and a fresh vertex of genus g(v)-g1 carrying the tags in
+    `moved`, joined by a new edge.  Returns (graph', new_edge_index).  Leg
+    and edge identifiers are stable."""
     nv = len(graph.genera)
     genera = graph.genera[:v] + (g1,) + graph.genera[v + 1:] + \
         (graph.genera[v] - g1,)
@@ -350,26 +361,13 @@ def _split_fields(graph: StableGraph, v: int, g1: int, moved) -> tuple:
             a, b = edges[tag[1]]
             edges[tag[1]] = (nv, b) if tag[2] == 0 else (a, nv)
     edges.append((v, nv))
-    return genera, tuple(legs), tuple(edges)
-
-
-def _loop_fields(graph: StableGraph, v: int) -> tuple:
-    """The (genera, legs, edges) of add_loop, unvalidated."""
-    genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-    return genera, graph.legs, graph.edges + ((v, v),)
-
-
-def split_vertex(graph: StableGraph, v: int, g1: int, moved) -> tuple:
-    """Split v into genus g1, keeping index v and the attachments not in
-    `moved`, and a fresh vertex of genus g(v)-g1 carrying the tags in
-    `moved`, joined by a new edge.  Returns (graph', new_edge_index).  Leg
-    and edge identifiers are stable."""
-    return stable_graph(*_split_fields(graph, v, g1, moved)), graph.n_edges
+    return StableGraph(genera, tuple(legs), tuple(edges)), graph.n_edges
 
 
 def add_loop(graph: StableGraph, v: int) -> tuple:
     """Genus-reducing loop at v (inverse of loop contraction)."""
-    return stable_graph(*_loop_fields(graph, v)), graph.n_edges
+    genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
+    return StableGraph(genera, graph.legs, graph.edges + ((v, v),)), graph.n_edges
 
 
 @lru_cache(maxsize=None)
@@ -404,17 +402,13 @@ def one_edge_degenerations(graph: StableGraph):
     """Every labeled (graph', new_edge) whose contraction at new_edge returns
     the input: a loop at each vertex of positive genus, then one split per
     labeled unordered split of each vertex (vertex_split_options).  Pairs
-    may be isomorphic; callers that need classes dedup by canonical key.
-    The graphs are add_loop's and split_vertex's, unvalidated: each is
-    stable and connected whenever the input is."""
-    new_edge = graph.n_edges
+    may be isomorphic; callers that need classes dedup by canonical key."""
     found = []
     for v, tags in enumerate(graph.attachments()):
         if graph.genera[v] >= 1:
-            found.append((StableGraph(*_loop_fields(graph, v)), new_edge))
+            found.append(add_loop(graph, v))
         for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
-            found.append((StableGraph(*_split_fields(graph, v, g1, moved_tags)),
-                          new_edge))
+            found.append(split_vertex(graph, v, g1, moved_tags))
     return found
 
 
@@ -431,19 +425,14 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int):
 @lru_cache(maxsize=None)
 def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
     # levels hold canonical encodings; each candidate is searched once,
-    # uncached, and each class is validated once (module docstring)
+    # uncached (module docstring)
     level = {_canonical_search(trivial_graph(g, n))[0]}
     out = []
     for edges in range(limit + 1):
         # the canonical key is the hex of the text form, where "10" < "2",
         # so encodings are not sorted as tuples
-        parents = []
-        for encoding in sorted(level, key=_encode_hex):
-            # validate the class, and keep a graph on the encoding's own
-            # tuples: kept copies from stable_graph would leave the freed
-            # originals scattered among them, raising peak RSS
-            stable_graph(*encoding)
-            parents.append(StableGraph(*encoding))
+        parents = [StableGraph(*encoding)
+                   for encoding in sorted(level, key=_encode_hex)]
         out.extend(parents)
         if edges == limit:
             break

@@ -543,6 +543,8 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
     kappa = {a: x for a, x in kappa.items() if x}
     if any(not 1 <= i <= n for i in psi):
         raise ValueError("psi label outside the marking set")
+    if any(a < 1 for a in kappa):
+        raise ValueError("kappa index must be >= 1")
     key = monomial_key(psi, kappa)
     deg = sum(psi.values()) + sum(a * x for a, x in kappa.items())
     threshold = 1 if g == 0 else (g - 1 if n == 0 else g)

@@ -41,7 +41,6 @@ from .graphs import (
     relabel_legs,
     separating_spec,
     split_vertex,
-    stable_graph,
     trivial_graph,
     vertex_split_options,
 )
@@ -528,10 +527,15 @@ def encode_coeff(coeff) -> object:
     return str(Fraction(coeff))
 
 
-def decode_coeff(data) -> object:
-    if isinstance(data, dict):
-        return MultiPoly.from_text(tuple(data["vars"]), data["poly"])
-    return Fraction(data)
+def decode_coeff(data) -> Fraction:
+    """Read encode_coeff's Fraction text back; stored classes hold rational
+    coefficients only, so any other form is a ValueError or TypeError."""
+    if type(data) is not str:
+        raise TypeError(f"coefficient {data!r} is not Fraction text")
+    value = Fraction(data)
+    if str(value) != data:
+        raise ValueError(f"coefficient {data!r} is not Fraction text")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +720,6 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
             (a, p), (b, q) = at[("h", e, 0)], at[("h", e, 1)]
             edges.append((a, b))
             psi_edge.append((p, q))
-        out.add_term(stable_graph(genera, legs, edges), tuple(kappa),
-                     tuple(psi_leg), tuple(psi_edge), coeff)
+        out.add_term(StableGraph(tuple(genera), tuple(legs), tuple(edges)),
+                     tuple(kappa), tuple(psi_leg), tuple(psi_edge), coeff)
     return out

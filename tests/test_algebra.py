@@ -185,10 +185,3 @@ def test_finite_difference_matches_stored_polynomials():
                 poly.coefficient(exps)
         with pytest.raises(AlgebraError):
             finite_difference_extract(f, (1, 0, 0, 0, 0), degree)
-
-
-def test_poly_text_round_trip():
-    rng = random.Random(3)
-    for _ in range(20):
-        poly = _random_poly(rng)
-        assert MultiPoly.from_text(V3, poly.to_text()) == poly

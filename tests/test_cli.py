@@ -10,7 +10,7 @@ import pytest
 from tautring import cli
 from tautring.cli import main
 from tautring.relations import (CacheIntegrityError, RelationDatabase, _record_hash,
-                                psi_boundary_lemma)
+                                _text_hash, psi_boundary_lemma)
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -145,6 +145,17 @@ def test_boundary_expression_refuses_low_degree(tmp_path):
                 "--monomial", "psi1"]) == 1
 
 
+def test_kappa_zero_exits_one_before_any_route(tmp_path, capsys):
+    # kappa indices start at 1; the request is refused before the routes
+    # compute and store records it would then not use
+    db = tmp_path / "db.jsonl"
+    for g, n in ((1, 3), (0, 7)):
+        assert run(["boundary-expression", "--genus", str(g), "--markings", str(n),
+                    "--monomial", "kappa0*psi1^2", "--db", str(db)]) == 1, (g, n)
+        assert "kappa index" in capsys.readouterr().err
+    assert not db.exists()
+
+
 def test_corrupt_cache_exits_three(tmp_path, capsys):
     db = tmp_path / "db.jsonl"
     run(["boundary-expression", "--genus", "0", "--markings", "4",
@@ -248,6 +259,20 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
                   "sha256": _record_hash(key, value)}
         db.write_text(json.dumps(record) + "\n")
         assert run(argv_11) == 3, corrupt.__name__
+    # correctly hashed v2 records whose coefficients are not the Fraction
+    # text a stored class holds: a polynomial in ramification variables, and
+    # a bare JSON number
+    key = {"g": 0, "n": 5, "monomial": "psi1"}
+    argv_05 = ["boundary-expression", "--genus", "0", "--markings", "5",
+               "--monomial", "psi1", "--db", str(db)]
+    for coeff in ({"vars": ["a1"], "poly": "1*a1"}, 1):
+        value = boundary_divisor_class(0, 5, ("sep", 0, (1, 2))).to_json()
+        value["terms"][0]["coeff"] = coeff
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        record = {"v": 2, "key": key, "provenance": ["hand-made"],
+                  "sha256": _text_hash(key, ["hand-made"], text), "value": text}
+        db.write_text(json.dumps(record) + "\n")
+        assert run(argv_05) == 3, coeff
 
 
 # Each process stores `count` records of one ~20 KB class on M0,8 (every

@@ -120,16 +120,27 @@ def test_canonical_search_matches_frozen_reference(g, n, limit, most):
     assert most_orders == most
 
 
+def _revalidates(graph):
+    return stable_graph(graph.genera, graph.legs, graph.edges) == graph
+
+
 @pytest.mark.parametrize("g,n,limit", [(0, 6, 3), (1, 4, 4), (2, 2, 4),
                                        (3, 0, 6)])
 def test_enumerated_graphs_are_valid_canonical_representatives(g, n, limit):
-    # candidates are built unvalidated and only each class is validated, so
-    # every graph enumeration returns must pass validation and be its own
-    # canonical representative
+    # enumeration and surgery build StableGraph unchecked (module docstring):
+    # this is the independent check that every graph enumeration returns,
+    # and each of its degenerations and contractions, is stable, connected
+    # and held in tuples, and that enumeration returns canonical
+    # representatives
     try:
+        assert _revalidates(trivial_graph(g, n))
         for graph in enumerate_stable_graphs(g, n, limit):
-            assert stable_graph(graph.genera, graph.legs, graph.edges) == graph
-            assert canonical_graph(graph) == graph
+            assert _revalidates(graph) and canonical_graph(graph) == graph
+            for degen, e in one_edge_degenerations(graph):
+                assert e == graph.n_edges and _revalidates(degen), (graph, degen)
+            for e in range(graph.n_edges):
+                contracted, _ = contract_edge(graph, e)
+                assert _revalidates(contracted), (graph, e)
     finally:
         _canonical.cache_clear()
 

@@ -1013,6 +1013,29 @@ def test_surgery_golden_battery():
     assert digests == _GOLDEN_SURGERY_DIGESTS
 
 
+def test_surgery_term_graphs_revalidate(monkeypatch):
+    # mul_boundary, the forgetful maps and gluing build their graphs
+    # unchecked (graphs module docstring): this is the independent check that
+    # every graph the battery hands to canonical_term, before its dimension
+    # filter can drop a term, and every graph in its results is stable,
+    # connected and held in tuples
+    graphs = set()
+    inner = strata.canonical_term
+
+    def recording(graph, *decoration):
+        graphs.add(graph)
+        return inner(graph, *decoration)
+
+    monkeypatch.setattr(strata, "canonical_term", recording)
+    rng = random.Random(18)
+    for g, n in _GOLDEN_SPACES:
+        for cls in _golden_surgery(_golden_class(rng, g, n)).values():
+            graphs.update(term.graph for term in cls.terms)
+    assert max(graph.n_edges for graph in graphs) >= 3
+    for graph in graphs:
+        assert stable_graph(graph.genera, graph.legs, graph.edges) == graph, graph
+
+
 @settings(max_examples=60, deadline=None)
 @given(_relabeled_classes(slack=2), st.sampled_from((1, 2)))
 def test_kappa_commutes_with_boundary_property(case, a):
