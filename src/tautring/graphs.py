@@ -11,11 +11,8 @@ keeping every leg label on a matching vertex.
 Canonical labeling is by exhaustive search over vertex orderings refined by
 (genus, attached legs, valence, loops) invariants, read in one pass over legs
 and edges; graphs at desk scale have at most a handful of vertices, so
-certified exactness is cheap.  The search is memoized per labeled graph for
-the strata layer, which looks the same graph up again and again.
-Enumeration searches each of its one-edge degenerations exactly once and
-bypasses that cache: most candidates are throwaway presentations, and as
-cache keys they would stay alive for the life of the process.
+certified exactness is cheap.  Caching: the strata layer memoizes canonical
+terms, and this module memoizes only automorphism counts and enumerations.
 
 Graphs are validated where they enter the program: stable_graph checks the
 graphs that callers build and graph_from_json reads.  Every operation on
@@ -71,8 +68,8 @@ class StableGraph:
         """Per vertex, its attachment tags: ('l', label) legs by label, then
         ('h', edge, side) half-edges by edge and side.  Local markings are
         ranked in this order (strata.gluing_pushforward).  One pass over
-        legs and edges, not cached: cached graphs (canonical-labeling keys)
-        would keep every table alive."""
+        legs and edges, not cached: cached graphs (automorphism-count and
+        canonical-term keys) would keep every table alive."""
         tags = [[] for _ in self.genera]
         for i, v in enumerate(self.legs):
             tags[v].append(("l", i + 1))
@@ -95,28 +92,27 @@ class StableGraph:
         return self.h1 == 0
 
     def canonical_key(self) -> str:
-        return _encode_hex(_canonical(self)[0])
+        return _encode_hex(_canonical_search(self)[0])
 
     def __repr__(self):
         return f"StableGraph(genera={self.genera}, legs={self.legs}, edges={self.edges})"
 
 
 def stable_graph(genera, legs, edges) -> StableGraph:
-    """Validate and build a stable graph; raises InvalidGraphError.  The
-    check for graphs entering the program, not for results of operations on
-    stable graphs (module docstring)."""
+    """Validate and build a stable graph of ints; raises InvalidGraphError.
+    The check for graphs entering the program, not for results of operations
+    on stable graphs (module docstring)."""
     graph = StableGraph(tuple(genera), tuple(legs), tuple(tuple(e) for e in edges))
     nv = graph.n_vertices
     if nv == 0:
         raise InvalidGraphError("graph has no vertices")
+    ends = list(itertools.chain(graph.legs, *graph.edges))
+    if any(type(x) is not int for x in [*graph.genera, *ends]):
+        raise InvalidGraphError("genera, leg vertices and edge ends must be ints")
     if any(g < 0 for g in graph.genera):
         raise InvalidGraphError("negative genus")
-    for v in graph.legs:
-        if not 0 <= v < nv:
-            raise InvalidGraphError("leg attached to a missing vertex")
-    for a, b in graph.edges:
-        if not (0 <= a < nv and 0 <= b < nv):
-            raise InvalidGraphError("edge attached to a missing vertex")
+    if not all(0 <= v < nv for v in ends):
+        raise InvalidGraphError("leg or edge attached to a missing vertex")
     # connectivity: a spanning forest is a tree exactly when it has nv - 1 edges
     _, tree = union_find(nv, graph.edges)
     if len(tree) != nv - 1:
@@ -230,16 +226,6 @@ def _canonical_search(graph: StableGraph):
     return best, tuple(best_orders)
 
 
-@lru_cache(maxsize=None)
-def _canonical(graph: StableGraph):
-    """Memoized _canonical_search, for callers that look the same labeled
-    graph up repeatedly (canonical_key, canonical_graph, graph_transports
-    and so the strata layer's canonical terms).  Every key stays alive with
-    the cache, so enumeration calls _canonical_search on its candidates
-    instead, and so does automorphism_count, which is memoized itself."""
-    return _canonical_search(graph)
-
-
 def _encode_hex(encoding) -> str:
     genera, legs, edges = encoding
     text = "g:" + ",".join(map(str, genera)) + \
@@ -249,18 +235,15 @@ def _encode_hex(encoding) -> str:
 
 
 def canonical_graph(graph: StableGraph) -> StableGraph:
-    encoding, _ = _canonical(graph)
-    genera, legs, edges = encoding
-    return StableGraph(genera, legs, edges)
+    return StableGraph(*_canonical_search(graph)[0])
 
 
-def graph_transports(graph: StableGraph):
-    """One relabeling onto the canonical representative per canonical vertex
-    ordering: (vertex_order, slots), where slots[i] = (vertex pair, old edge,
-    flipped) fills canonical edge i.  Parallel edges may fill their run of
-    equal vertex pairs in any order and loops may flip; the decoration
-    transport in the strata layer picks the least of those choices."""
-    _, orders = _canonical(graph)
+def graph_transports(graph: StableGraph, orders):
+    """One relabeling onto the canonical representative per vertex ordering
+    in orders, _canonical_search(graph)[1]: (order, slots), where slots[i] =
+    (vertex pair, old edge, flipped) fills canonical edge i.  Parallel edges
+    may fill their run of equal vertex pairs in any order and loops may flip;
+    the decoration transport in the strata layer picks the least choice."""
     for order in orders:
         pos = _positions(order)
         slots = []
@@ -317,7 +300,6 @@ def contract_edge(graph: StableGraph, e: int) -> tuple:
     return StableGraph(tuple(genera), legs, edges), remap
 
 
-@lru_cache(maxsize=None)
 def edge_profile(graph: StableGraph, e: int):
     """Isomorphism type of the one-edge graph obtained by contracting every
     edge except e: ('irr',) for a non-separating edge, else the
@@ -424,8 +406,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
-    # levels hold canonical encodings; each candidate is searched once,
-    # uncached (module docstring)
+    # levels hold canonical encodings; each candidate is searched once
     level = {_canonical_search(trivial_graph(g, n))[0]}
     out = []
     for edges in range(limit + 1):
@@ -475,11 +456,12 @@ def graph_to_json(graph: StableGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> StableGraph:
-    """Read graph_to_json's form back; a leg labeling other than 1..n once
-    each, or an edge that is not two half-edges, is InvalidGraphError."""
+    """Read graph_to_json's form back; a leg labeling other than the ints
+    1..n once each, or an edge that is not two half-edges, is InvalidGraphError."""
     genera = tuple(data["vertices"])
     labels = sorted(label for label, _ in data["legs"])
-    if labels != list(range(1, len(labels) + 1)):
+    if any(type(label) is not int for label in labels) or \
+            labels != list(range(1, len(labels) + 1)):
         raise InvalidGraphError(f"leg labels {labels} are not 1..{len(labels)} "
                                 "once each")
     legs_map = dict(data["legs"])

@@ -74,9 +74,9 @@ class WeightingSystemError(RuntimeError):
 
 
 def validate_ramification(A) -> tuple:
-    A = tuple(int(a) for a in A)
-    if sum(A) != 0:
-        raise ValueError(f"ramification vector {A} does not sum to zero")
+    A = tuple(A)
+    if any(type(a) is not int for a in A) or sum(A) != 0:
+        raise ValueError(f"ramification vector {A} is not ints summing to zero")
     return A
 
 

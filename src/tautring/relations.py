@@ -42,6 +42,7 @@ from .strata import (
     StrataTerm,
     TautClass,
     boundary_divisor_class,
+    check_exponents,
     gluing_pushforward,
     normalize_divisor,
 )
@@ -539,6 +540,7 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
         psi, kappa = parse_monomial(monomial)
     else:
         psi, kappa = dict(monomial[0]), dict(monomial[1])
+    check_exponents([*psi.values(), *kappa.values()])
     psi = {i: e for i, e in psi.items() if e}
     kappa = {a: x for a, x in kappa.items() if x}
     if any(not 1 <= i <= n for i in psi):

@@ -30,8 +30,8 @@ from functools import lru_cache
 from .algebra import MultiPoly
 from .graphs import (
     StableGraph,
+    _canonical_search,
     add_loop,
-    canonical_graph,
     contract_edge,
     edge_profile,
     graph_from_json,
@@ -134,8 +134,9 @@ def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     # per canonical vertex ordering, the least choice among permuting a run
     # of parallel edges and flipping loops: loops ascending, each run sorted
     # (the slots are already sorted by vertex pair, so the runs stay put)
+    encoding, orders = _canonical_search(graph)
     best = None
-    for order, slots in graph_transports(graph):
+    for order, slots in graph_transports(graph, orders):
         moved = []
         for ends, e, flip in slots:
             pair = psi_edge[e]
@@ -146,7 +147,10 @@ def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
         cand = (tuple(kappa[old] for old in order), tuple(pair for _, pair in moved))
         if best is None or cand < best:
             best = cand
-    return StrataTerm(canonical_graph(graph), best[0], psi_leg, best[1])
+    # a graph already in canonical form is kept: the cache key holds it anyway
+    if encoding != (graph.genera, graph.legs, graph.edges):
+        graph = StableGraph(*encoding)
+    return StrataTerm(graph, best[0], psi_leg, best[1])
 
 
 def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
@@ -171,6 +175,12 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     if not _local_dim_ok(graph, kappa, psi_leg, psi_edge):
         return None
     return _canonical_term(graph, kappa, psi_leg, psi_edge)
+
+
+def check_exponents(exponents) -> None:
+    """ValueError unless every exponent is a non-negative int (not a bool)."""
+    if any(type(x) is not int or x < 0 for x in exponents):
+        raise ValueError("psi and kappa exponents must be non-negative integers")
 
 
 def bare(graph: StableGraph) -> tuple:
@@ -381,11 +391,13 @@ class TautClass:
         return out
 
     def mul_monomial(self, psi_exps=None, kappas=None) -> "TautClass":
+        psi_exps, kappas = psi_exps or {}, kappas or {}
+        check_exponents([*psi_exps.values(), *kappas.values()])
         out = self
-        for i, d in (psi_exps or {}).items():
+        for i, d in psi_exps.items():
             for _ in range(d):
                 out = out.mul_psi(i)
-        for a, x in (kappas or {}).items():
+        for a, x in kappas.items():
             for _ in range(x):
                 out = out.mul_kappa(a)
         return out
@@ -515,8 +527,10 @@ class TautClass:
             dec = item["decoration"]
             kappa = tuple(tuple(sorted((int(a), x) for a, x in vk.items()))
                           for vk in dec["kappa"])
-            out.add_term(graph_from_json(item["graph"]), kappa,
-                         tuple(dec["psi_legs"]), tuple(map(tuple, dec["psi_edges"])),
+            psi_leg, psi_edge = tuple(dec["psi_legs"]), tuple(map(tuple, dec["psi_edges"]))
+            check_exponents([*(x for vk in kappa for _, x in vk), *psi_leg,
+                             *itertools.chain.from_iterable(psi_edge)])
+            out.add_term(graph_from_json(item["graph"]), kappa, psi_leg, psi_edge,
                          decode_coeff(item["coeff"]))
         return out
 

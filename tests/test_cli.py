@@ -251,8 +251,33 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
     def bare_kappa(term):
         term["decoration"]["kappa"] = [5]
 
+    # and numbers that are not ints where a stored class holds ints: a leg
+    # label, a leg vertex, an edge end, and psi and kappa exponents
+    def float_leg_label(term):
+        term["graph"]["legs"][0][0] = 1.0
+
+    def bool_leg_label(term):
+        term["graph"]["legs"][0][0] = True
+
+    def float_leg_vertex(term):
+        term["graph"]["legs"][0][1] = 0.0
+
+    def float_edge_end(term):
+        term["graph"]["edges"][0][0][0] = 0.0
+
+    def float_leg_psi(term):
+        term["decoration"]["psi_legs"] = [0.0]
+
+    def float_edge_psi(term):
+        term["decoration"]["psi_edges"] = [[0.0, 0]]
+
+    def float_kappa_exponent(term):
+        term["decoration"]["kappa"] = [{"1": 1.0}]
+
     for corrupt in (zero_denominator, lone_half_edge, third_half_edge,
-                    leg_label_twice, bare_kappa):
+                    leg_label_twice, bare_kappa, float_leg_label, bool_leg_label,
+                    float_leg_vertex, float_edge_end, float_leg_psi,
+                    float_edge_psi, float_kappa_exponent):
         value = boundary_divisor_class(1, 1, ("irr",)).to_json()
         corrupt(value["terms"][0])
         record = {"key": key, "value": value, "provenance": ["hand-made"],
@@ -273,6 +298,21 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
                   "sha256": _text_hash(key, ["hand-made"], text), "value": text}
         db.write_text(json.dumps(record) + "\n")
         assert run(argv_05) == 3, coeff
+    # a correctly hashed v2 record whose two vertices have genus 1/2: the
+    # banana graph then has genus 2 and passed for a stratum of (2, 2)
+    key = {"g": 2, "n": 2, "monomial": "psi1^2*psi2^2"}
+    term = {"graph": {"vertices": [0.5, 0.5], "legs": [[1, 0], [2, 1]],
+                      "edges": [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]},
+            "decoration": {"kappa": [{}, {}], "psi_legs": [0, 0],
+                           "psi_edges": [[0, 0], [0, 0]]},
+            "coeff": "1"}
+    text = json.dumps({"g": 2, "n": 2, "terms": [term]}, sort_keys=True,
+                      separators=(",", ":"))
+    record = {"v": 2, "key": key, "provenance": ["hand-made"],
+              "sha256": _text_hash(key, ["hand-made"], text), "value": text}
+    db.write_text(json.dumps(record) + "\n")
+    assert run(["boundary-expression", "--genus", "2", "--markings", "2",
+                "--monomial", "psi1^2*psi2^2", "--db", str(db)]) == 3
 
 
 # Each process stores `count` records of one ~20 KB class on M0,8 (every

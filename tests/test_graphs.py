@@ -4,12 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautring import algebra, cli, graphs, pixton, relations, strata
 from tautring.graphs import (
     InvalidGraphError,
     StableGraph,
-    _canonical,
     _canonical_search,
-    _enumerate_cached,
     automorphism_count,
     canonical_graph,
     contract_edge,
@@ -106,16 +105,13 @@ def _relabeled(graph, rng):
 def test_canonical_search_matches_frozen_reference(g, n, limit, most):
     rng = random.Random(1000 * g + n)
     most_orders = 0
-    try:
-        for graph in enumerate_stable_graphs(g, n, limit):
-            for presented in (graph, _relabeled(graph, rng), _relabeled(graph, rng)):
-                expected = reference_canonical.canonical_search(presented)
-                assert _canonical_search(presented) == expected
-                assert list(graph_transports(presented)) == \
-                    reference_canonical.transports(presented)
-                most_orders = max(most_orders, len(expected[1]))
-    finally:
-        _canonical.cache_clear()
+    for graph in enumerate_stable_graphs(g, n, limit):
+        for presented in (graph, _relabeled(graph, rng), _relabeled(graph, rng)):
+            expected = reference_canonical.canonical_search(presented)
+            assert _canonical_search(presented) == expected
+            assert list(graph_transports(presented, expected[1])) == \
+                reference_canonical.transports(presented)
+            most_orders = max(most_orders, len(expected[1]))
     # the most canonical orderings any graph of the space has
     assert most_orders == most
 
@@ -132,35 +128,34 @@ def test_enumerated_graphs_are_valid_canonical_representatives(g, n, limit):
     # and each of its degenerations and contractions, is stable, connected
     # and held in tuples, and that enumeration returns canonical
     # representatives
-    try:
-        assert _revalidates(trivial_graph(g, n))
-        for graph in enumerate_stable_graphs(g, n, limit):
-            assert _revalidates(graph) and canonical_graph(graph) == graph
-            for degen, e in one_edge_degenerations(graph):
-                assert e == graph.n_edges and _revalidates(degen), (graph, degen)
-            for e in range(graph.n_edges):
-                contracted, _ = contract_edge(graph, e)
-                assert _revalidates(contracted), (graph, e)
-    finally:
-        _canonical.cache_clear()
+    assert _revalidates(trivial_graph(g, n))
+    for graph in enumerate_stable_graphs(g, n, limit):
+        assert _revalidates(graph) and canonical_graph(graph) == graph
+        for degen, e in one_edge_degenerations(graph):
+            assert e == graph.n_edges and _revalidates(degen), (graph, degen)
+        for e in range(graph.n_edges):
+            contracted, _ = contract_edge(graph, e)
+            assert _revalidates(contracted), (graph, e)
 
 
-def test_enumeration_leaves_canonical_cache_empty():
-    _enumerate_cached.cache_clear()
-    _canonical.cache_clear()
-    assert len(enumerate_stable_graphs(2, 3, 4)) > 0
-    assert _canonical.cache_info().currsize == 0
-
-
-def test_automorphism_counts_leave_canonical_cache_empty():
-    # automorphism_count is memoized itself; a second cache entry per graph
-    # in _canonical would only keep the graph alive
-    _enumerate_cached.cache_clear()
-    _canonical.cache_clear()
-    automorphism_count.cache_clear()
-    counts = [automorphism_count(graph) for graph in enumerate_stable_graphs(1, 4, 3)]
-    assert len(counts) > 0 and min(counts) >= 1
-    assert _canonical.cache_info().currsize == 0
+def test_graph_layer_fills_only_its_own_caches():
+    # every cache key stays alive with its cache: enumeration and
+    # automorphism counts must leave no throwaway candidate in any other
+    # lru_cache of the package
+    caches = {f"{module.__name__}.{name}": fn
+              for module in (algebra, cli, graphs, pixton, relations, strata)
+              for name, fn in vars(module).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+    assert "tautring.strata._canonical_term" in caches
+    for fn in caches.values():
+        fn.cache_clear()
+    for space in ((1, 4, 3), (2, 3, 4)):
+        counts = [automorphism_count(graph) for graph in enumerate_stable_graphs(*space)]
+        assert len(counts) > 0 and min(counts) >= 1
+    filled = {name for name, fn in caches.items() if fn.cache_info().currsize}
+    assert filled <= {"tautring.graphs._enumerate_cached",
+                      "tautring.graphs.automorphism_count",
+                      "tautring.graphs._split_patterns"}, filled
 
 
 def _connected(nv, edges):

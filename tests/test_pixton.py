@@ -44,6 +44,15 @@ def test_ramification_must_sum_to_zero():
     assert validate_ramification((3, -1, -2)) == (3, -1, -2)
 
 
+def test_ramification_entries_must_be_ints():
+    # int() would truncate (1.5, -1.5) to (1, -1) and read ("2", "-2")
+    for A in ((1.5, -1.5), ("2", "-2"), (True, -1), (2.0, -2)):
+        with pytest.raises(ValueError):
+            validate_ramification(A)
+    with pytest.raises(ValueError):
+        omega_constant_term(1, (1.5, -1.5), 1)
+
+
 def test_tree_has_unique_weighting():
     tree = stable_graph((1, 0), (1, 1), ((0, 1),))
     for r in (2, 5, 9):

@@ -473,6 +473,23 @@ def test_boundary_expression_below_threshold_refused():
         boundary_expression(2, 1, "psi1")
 
 
+def test_exponents_must_be_non_negative_ints(tmp_path, no_elimination_lemma):
+    # a negative exponent would store a record under the key of the
+    # monomial with that factor dropped, here psi1*psi2*psi3^2, whose degree
+    # 4 exceeds the dimension 3 of the six-marked genus-0 space
+    path = tmp_path / "db.jsonl"
+    db = RelationDatabase(str(path))
+    for monomial in (({1: 1, 2: -1, 3: 2}, {}), ({1: 1}, {1: -1}),
+                     ({1: 2.0}, {}), ({1: 1}, {1: True})):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            boundary_expression(0, 6, monomial, db)
+    assert not path.exists()
+    assert boundary_expression(0, 6, "psi1*psi2*psi3^2", db).value.is_zero()
+    for exps in ({"psi_exps": {2: -1}}, {"kappas": {1: -1}}, {"psi_exps": {2: 1.0}}):
+        with pytest.raises(ValueError):
+            TautClass.psi(0, 5, 1).mul_monomial(**exps)
+
+
 def test_boundary_expression_genus_zero_kappa(no_elimination_lemma):
     db = RelationDatabase()
     be = boundary_expression(0, 4, "kappa1", db)

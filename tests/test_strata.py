@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautring import strata
+from tautring import graphs, strata
 from tautring.algebra import MultiPoly
 from tautring.graphs import (
     enumerate_stable_graphs,
@@ -123,6 +123,28 @@ def test_canonical_term_takes_the_stored_decoration_form():
             canonical_term(graph, *decoration)
         with pytest.raises(ValueError):
             TautClass(1, 3).add_term(graph, *decoration, Fraction(1))
+
+
+def test_one_canonical_search_per_new_term(monkeypatch):
+    # canonical_term memoizes its result; each miss labels its graph with
+    # one search, which gives both the canonical graph and the transports
+    calls = []
+    search = graphs._canonical_search
+
+    def counting(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(graphs, "_canonical_search", counting)
+    monkeypatch.setattr(strata, "_canonical_search", counting)
+    strata._canonical_term.cache_clear()
+    c = psi(2, 2, 1).mul_boundary(("irr",)).mul_boundary(("irr",)) \
+        .mul_boundary(("sep", 1, ()))
+    c = c + c.forget_pushforward().forget_pullback()
+    assert TautClass.from_json(c.to_json()) == c
+    info = strata._canonical_term.cache_info()
+    assert info.hits > 0 and len(calls) == info.misses > 0
+    assert max(term.graph.h1 for term in c.terms) == 2
 
 
 def test_psi_label_outside_the_markings_is_rejected():
