@@ -149,8 +149,8 @@ def union_find(nv: int, edges):
 
 def is_stable_pair(g: int, n: int) -> bool:
     """Whether the moduli of genus-g curves with n markings is a stable
-    moduli space: g >= 0, n >= 0 and 2g - 2 + n > 0."""
-    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
+    moduli space: g and n ints (not bools), g >= 0, n >= 0, 2g - 2 + n > 0."""
+    return type(g) is type(n) is int and g >= 0 and n >= 0 and 2 * g - 2 + n > 0
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:

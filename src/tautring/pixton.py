@@ -277,13 +277,15 @@ def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
 def omega_constant_term_from_samples(g: int, A, max_degree: int,
                                      r_samples) -> TautClass:
     """Constant term using caller-provided moduli: an even number of distinct
-    moduli, none below minimum_modulus(A), split in half into the two
+    int moduli, none below minimum_modulus(A), split in half into the two
     consistency windows."""
     A = validate_ramification(A)
-    r_samples = sorted(set(int(r) for r in r_samples))
-    if len(r_samples) < 2 or len(r_samples) % 2 == 1:
-        raise ValueError("need an even number, at least two, of distinct "
-                         f"sample moduli; got {len(r_samples)}")
+    r_samples = list(r_samples)
+    if (any(type(r) is not int for r in r_samples) or len(r_samples) < 2
+            or len(r_samples) % 2 == 1 or len(set(r_samples)) < len(r_samples)):
+        raise ValueError("need an even number, at least two, of distinct int "
+                         f"sample moduli; got {r_samples}")
+    r_samples.sort()
     r_min = minimum_modulus(A)
     if r_samples[0] < r_min:
         raise ValueError(f"sample modulus {r_samples[0]} is below the minimum "

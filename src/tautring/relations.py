@@ -270,80 +270,81 @@ def _text_hash(key_json: dict, provenance, value_text: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _value_text(rec: dict) -> str:
-    """The canonical text of a verified record's value, whatever its version."""
-    return rec["value"] if "v" in rec else _canonical(rec["value"])
+def _read_record(line: bytes) -> tuple:
+    """A stored line checked against its SHA-256, as ((g, n, monomial), its
+    canonical value text, its provenance): the one reader of record versions."""
+    rec = json.loads(line)
+    key_json, provenance = rec["key"], rec["provenance"]
+    if "v" not in rec:
+        value_text = _canonical(rec["value"])
+        digest = _record_hash(key_json, rec["value"])
+    elif rec["v"] == 2 and type(rec["v"]) is int:
+        # a value that is not text fails the concatenation: TypeError
+        value_text = rec["value"]
+        digest = _text_hash(key_json, provenance, value_text)
+    else:
+        raise ValueError(f"unknown record version {rec['v']!r}")
+    if digest != rec["sha256"]:
+        raise ValueError(f"corrupt record for key {key_json}")
+    key = (key_json["g"], key_json["n"], key_json["monomial"])
+    # a float or bool g or n would match the int key
+    if [type(x) for x in key] != [int, int, str]:
+        raise ValueError(f"key {key_json} is not two ints and a monomial")
+    if type(provenance) is not list or any(type(p) is not str for p in provenance):
+        raise ValueError(f"provenance {provenance!r} is not a list of strings")
+    return key, value_text, provenance
 
 
 class RelationDatabase:
     """Append-only, content-addressed store of boundary expressions keyed by
-    (g, n, monomial).  Recomputation must reproduce stored values bit-exactly
+    (g, n, monomial); recomputation must reproduce stored values bit-exactly
     or fail loudly.
 
-    Each line is one record, written as
-    `{"key": {"g", "n", "monomial"}, "provenance": [...], "sha256": ...,
-    "v": 2, "value": "<canonical JSON text of the class>"}`, whose SHA-256
-    covers the key, the provenance and the exact value text (`_text_hash`).
-    A line without "v" is a v1 record, whose value is the decoded class and
-    whose SHA-256 covers the key and the canonically re-serialized value but
-    not the provenance (`_record_hash`); such lines are read as before and
-    never rewritten.  Any other "v" is corrupt.
+    Each line is one record, written as `{"key": {"g", "n", "monomial"},
+    "provenance": [...], "sha256": ..., "v": 2, "value": "<canonical JSON
+    text of the class>"}` and hashed over its key, provenance and exact
+    value text.  A line without "v" is a v1 record, its class inline and
+    hashed with its key but not its provenance; it is read, never written.
+    Any other "v" is corrupt.
 
-    Opening a file checks every line: it must be JSON, match its SHA-256 and
-    name a (g, n, monomial) key, and a key on two lines must hold the same
-    value on both (the first line is kept).  A v2 value is hashed as stored
-    text, so opening re-serializes no class.  A record is decoded into a
-    class, and its class checked to live on its key's space, when its key is
-    first read or stored; until then `records` holds its verified line and
-    line number.  A failure at either time is a `CacheIntegrityError`, so a
-    correctly hashed record that does not decode fails only once its key is
-    touched.  A missing file is an empty database, but a missing directory
-    fails the open with FileNotFoundError."""
+    Only the open knows versions.  It checks every line's JSON, SHA-256, key
+    (two ints and a monomial) and provenance (a list of strings), and keeps
+    per key the line number, the canonical value text (a v1 value
+    re-serialized) and the provenance; a key on two lines must hold one
+    text, and its first line is kept.  That text is decoded into a class on
+    the key's space when the key is first read or stored.  A failure at
+    either time is a `CacheIntegrityError`.  A missing file is an empty
+    database, but a missing directory fails the open with FileNotFoundError."""
 
     def __init__(self, path=None):
         self.path = path
         self.records: dict = {}
-        if path is not None:
-            try:
-                # bytes: json.loads decodes each line, so an undecodable line
-                # is reported like every other corrupt record
-                handle = open(path, "rb")
-            except FileNotFoundError:
-                # a new database is created by its first store; a missing
-                # directory would only fail there, after the work is done
-                if not os.path.isdir(os.path.dirname(path) or "."):
-                    raise
-                handle = None
-            if handle is not None:
-                with handle:
-                    for lineno, line in enumerate(handle, start=1):
-                        line = line.strip()
-                        if line:
-                            self._verify(lineno, line)
-
-    def _verify(self, lineno: int, line: bytes) -> None:
-        # a torn or hand-edited line is corruption, not bad input
+        if path is None:
+            return
         try:
-            rec = json.loads(line)
-            if "v" not in rec:
-                digest = _record_hash(rec["key"], rec["value"])
-            elif rec["v"] == 2 and type(rec["v"]) is int:
-                # a value that is not text fails the concatenation: TypeError
-                digest = _text_hash(rec["key"], rec["provenance"], rec["value"])
-            else:
-                raise ValueError(f"unknown record version {rec['v']!r}")
-            if digest != rec["sha256"]:
-                raise ValueError(f"corrupt record for key {rec['key']}")
-            key = (rec["key"]["g"], rec["key"]["n"], rec["key"]["monomial"])
-            first = self.records.get(key)
-            if first is None:
-                # keep the line, not the parsed dict: it takes less memory
-                self.records[key] = (lineno, line)
-            elif _value_text(json.loads(first[1])) != _value_text(rec):
-                raise ValueError(
-                    f"key {key} holds another value than on line {first[0]}")
-        except _UNREADABLE as exc:
-            raise self._unreadable(lineno, exc) from exc
+            # bytes: json.loads decodes each line, so an undecodable line is
+            # reported like every other corrupt record
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            # a new database is created by its first store; a missing
+            # directory would only fail there, after the work is done
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise
+            return
+        with handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                # a torn or hand-edited line is corruption, not bad input
+                try:
+                    key, value_text, provenance = _read_record(line)
+                    first = self.records.setdefault(
+                        key, (lineno, value_text, provenance))
+                    if first[1] != value_text:
+                        raise ValueError(f"key {key} holds another value "
+                                         f"than on line {first[0]}")
+                except _UNREADABLE as exc:
+                    raise self._unreadable(lineno, exc) from exc
 
     def _unreadable(self, lineno: int, exc: Exception) -> CacheIntegrityError:
         return CacheIntegrityError(
@@ -353,16 +354,13 @@ class RelationDatabase:
         key = (g, n, monomial)
         entry = self.records.get(key)
         if type(entry) is tuple:
-            lineno, line = entry
+            lineno, value_text, provenance = entry
             try:
-                rec = json.loads(line)
-                if "v" in rec:
-                    rec["value"] = json.loads(rec["value"])
-                entry = BoundaryExpression.from_json(rec)
+                entry = BoundaryExpression.from_json(
+                    {"value": json.loads(value_text), "provenance": provenance})
                 if (entry.value.g, entry.value.n) != (g, n):
-                    raise ValueError(
-                        f"record for key {key} holds a class on "
-                        f"({entry.value.g}, {entry.value.n})")
+                    raise ValueError(f"record for key {key} holds a class on "
+                                     f"({entry.value.g}, {entry.value.n})")
             except _UNREADABLE as exc:
                 raise self._unreadable(lineno, exc) from exc
             self.records[key] = entry
@@ -371,12 +369,9 @@ class RelationDatabase:
     def store(self, g: int, n: int, monomial: str,
               expression: BoundaryExpression) -> BoundaryExpression:
         key = (g, n, monomial)
-        if self.records.get(key) is expression:
-            return expression
         if key in self.records:
             stored = self.get(g, n, monomial)
-            if (_canonical(stored.value.to_json())
-                    != _canonical(expression.value.to_json())):
+            if stored is not expression and stored.value != expression.value:
                 raise CacheConsistencyError(
                     f"recomputed value for {key} differs from the stored record")
             return stored
@@ -384,18 +379,18 @@ class RelationDatabase:
         if self.path is not None:
             key_json = {"g": g, "n": n, "monomial": monomial}
             value_text = _canonical(expression.value.to_json())
-            rec = {
-                "v": 2,
-                "key": key_json,
-                "provenance": expression.provenance,
-                "sha256": _text_hash(key_json, expression.provenance, value_text),
-                "value": value_text,
-            }
+            rec = {"v": 2, "key": key_json, "provenance": expression.provenance,
+                   "sha256": _text_hash(key_json, expression.provenance, value_text),
+                   "value": value_text}
             line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
             # one locked write per record: processes sharing the file cannot
-            # interleave their lines
-            with open(self.path, "ab") as handle:
+            # interleave their lines, and a last line left without its
+            # newline gets one before this line follows it
+            with open(self.path, "a+b") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)
+                end = handle.seek(0, os.SEEK_END)
+                if end and os.pread(handle.fileno(), 1, end - 1) != b"\n":
+                    line = b"\n" + line
                 handle.write(line)
         return expression
 

@@ -109,6 +109,8 @@ def test_omega_rejects_unusable_samples():
     assert run(base + ["3,4,5,6,7,8,1000000"]) == 1
     # moduli below minimum_modulus((1, -1)) = 3
     assert run(base + [",".join(str(r) for r in range(1, 11))]) == 1
+    # a repeated modulus: the run would use fewer moduli than it was given
+    assert run(base + ["3,3,4,4," + ",".join(str(r) for r in range(5, 15))]) == 1
 
 
 def test_omega_rejects_negative_degree(capsys):
@@ -313,6 +315,43 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
     db.write_text(json.dumps(record) + "\n")
     assert run(["boundary-expression", "--genus", "2", "--markings", "2",
                 "--monomial", "psi1^2*psi2^2", "--db", str(db)]) == 3
+    # correctly hashed records whose provenance is not a list of strings,
+    # whose key is not two ints and a monomial string, or whose class has a
+    # g or n that is not an int: each read back as it was, or a float or
+    # bool key matching the int key
+    record = json.loads(good.splitlines()[-1])
+    key, text = record["key"], record["value"]
+
+    def v2(key, provenance, text):
+        return {"v": 2, "key": key, "provenance": provenance,
+                "sha256": _text_hash(key, provenance, text), "value": text}
+
+    for provenance in ("abc", {"x": 1}, [1, 2]):
+        assert alone(v2(key, provenance, text)) == 3, provenance
+        value = json.loads(text)
+        assert alone({"key": key, "value": value, "provenance": provenance,
+                      "sha256": _record_hash(key, value)}) == 3, provenance
+    for field, bad in (("g", 0.0), ("g", False), ("n", 4.0), ("monomial", 1)):
+        assert alone(v2({**key, field: bad}, ["hand-made"], text)) == 3, (field, bad)
+    for field, bad in (("g", 0.0), ("g", False), ("n", 4.0), ("n", True)):
+        other = json.dumps({**json.loads(text), field: bad}, sort_keys=True,
+                           separators=(",", ":"))
+        db.write_text(json.dumps(v2(key, ["hand-made"], other)) + "\n")
+        assert run(argv) == 3, (field, bad)
+
+
+def test_append_after_a_last_line_without_newline(tmp_path):
+    # a store first ends the last line when it lacks its newline; the file
+    # then holds the bytes the same requests write to a fresh database
+    db, fresh = tmp_path / "db.jsonl", tmp_path / "fresh.jsonl"
+    for path in (db, fresh):
+        assert run(["boundary-expression", "--genus", "0", "--markings", "4",
+                    "--monomial", "psi1", "--db", str(path)]) == 0
+    db.write_bytes(db.read_bytes()[:-1])
+    for path in (db, db, fresh):
+        assert run(["boundary-expression", "--genus", "0", "--markings", "5",
+                    "--monomial", "psi1^2", "--db", str(path)]) == 0
+    assert db.read_bytes() == fresh.read_bytes()
 
 
 # Each process stores `count` records of one ~20 KB class on M0,8 (every

@@ -477,6 +477,17 @@ def test_custom_samples_must_be_an_even_count_of_safe_moduli():
         omega_constant_term_from_samples(1, (1, -1), 1, list(range(2, 16)))
 
 
+def test_custom_samples_must_be_distinct_ints():
+    # int() would truncate 3.5 to 3 and 16.9 to 16 and read "3", and a set
+    # would drop the repeated 3 and 4: each run would use other moduli than
+    # those given
+    rest = list(range(4, 16))
+    for r_samples in ([3.5, *rest, 16], [3, *rest, 16.9], ["3", *rest, 16],
+                      [True, *rest, 16], [3, 3, 4, *rest, 16, 17]):
+        with pytest.raises(ValueError):
+            omega_constant_term_from_samples(1, (1, -1), 1, r_samples)
+
+
 def test_custom_samples_too_few_for_the_degree_are_refused():
     # windows {3, 4} and {5, 6} fit lines, but the degree-1 coefficients are
     # quadratic in r, so the first line misses the second window

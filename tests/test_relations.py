@@ -483,6 +483,11 @@ def test_exponents_must_be_non_negative_ints(tmp_path, no_elimination_lemma):
                      ({1: 2.0}, {}), ({1: 1}, {1: True})):
         with pytest.raises(ValueError, match="non-negative integers"):
             boundary_expression(0, 6, monomial, db)
+    # so would a genus or marking count that is a float or a bool: the key
+    # it stored is one the next open refuses
+    for g, n in ((0.0, 6), (0, 6.0), (False, 6)):
+        with pytest.raises(ValueError, match="not a stable pair"):
+            boundary_expression(g, n, "psi1^2", db)
     assert not path.exists()
     assert boundary_expression(0, 6, "psi1*psi2*psi3^2", db).value.is_zero()
     for exps in ({"psi_exps": {2: -1}}, {"kappas": {1: -1}}, {"psi_exps": {2: 1.0}}):
@@ -587,8 +592,9 @@ def test_pushforward_route_agrees_with_the_base_system(tmp_path, coefficient_cal
 
 # -- genus-2 golden records ---------------------------------------------------
 
-# kappa1 on the unmarked space and psi1^2, kappa2, psi1*kappa1 on the
-# one-marked space, as the full elimination writes them (v2 lines)
+# kappa1 on the unmarked space, psi1^2, kappa2, psi1*kappa1 on the
+# one-marked space and psi1^2, psi1*psi2 on the two-marked space, as the
+# full elimination writes them (v2 lines)
 GENUS_TWO_RECORDS = pathlib.Path(__file__).parent / "data" / "genus2_records.jsonl"
 GENUS_TWO_SHA256 = {
     (2, 0, "kappa1"): "92d0abf48dcf340d40bd05271f30b9ead26a3a1035d0d5867518449f21c03649",
@@ -596,6 +602,8 @@ GENUS_TWO_SHA256 = {
     (2, 1, "kappa2"): "2cfb6acc38e52db7447812266b018d931858ab224d7a45eac211c08437c54d76",
     (2, 1, "psi1*kappa1"):
         "f48e7ac094e8fdbdf2faef388c2422cea216da184fce57fa83f2572ef0dd865c",
+    (2, 2, "psi1^2"): "5b8ae3a2438acba91d920ccfb571a1c449304fddaf5076412223661ece818345",
+    (2, 2, "psi1*psi2"): "4474ddc5731d54ee1aea3117306370b8b743bb89982298248f7e7bca3173dc76",
 }
 
 
@@ -618,9 +626,10 @@ def test_genus_two_golden_records(tmp_path, coefficient_calls):
     mumford = (dirr(2, 0) * Fraction(1, 5)
                + boundary_divisor_class(2, 0, ("sep", 1, ())) * Fraction(7, 5))
     assert boundary_expression(2, 0, "kappa1", db).value == mumford
-    for key in ("psi1^2", "kappa2", "psi1*kappa1"):
-        reduced = theorem_star_reduce(monomial_class(2, 1, key), db)
-        assert len(reduced.terms) == 5, key
+    for (n, key), size in {(1, "psi1^2"): 5, (1, "kappa2"): 5, (1, "psi1*kappa1"): 5,
+                           (2, "psi1^2"): 10, (2, "psi1*psi2"): 15}.items():
+        reduced = theorem_star_reduce(monomial_class(2, n, key), db)
+        assert len(reduced.terms) == size, key
         assert all(has_property_star(t) for t in reduced.terms), key
     # one genus-1 coefficient per genus-1 record, kappa1 asked first: every
     # genus-2 coefficient is read
