@@ -11,8 +11,10 @@ keeping every leg label on a matching vertex.
 Canonical labeling is by exhaustive search over vertex orderings refined by
 (genus, attached legs, valence, loops) invariants, read in one pass over legs
 and edges; graphs at desk scale have at most a handful of vertices, so
-certified exactness is cheap.  Caching: the strata layer memoizes canonical
-terms, and this module memoizes only automorphism counts and enumerations.
+certified exactness is cheap.  The search gives the least encoding and how
+many orderings reach it; strata labels a decorated stratum in one pass over
+the same orderings.  Caching: the strata layer memoizes canonical terms, and
+this module memoizes only automorphism counts and enumerations.
 
 Graphs are validated where they enter the program: stable_graph checks the
 graphs that callers build and graph_from_json reads.  Every operation on
@@ -204,11 +206,11 @@ def _positions(order) -> list:
 
 
 def _canonical_search(graph: StableGraph):
-    """Minimal encoding plus every vertex ordering achieving it.  Under an
-    ordering the encoding is (genera, leg vertices, sorted edge pairs), each
-    pair (lower end, upper end); lower is canonical."""
+    """Minimal encoding and the number of vertex orderings achieving it.
+    Under an ordering the encoding is (genera, leg vertices, sorted edge
+    pairs), each pair (lower end, upper end); lower is canonical."""
     best = None
-    best_orders = []
+    count = 0
     for order in _candidate_orders(graph):
         pos = _positions(order)
         pairs = []
@@ -219,11 +221,10 @@ def _canonical_search(graph: StableGraph):
         encoding = (tuple([graph.genera[old] for old in order]),
                     tuple([pos[v] for v in graph.legs]), tuple(pairs))
         if best is None or encoding < best:
-            best = encoding
-            best_orders = [order]
+            best, count = encoding, 1
         elif encoding == best:
-            best_orders.append(order)
-    return best, tuple(best_orders)
+            count += 1
+    return best, count
 
 
 def _encode_hex(encoding) -> str:
@@ -236,22 +237,6 @@ def _encode_hex(encoding) -> str:
 
 def canonical_graph(graph: StableGraph) -> StableGraph:
     return StableGraph(*_canonical_search(graph)[0])
-
-
-def graph_transports(graph: StableGraph, orders):
-    """One relabeling onto the canonical representative per vertex ordering
-    in orders, _canonical_search(graph)[1]: (order, slots), where slots[i] =
-    (vertex pair, old edge, flipped) fills canonical edge i.  Parallel edges
-    may fill their run of equal vertex pairs in any order and loops may flip;
-    the decoration transport in the strata layer picks the least choice."""
-    for order in orders:
-        pos = _positions(order)
-        slots = []
-        for e, (a, b) in enumerate(graph.edges):
-            na, nb = pos[a], pos[b]
-            slots.append(((na, nb), e, False) if na <= nb else ((nb, na), e, True))
-        slots.sort()
-        yield order, slots
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +258,7 @@ def automorphism_count(graph: StableGraph) -> int:
         lifts *= math.factorial(m)
         if a == b:
             lifts *= 2 ** m
-    return lifts * len(_canonical_search(graph)[1])
+    return lifts * _canonical_search(graph)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,16 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     a_monomial = tuple(a_monomial)
     if len(a_monomial) != 2 * g + 2:
         raise ValueError("monomial must list exponents of a_1..a_{2g+2}")
+    check_exponents(a_monomial)
     if sum(a_monomial) != 2 * g + 2:
         raise ValueError("monomial degree must be exactly 2g+2")
     mult = dict(psi_multiplier or {})
-    forget = set(forget)
+    forget = tuple(forget)
     target_n = n_up - len(forget)
-    if forget != set(range(target_n + 1, n_up + 1)):
-        raise ValueError("forgotten legs must be the top labels")
+    if any(type(i) is not int for i in forget) or \
+            sorted(forget) != list(range(target_n + 1, n_up + 1)):
+        raise ValueError(f"forgotten legs {forget} must be the int labels "
+                         f"{target_n + 1}..{n_up}")
     for i in forget:
         if i != n_up and mult.get(i, 0) < 1:
             raise ValueError(
@@ -295,6 +298,12 @@ def _read_record(line: bytes) -> tuple:
     return key, value_text, provenance
 
 
+def _check_space(key: tuple, value: TautClass) -> None:
+    if (value.g, value.n) != key[:2]:
+        raise ValueError(f"record for key {key} holds a class on "
+                         f"({value.g}, {value.n})")
+
+
 class RelationDatabase:
     """Append-only, content-addressed store of boundary expressions keyed by
     (g, n, monomial); recomputation must reproduce stored values bit-exactly
@@ -314,7 +323,8 @@ class RelationDatabase:
     text, and its first line is kept.  That text is decoded into a class on
     the key's space when the key is first read or stored.  A failure at
     either time is a `CacheIntegrityError`.  A missing file is an empty
-    database, but a missing directory fails the open with FileNotFoundError."""
+    database, but a missing directory fails the open with FileNotFoundError.
+    A store reads its own line back first: one the open refuses is a ValueError."""
 
     def __init__(self, path=None):
         self.path = path
@@ -358,9 +368,7 @@ class RelationDatabase:
             try:
                 entry = BoundaryExpression.from_json(
                     {"value": json.loads(value_text), "provenance": provenance})
-                if (entry.value.g, entry.value.n) != (g, n):
-                    raise ValueError(f"record for key {key} holds a class on "
-                                     f"({entry.value.g}, {entry.value.n})")
+                _check_space(key, entry.value)
             except _UNREADABLE as exc:
                 raise self._unreadable(lineno, exc) from exc
             self.records[key] = entry
@@ -375,14 +383,17 @@ class RelationDatabase:
                 raise CacheConsistencyError(
                     f"recomputed value for {key} differs from the stored record")
             return stored
+        key_json = {"g": g, "n": n, "monomial": monomial}
+        value_text = _canonical(expression.value.to_json())
+        rec = {"v": 2, "key": key_json, "provenance": expression.provenance,
+               "sha256": _text_hash(key_json, expression.provenance, value_text),
+               "value": value_text}
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+        # a line the open or get would refuse poisons the file: refused first
+        _read_record(line)
+        _check_space(key, expression.value)
         self.records[key] = expression
         if self.path is not None:
-            key_json = {"g": g, "n": n, "monomial": monomial}
-            value_text = _canonical(expression.value.to_json())
-            rec = {"v": 2, "key": key_json, "provenance": expression.provenance,
-                   "sha256": _text_hash(key_json, expression.provenance, value_text),
-                   "value": value_text}
-            line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
             # one locked write per record: processes sharing the file cannot
             # interleave their lines, and a last line left without its
             # newline gets one before this line follows it

@@ -13,7 +13,8 @@ normal form: strata are replaced by canonical representatives with the
 decoration transported along the canonicalizing isomorphism, like terms
 merged, zeros dropped, and any stratum carrying a decoration that exceeds
 the dimension of one of its vertex moduli discarded (such a decoration
-already vanishes on the vertex factor).
+already vanishes on the vertex factor).  The canonical form is the least
+(graph encoding, kappa, edge psi) over the graph's vertex orderings: one pass.
 
 Products are supported against the codimension-one generators (psi, kappa and
 boundary divisors); that is exactly what the theta-power and coefficient
@@ -30,13 +31,13 @@ from functools import lru_cache
 from .algebra import MultiPoly
 from .graphs import (
     StableGraph,
-    _canonical_search,
+    _candidate_orders,
+    _positions,
     add_loop,
     contract_edge,
     edge_profile,
     graph_from_json,
     graph_to_json,
-    graph_transports,
     is_stable_pair,
     relabel_legs,
     separating_spec,
@@ -131,26 +132,28 @@ def _local_dim_ok(graph: StableGraph, kappa, psi_leg, psi_edge) -> bool:
 
 @lru_cache(maxsize=None)
 def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
-    # per canonical vertex ordering, the least choice among permuting a run
-    # of parallel edges and flipping loops: loops ascending, each run sorted
-    # (the slots are already sorted by vertex pair, so the runs stay put)
-    encoding, orders = _canonical_search(graph)
-    best = None
-    for order, slots in graph_transports(graph, orders):
-        moved = []
-        for ends, e, flip in slots:
-            pair = psi_edge[e]
-            if flip or (ends[0] == ends[1] and pair[0] > pair[1]):
-                pair = (pair[1], pair[0])
-            moved.append((ends, pair))
-        moved.sort()
-        cand = (tuple(kappa[old] for old in order), tuple(pair for _, pair in moved))
-        if best is None or cand < best:
-            best = cand
+    # the least (encoding, kappa, edge psi) over the vertex orderings, each
+    # edge read from its lower end (a loop from the end with the lesser psi),
+    # fixes the canonical graph first, then the least decoration on it
+    def labeling(order):
+        pos = _positions(order)
+        slots = []
+        for (a, b), pair in zip(graph.edges, psi_edge):
+            a, b = pos[a], pos[b]
+            # an unflipped pair is the caller's tuple: cached terms share it
+            if (a, pair[0]) > (b, pair[1]):
+                a, b, pair = b, a, (pair[1], pair[0])
+            slots.append(((a, b), pair))
+        slots.sort()
+        return ((tuple([graph.genera[old] for old in order]),
+                 tuple([pos[v] for v in graph.legs]), tuple([e for e, _ in slots])),
+                tuple([kappa[old] for old in order]), tuple([pq for _, pq in slots]))
+
+    encoding, canon_kappa, canon_psi_edge = min(map(labeling, _candidate_orders(graph)))
     # a graph already in canonical form is kept: the cache key holds it anyway
     if encoding != (graph.genera, graph.legs, graph.edges):
         graph = StableGraph(*encoding)
-    return StrataTerm(graph, best[0], psi_leg, best[1])
+    return StrataTerm(graph, canon_kappa, psi_leg, canon_psi_edge)
 
 
 def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
@@ -180,7 +183,7 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
 def check_exponents(exponents) -> None:
     """ValueError unless every exponent is a non-negative int (not a bool)."""
     if any(type(x) is not int or x < 0 for x in exponents):
-        raise ValueError("psi and kappa exponents must be non-negative integers")
+        raise ValueError("exponents must be non-negative integers")
 
 
 def bare(graph: StableGraph) -> tuple:

@@ -1,7 +1,10 @@
 """Frozen reference canonical labeling: the vertex-ordering search as it
 stood before enumeration stopped building throwaway tag tables and slot
-lists.  Tests compare graphs._canonical_search and graphs.graph_transports
-against it, and the reference enumeration labels its candidates with it."""
+lists, and the two-stage choice of a canonical decorated stratum (the
+canonical graph first, then the least decoration over the orderings that
+reach it).  Tests compare graphs._canonical_search and
+strata._canonical_term against it, and the reference enumeration labels its
+candidates with it."""
 
 import itertools
 
@@ -58,10 +61,26 @@ def canonical_search(graph):
     return best, tuple(best_orders)
 
 
-def transports(graph):
-    """The (order, slots) sequence graph_transports yields."""
-    return [(order, relabel_encoding(graph, order)[1])
-            for order in canonical_search(graph)[1]]
+def canonical_decoration(graph, kappa, psi_edge):
+    """(canonical encoding, kappa, edge psi) of a decorated stratum: per
+    ordering reaching the canonical encoding, the edge psi pairs are carried
+    to their slots, flipped with their edge, and a run of parallel edges or
+    loops takes the least arrangement (loops ascending); the least
+    (kappa, edge psi) over those orderings wins."""
+    encoding, orders = canonical_search(graph)
+    best = None
+    for order in orders:
+        moved = []
+        for ends, e, flip in relabel_encoding(graph, order)[1]:
+            pair = psi_edge[e]
+            if flip or (ends[0] == ends[1] and pair[0] > pair[1]):
+                pair = (pair[1], pair[0])
+            moved.append((ends, pair))
+        moved.sort()
+        cand = (tuple(kappa[old] for old in order), tuple(pair for _, pair in moved))
+        if best is None or cand < best:
+            best = cand
+    return (encoding,) + best
 
 
 def encoding_key(encoding) -> str:

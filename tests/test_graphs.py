@@ -16,7 +16,6 @@ from tautring.graphs import (
     enumerate_stable_graphs,
     graph_from_json,
     graph_to_json,
-    graph_transports,
     is_stable_pair,
     one_edge_degenerations,
     relabel_legs,
@@ -107,13 +106,37 @@ def test_canonical_search_matches_frozen_reference(g, n, limit, most):
     most_orders = 0
     for graph in enumerate_stable_graphs(g, n, limit):
         for presented in (graph, _relabeled(graph, rng), _relabeled(graph, rng)):
-            expected = reference_canonical.canonical_search(presented)
-            assert _canonical_search(presented) == expected
-            assert list(graph_transports(presented, expected[1])) == \
-                reference_canonical.transports(presented)
-            most_orders = max(most_orders, len(expected[1]))
+            encoding, orders = reference_canonical.canonical_search(presented)
+            assert _canonical_search(presented) == (encoding, len(orders))
+            most_orders = max(most_orders, len(orders))
     # the most canonical orderings any graph of the space has
     assert most_orders == most
+
+
+KAPPA_MONOMIALS = ((), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (2, 1)))
+
+
+@pytest.mark.parametrize("g,n,limit", [(0, 5, 2), (1, 3, 3), (2, 2, 3), (2, 1, 4),
+                                       (3, 0, 3), (1, 4, 3)])
+def test_canonical_term_matches_frozen_two_stage_choice(g, n, limit):
+    # strata._canonical_term labels graph and decoration in one pass; the
+    # reference finds the canonical graph first and then the least
+    # decoration.  Random presentations and decorations exercise loops and
+    # parallel edges, whose psi pairs may flip and permute.  The dimension
+    # filter of canonical_term is skipped so that every decoration counts.
+    rng = random.Random(100 * g + n)
+    for graph in enumerate_stable_graphs(g, n, limit):
+        for _ in range(4):
+            presented = _relabeled(graph, rng)
+            kappa = tuple(rng.choice(KAPPA_MONOMIALS) for _ in presented.genera)
+            psi_leg = tuple(rng.randint(0, 1) for _ in presented.legs)
+            psi_edge = tuple((rng.randint(0, 2), rng.randint(0, 2))
+                             for _ in presented.edges)
+            term = strata._canonical_term(presented, kappa, psi_leg, psi_edge)
+            encoding, canon_kappa, canon_psi_edge = \
+                reference_canonical.canonical_decoration(presented, kappa, psi_edge)
+            assert (term.graph, term.kappa, term.psi_leg, term.psi_edge) == \
+                (StableGraph(*encoding), canon_kappa, psi_leg, canon_psi_edge), presented
 
 
 def _revalidates(graph):

@@ -136,6 +136,16 @@ def test_dr_relation_monomial_validation():
         dr_relation_coefficient(1, (1, 1, 1, 1), {2: 1, 4: 1}, (2, 3, 4, 5))
 
 
+def test_dr_relation_coefficient_refuses_non_int_inputs():
+    # a bool or a float equals an int: each would silently compute the
+    # coefficient of a1a2a3a4, or forget leg 5
+    for monomial in ((True,) * 4, (1.0, 1, 1, 1), (-1, 3, 1, 1)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            dr_relation_coefficient(1, monomial)
+    with pytest.raises(ValueError, match="int labels"):
+        dr_relation_coefficient(1, (1, 1, 1, 1), forget=(5.0,))
+
+
 def test_kappa_pipeline_endpoint():
     rel = dr_relation_coefficient(1, (1, 1, 1, 1), {2: 1, 3: 1, 4: 1},
                                   (2, 3, 4, 5))
@@ -606,6 +616,21 @@ GENUS_TWO_SHA256 = {
     (2, 2, "psi1*psi2"): "4474ddc5731d54ee1aea3117306370b8b743bb89982298248f7e7bca3173dc76",
 }
 
+# the star reductions of psi1^2, kappa2, psi1*kappa1 on the one-marked and of
+# psi1^2, psi1*psi2 on the two-marked space: (term count, SHA-256)
+GENUS_TWO_STAR_SHA256 = {
+    (1, "psi1^2"):
+        (5, "2df42cbacfaccf0e074f0ea9d75debb5da505c828a8b2310b4851932d5c877df"),
+    (1, "kappa2"):
+        (5, "797f1d18fb0cb03ad64c41e479bfa0e61cad5bdda3bf78f7b00d9879e5e3a5d7"),
+    (1, "psi1*kappa1"):
+        (5, "efe25a51362d467fdd6b7fae8e078fa9ff450ac7126bfd78af2e3e815e222830"),
+    (2, "psi1^2"):
+        (10, "f45b894395c663a17a8cc6f893ebe8e6d3189ebb5850ea4edd8ef6fd25c153f2"),
+    (2, "psi1*psi2"):
+        (15, "893d19dd38b7651ac0c4e352ff03e9f98bd50a529581c608b6b5051a860745f3"),
+}
+
 
 def _golden_genus_two(tmp_path):
     # a copy: star reduction appends the genus-1 records it asks for
@@ -626,10 +651,13 @@ def test_genus_two_golden_records(tmp_path, coefficient_calls):
     mumford = (dirr(2, 0) * Fraction(1, 5)
                + boundary_divisor_class(2, 0, ("sep", 1, ())) * Fraction(7, 5))
     assert boundary_expression(2, 0, "kappa1", db).value == mumford
-    for (n, key), size in {(1, "psi1^2"): 5, (1, "kappa2"): 5, (1, "psi1*kappa1"): 5,
-                           (2, "psi1^2"): 10, (2, "psi1*psi2"): 15}.items():
+    # their strata carry loops and parallel edges, whose decorations the
+    # canonical labeling flips and permutes
+    for (n, key), (size, recorded) in GENUS_TWO_STAR_SHA256.items():
         reduced = theorem_star_reduce(monomial_class(2, n, key), db)
+        blob = json.dumps(reduced.to_json(), sort_keys=True, separators=(",", ":"))
         assert len(reduced.terms) == size, key
+        assert hashlib.sha256(blob.encode()).hexdigest() == recorded, key
         assert all(has_property_star(t) for t in reduced.terms), key
     # one genus-1 coefficient per genus-1 record, kappa1 asked first: every
     # genus-2 coefficient is read
@@ -795,6 +823,29 @@ def test_database_rejects_conflicting_store(tmp_path):
     wrong = BoundaryExpression(be.value * 2, ["bogus"])
     with pytest.raises(CacheConsistencyError):
         db.store(0, 4, "psi1", wrong)
+
+
+def _divisor_on(n):
+    return boundary_divisor_class(0, n, ("sep", 0, (1, 2)))
+
+
+@pytest.mark.parametrize("key,expression", [
+    ((0, 5, "psi1"), BoundaryExpression(_divisor_on(5), [1])),
+    ((0.0, 5, "psi1"), BoundaryExpression(_divisor_on(5), ["hand-made"])),
+    ((0, 5, "psi1"), BoundaryExpression(_divisor_on(4), ["hand-made"])),
+], ids=["provenance not strings", "float genus", "class on another space"])
+def test_database_refuses_a_record_the_reader_would_refuse(tmp_path, key, expression):
+    # such a line would make every later open, or the key's get, fail: it
+    # is refused before it is kept, in memory as on file
+    path = tmp_path / "relations.jsonl"
+    for db in (RelationDatabase(), RelationDatabase(str(path))):
+        with pytest.raises(ValueError):
+            db.store(*key, expression)
+        assert db.records == {}
+    assert not path.exists()
+    db = RelationDatabase(str(path))
+    db.store(0, 5, "psi1", BoundaryExpression(_divisor_on(5), ["hand-made"]))
+    assert RelationDatabase(str(path)).get(0, 5, "psi1").value == _divisor_on(5)
 
 
 def _hashed_line(key, value):

@@ -126,17 +126,18 @@ def test_canonical_term_takes_the_stored_decoration_form():
 
 
 def test_one_canonical_search_per_new_term(monkeypatch):
-    # canonical_term memoizes its result; each miss labels its graph with
-    # one search, which gives both the canonical graph and the transports
+    # canonical_term memoizes its result; each miss makes one labeling pass
+    # over the vertex orderings, which gives both the canonical graph and
+    # the decoration on it, and no other labeling pass runs
     calls = []
-    search = graphs._canonical_search
+    orders = graphs._candidate_orders
 
     def counting(graph):
         calls.append(graph)
-        return search(graph)
+        return orders(graph)
 
-    monkeypatch.setattr(graphs, "_canonical_search", counting)
-    monkeypatch.setattr(strata, "_canonical_search", counting)
+    monkeypatch.setattr(graphs, "_candidate_orders", counting)
+    monkeypatch.setattr(strata, "_candidate_orders", counting)
     strata._canonical_term.cache_clear()
     c = psi(2, 2, 1).mul_boundary(("irr",)).mul_boundary(("irr",)) \
         .mul_boundary(("sep", 1, ()))
