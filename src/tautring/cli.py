@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation error (malformed or missing flags and
 an unusable --db or --out path included, found before any computation when
 its directory is missing, or when --out names a directory or a path that
-cannot be written), 2 verification mismatch, 3 cache integrity failure.
+cannot be written), 2 verification mismatch (a failed internal structural
+check, RelationPipelineError, included), 3 cache integrity failure.
 Data goes to --out (or stdout); progress and diagnostics go to stderr only.
 """
 
@@ -22,6 +23,7 @@ from .relations import (
     CacheConsistencyError,
     CacheIntegrityError,
     RelationDatabase,
+    RelationPipelineError,
     boundary_expression,
     dr_relation_coefficient,
     parse_monomial,
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except (CacheIntegrityError, CacheConsistencyError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
+    except RelationPipelineError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (InvalidGraphError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,7 @@ and edges; graphs at desk scale have at most a handful of vertices, so
 certified exactness is cheap.  The search gives the least encoding and how
 many orderings reach it; strata labels a decorated stratum in one pass over
 the same orderings.  Caching: the strata layer memoizes canonical terms, and
-this module memoizes only automorphism counts and enumerations.
+this module memoizes only enumerations, with each class's automorphism count.
 
 Graphs are validated where they enter the program: stable_graph checks the
 graphs that callers build and graph_from_json reads.  Every operation on
@@ -70,7 +70,7 @@ class StableGraph:
         """Per vertex, its attachment tags: ('l', label) legs by label, then
         ('h', edge, side) half-edges by edge and side.  Local markings are
         ranked in this order (strata.gluing_pushforward).  One pass over
-        legs and edges, not cached: cached graphs (automorphism-count and
+        legs and edges, not cached: cached graphs (enumerations and
         canonical-term keys) would keep every table alive."""
         tags = [[] for _ in self.genera]
         for i, v in enumerate(self.legs):
@@ -239,26 +239,25 @@ def canonical_graph(graph: StableGraph) -> StableGraph:
     return StableGraph(*_canonical_search(graph)[0])
 
 
-@lru_cache(maxsize=None)
-def automorphism_count(graph: StableGraph) -> int:
+def _automorphisms(encoding, orderings: int) -> int:
     """Order of the automorphism group (vertex and half-edge permutations
-    preserving incidence, involution and genera, fixing legs pointwise).
+    preserving incidence, involution and genera, fixing legs pointwise) of
+    the graph with this canonical encoding, reached by `orderings` orderings.
 
     Every vertex automorphism preserves the refinement invariants, so the
     orderings achieving the canonical encoding are exactly one coset of the
     vertex automorphism group; each vertex automorphism lifts to the
-    half-edges in a fixed number of ways (parallel edges permute, loops
-    flip)."""
-    classes: dict = {}
-    for a, b in graph.edges:
-        key = (min(a, b), max(a, b))
-        classes[key] = classes.get(key, 0) + 1
-    lifts = 1
-    for (a, b), m in classes.items():
-        lifts *= math.factorial(m)
-        if a == b:
-            lifts *= 2 ** m
-    return lifts * _canonical_search(graph)[1]
+    half-edges in a fixed number of ways: parallel edges, adjacent among the
+    sorted edges, permute, and loops flip."""
+    for (a, b), run in itertools.groupby(encoding[2]):
+        m = sum(1 for _ in run)
+        orderings *= math.factorial(m) * (2 ** m if a == b else 1)
+    return orderings
+
+
+def automorphism_count(graph: StableGraph) -> int:
+    """_automorphisms of any presentation, by one canonical search."""
+    return _automorphisms(*_canonical_search(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -379,33 +378,40 @@ def one_edge_degenerations(graph: StableGraph):
     return found
 
 
-def enumerate_stable_graphs(g: int, n: int, max_edges: int):
+def graph_classes(g: int, n: int, max_edges: int):
     """Every isomorphism class of genus-g, n-leg stable graphs with at most
-    max_edges edges, ordered by edge count then canonical key."""
+    max_edges edges, ordered by edge count then canonical key, as an iterator
+    of (graph, automorphism count) pairs, found by one search per class."""
     if not is_stable_pair(g, n):
         raise InvalidGraphError(f"(g, n) = ({g}, {n}) is not a stable pair")
     if max_edges < 0:
         raise InvalidGraphError("max_edges must be non-negative")
-    return list(_enumerate_cached(g, n, min(max_edges, 3 * g - 3 + n)))
+    return zip(*_enumerate_cached(g, n, min(max_edges, 3 * g - 3 + n)))
+
+
+def enumerate_stable_graphs(g: int, n: int, max_edges: int):
+    """The graphs of graph_classes(g, n, max_edges), in its order."""
+    return [graph for graph, _aut in graph_classes(g, n, max_edges)]
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
-    # levels hold canonical encodings; each candidate is searched once
-    level = {_canonical_search(trivial_graph(g, n))[0]}
-    out = []
+    # levels map canonical encodings to their orderings; one search each
+    level = dict([_canonical_search(trivial_graph(g, n))])
+    graphs, auts = [], []
     for edges in range(limit + 1):
         # the canonical key is the hex of the text form, where "10" < "2",
         # so encodings are not sorted as tuples
-        parents = [StableGraph(*encoding)
-                   for encoding in sorted(level, key=_encode_hex)]
-        out.extend(parents)
+        encodings = sorted(level, key=_encode_hex)
+        parents = [StableGraph(*encoding) for encoding in encodings]
+        graphs.extend(parents)
+        auts.extend(_automorphisms(encoding, level[encoding]) for encoding in encodings)
         if edges == limit:
             break
-        level = {_canonical_search(candidate)[0]
-                 for parent in parents
-                 for candidate, _e in one_edge_degenerations(parent)}
-    return tuple(out)
+        level = dict(_canonical_search(candidate)
+                     for parent in parents
+                     for candidate, _e in one_edge_degenerations(parent))
+    return tuple(graphs), tuple(auts)
 
 
 def relabel_legs(graph: StableGraph, perm: dict) -> StableGraph:

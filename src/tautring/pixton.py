@@ -64,8 +64,7 @@ import operator
 from fractions import Fraction
 
 from .algebra import InterpolationError, bounded_tuples, lagrange_weights
-from .graphs import StableGraph, enumerate_stable_graphs, automorphism_count, \
-    union_find
+from .graphs import StableGraph, graph_classes, union_find
 from .strata import TautClass, canonical_term
 
 
@@ -159,16 +158,15 @@ def _leg_powers(A, max_degree: int) -> list:
     return [[a ** (2 * k) for k in range(max_degree + 1)] for a in A]
 
 
-def _add_graph(out: TautClass, graph: StableGraph, points, scalars, orders,
-               degrees: range):
-    """Add to out, in place, the graph's terms of total degree in `degrees`,
-    summed over points (weight, leg powers of A), scalars[p][i] being the
-    scalar of orders[i] at the p-th point.  For each edge orders j and leg
-    exponents k the points' weight * leg factor * scalar are summed first,
-    over one common denominator; the strata of (j, k) are built only where
-    that sum is nonzero."""
+def _add_graph(out: TautClass, graph: StableGraph, aut: int, points, scalars,
+               orders, degrees: range):
+    """Add to out, in place, the terms of total degree in `degrees` of the
+    graph with aut automorphisms, summed over points (weight, leg powers of
+    A), scalars[p][i] being the scalar of orders[i] at the p-th point.  For
+    each edge orders j and leg exponents k the points' weight * leg factor *
+    scalar are summed first, over one common denominator; the strata of
+    (j, k) are built only where that sum is nonzero."""
     ne = graph.n_edges
-    aut = automorphism_count(graph)
     kappa = ((),) * graph.n_vertices
     budget = degrees[-1] - ne
     for i, js in enumerate(orders):
@@ -221,12 +219,12 @@ def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
         raise ValueError("max_degree must be >= 0")
     out = TautClass(g, len(A))
     points = [(1, _leg_powers(A, max_degree))]
-    for graph in enumerate_stable_graphs(g, len(A), max_degree):
+    for graph, aut in graph_classes(g, len(A), max_degree):
         orders = _edge_orders(graph, max_degree)
         totals = _weighting_sums(weighting_map(graph, A), r, orders)
         values = [Fraction(t, 2 ** (sum(js) + graph.n_edges) * r ** graph.h1)
                   for js, t in zip(orders, totals)]
-        _add_graph(out, graph, points, [values], orders, range(max_degree + 1))
+        _add_graph(out, graph, aut, points, [values], orders, range(max_degree + 1))
     return out
 
 
@@ -375,7 +373,7 @@ def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
     out = TautClass(g, n)
     lagrange: dict = {}
     skeletons: dict = {}
-    for graph in enumerate_stable_graphs(g, n, top):
+    for graph, aut in graph_classes(g, n, top):
         orders = _edge_orders(graph, top)
         by_charges = skeletons.setdefault((graph.n_vertices, graph.edges), {})
         scalars = []
@@ -394,5 +392,5 @@ def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
                 else:
                     by_charges[charges] = _tree_constant_terms(wmap, orders)
             scalars.append(by_charges[charges])
-        _add_graph(out, graph, legs, scalars, orders, degrees)
+        _add_graph(out, graph, aut, legs, scalars, orders, degrees)
     return out

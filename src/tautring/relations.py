@@ -155,6 +155,9 @@ def dr_relation_coefficient(g: int, a_monomial, psi_multiplier=None,
     if sum(a_monomial) != 2 * g + 2:
         raise ValueError("monomial degree must be exactly 2g+2")
     mult = dict(psi_multiplier or {})
+    if any(type(i) is not int or not 1 <= i <= n_up for i in mult):
+        raise ValueError(f"multiplier labels {list(mult)} must be ints in 1..{n_up}")
+    check_exponents(mult.values())
     forget = tuple(forget)
     target_n = n_up - len(forget)
     if any(type(i) is not int for i in forget) or \

@@ -9,8 +9,9 @@ import pytest
 
 from tautring import cli
 from tautring.cli import main
-from tautring.relations import (CacheIntegrityError, RelationDatabase, _record_hash,
-                                _text_hash, psi_boundary_lemma)
+from tautring.relations import (CacheIntegrityError, RelationDatabase,
+                                RelationPipelineError, _record_hash, _text_hash,
+                                psi_boundary_lemma)
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -425,6 +426,21 @@ def test_unusable_path_fails_before_computing(tmp_path, capsys, monkeypatch):
         assert run(argv) == 1, argv
         assert f"cannot access {name}: " in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_pipeline_error_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # an internal structural check that fails is a mismatch, not a traceback
+    def failing(*args, **kwargs):
+        raise RelationPipelineError("base step expected 24")
+
+    monkeypatch.setattr(cli, "boundary_expression", failing)
+    assert run(["boundary-expression", "--genus", "1", "--markings", "1",
+                "--monomial", "psi1", "--db", str(tmp_path / "db.jsonl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the progress line, then the error's one line
+    assert captured.err.splitlines() == ["boundary expression for psi1 on (1,1)",
+                                         "internal check failed: base step expected 24"]
 
 
 def test_out_directory_fails_before_computing(tmp_path, capsys, monkeypatch):

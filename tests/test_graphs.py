@@ -14,6 +14,7 @@ from tautring.graphs import (
     contract_edge,
     edge_profile,
     enumerate_stable_graphs,
+    graph_classes,
     graph_from_json,
     graph_to_json,
     is_stable_pair,
@@ -161,24 +162,49 @@ def test_enumerated_graphs_are_valid_canonical_representatives(g, n, limit):
             assert _revalidates(contracted), (graph, e)
 
 
+def _package_caches():
+    """Every lru_cache of the package, by qualified name."""
+    return {f"{module.__name__}.{name}": fn
+            for module in (algebra, cli, graphs, pixton, relations, strata)
+            for name, fn in vars(module).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+
+
 def test_graph_layer_fills_only_its_own_caches():
     # every cache key stays alive with its cache: enumeration and
     # automorphism counts must leave no throwaway candidate in any other
-    # lru_cache of the package
-    caches = {f"{module.__name__}.{name}": fn
-              for module in (algebra, cli, graphs, pixton, relations, strata)
-              for name, fn in vars(module).items()
-              if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+    # lru_cache of the package, and the graph layer memoizes only
+    # enumerations, also when pixton sums over graphs
+    caches = _package_caches()
     assert "tautring.strata._canonical_term" in caches
     for fn in caches.values():
         fn.cache_clear()
     for space in ((1, 4, 3), (2, 3, 4)):
         counts = [automorphism_count(graph) for graph in enumerate_stable_graphs(*space)]
         assert len(counts) > 0 and min(counts) >= 1
+    own = {"tautring.graphs._enumerate_cached", "tautring.graphs._split_patterns"}
     filled = {name for name, fn in caches.items() if fn.cache_info().currsize}
-    assert filled <= {"tautring.graphs._enumerate_cached",
-                      "tautring.graphs.automorphism_count",
-                      "tautring.graphs._split_patterns"}, filled
+    assert filled <= own, filled
+    pixton.weighted_constant_term(1, [((2, -1, -1), 1), ((1, 1, -2), 3)], 2)
+    filled = {name for name, fn in caches.items() if fn.cache_info().currsize}
+    assert filled <= own | {"tautring.strata._canonical_term"}, filled
+
+
+def test_dr_coefficient_on_an_enumerated_space_searches_no_graph(monkeypatch):
+    # enumeration hands pixton each class's automorphism count, and
+    # canonical_term labels strata without _canonical_search: once the
+    # spaces are enumerated, a DR coefficient searches no graph
+    relations.dr_relation_coefficient(1, (2, 1, 1, 0))
+    for name, fn in _package_caches().items():
+        if name != "tautring.graphs._enumerate_cached":
+            fn.cache_clear()
+    searches = []
+    search = graphs._canonical_search
+    monkeypatch.setattr(graphs, "_canonical_search",
+                        lambda graph: searches.append(graph) or search(graph))
+    rel = relations.dr_relation_coefficient(1, (2, 1, 1, 0), {2: 1, 3: 1, 4: 1},
+                                            (2, 3, 4, 5))
+    assert rel.terms and searches == []
 
 
 def _connected(nv, edges):
@@ -309,12 +335,19 @@ def test_automorphism_examples():
 
 
 def test_automorphisms_match_brute_force():
+    # the count enumeration hands out, the one search of automorphism_count
+    # on that presentation and on a random one, and the brute-force oracle
+    rng = random.Random(7)
     for g, n in [(1, 1), (1, 2), (2, 0), (0, 4), (0, 5), (2, 1),
                  (1, 3), (3, 0), (0, 6), (2, 2)]:
-        for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
-            if 2 * graph.n_edges > 6:
-                continue
-            assert automorphism_count(graph) == _brute_force_automorphisms(graph)
+        classes = list(graph_classes(g, n, 3 * g - 3 + n))
+        assert [graph for graph, _ in classes] == \
+            enumerate_stable_graphs(g, n, 3 * g - 3 + n)
+        for graph, aut in classes:
+            assert aut == automorphism_count(graph) == \
+                automorphism_count(_relabeled(graph, rng)), graph
+            if 2 * graph.n_edges <= 6:
+                assert aut == _brute_force_automorphisms(graph), graph
 
 
 def test_automorphism_divides_half_edge_bound():

@@ -146,6 +146,22 @@ def test_dr_relation_coefficient_refuses_non_int_inputs():
         dr_relation_coefficient(1, (1, 1, 1, 1), forget=(5.0,))
 
 
+def test_dr_relation_coefficient_checks_the_multiplier_before_upstairs(monkeypatch):
+    # a bad psi multiplier used to fail only in mul_psi, after the whole
+    # upstairs coefficient was computed (18 s for a1^6 on genus 2)
+    def upstairs(*args):
+        raise AssertionError("the upstairs coefficient was computed")
+
+    monkeypatch.setattr(relations, "weighted_constant_term", upstairs)
+    for mult, match in (({2.0: 1}, "labels"), ({9: 1}, "labels"), ({0: 1}, "labels"),
+                        ({2: -1}, "non-negative"), ({2: True}, "non-negative"),
+                        ({2: 1.5}, "non-negative")):
+        with pytest.raises(ValueError, match=match):
+            dr_relation_coefficient(1, (1, 1, 1, 1), mult)
+    with pytest.raises(AssertionError, match="upstairs"):
+        dr_relation_coefficient(1, (1, 1, 1, 1), {5: 1})
+
+
 def test_kappa_pipeline_endpoint():
     rel = dr_relation_coefficient(1, (1, 1, 1, 1), {2: 1, 3: 1, 4: 1},
                                   (2, 3, 4, 5))
