@@ -41,9 +41,9 @@ from .pixton import validate_ramification, weighted_constant_term
 from .strata import (
     StrataTerm,
     TautClass,
+    _splice,
     boundary_divisor_class,
     check_exponents,
-    gluing_pushforward,
     normalize_divisor,
 )
 
@@ -864,7 +864,12 @@ def has_property_star(term) -> bool:
 def theorem_star_reduce(c: TautClass, db: RelationDatabase | None = None) -> TautClass:
     """Rewrite until every stratum has the per-vertex degree bound
     deg <= max(genus-1, 0); output strata of codimension k then carry at
-    least k - g + 1 genus-zero vertices."""
+    least k - g + 1 genus-zero vertices.
+
+    A worklist of (stratum, coefficient): the first vertex over the bound
+    is rewritten by its boundary expression, whose terms are spliced in
+    place of that vertex (_rewrite_vertex), and the results go back on the
+    worklist; every other vertex keeps its decoration untouched."""
     db = db or RelationDatabase()
     out = TautClass(c.g, c.n)
     work = list(c.terms.items())
@@ -897,19 +902,18 @@ def _vertex_monomial(term, v, tags):
 
 
 def _rewrite_vertex(term, v, db) -> TautClass:
+    """The stratum with vertex v's decoration replaced by its boundary
+    expression: each local term is spliced in place of v (strata._splice),
+    in the expression's sorted term order, with its coefficient."""
     graph = term.graph
-    attachments = graph.attachments()
-    local = boundary_expression(graph.genera[v], len(attachments[v]),
-                                _vertex_monomial(term, v, attachments[v]), db)
-    classes = []
-    for u, tags in enumerate(attachments):
-        if u == v:
-            classes.append(local.value)
-            continue
-        upsi, ukappa = _vertex_monomial(term, u, tags)
-        classes.append(TautClass.monomial(graph.genera[u], len(tags),
-                                          psi_exps=upsi, kappas=ukappa))
-    return gluing_pushforward(graph, classes)
+    tags = graph.attachments()[v]
+    local = boundary_expression(graph.genera[v], len(tags),
+                                _vertex_monomial(term, v, tags), db)
+    decoration = (term.kappa, term.psi_leg, term.psi_edge)
+    out = TautClass(graph.genus, graph.n_legs)
+    for local_term, coeff in local.value.sorted_terms():
+        out.add_term(*_splice(graph, decoration, v, local_term), coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------

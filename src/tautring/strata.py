@@ -15,6 +15,11 @@ merged, zeros dropped, and any stratum carrying a decoration that exceeds
 the dimension of one of its vertex moduli discarded (such a decoration
 already vanishes on the vertex factor).  The canonical form is the least
 (graph encoding, kappa, edge psi) over the graph's vertex orderings: one pass.
+canonical_term is the one memo of this layer: each key is checked, filtered
+by dimension and labeled once, and the out-of-dimension answer None is
+memoized like a term.  Gluing is one operation, _splice, which puts a local
+stratum in place of one vertex; gluing_pushforward and the star reduction
+both use it.
 
 Products are supported against the codimension-one generators (psi, kappa and
 boundary divisors); that is exactly what the theta-power and coefficient
@@ -130,7 +135,6 @@ def _local_dim_ok(graph: StableGraph, kappa, psi_leg, psi_edge) -> bool:
         graph.valences()))
 
 
-@lru_cache(maxsize=None)
 def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     # the least (encoding, kappa, edge psi) over the vertex orderings, each
     # edge read from its lower end (a loop from the end with the lesser psi),
@@ -150,31 +154,39 @@ def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
                 tuple([kappa[old] for old in order]), tuple([pq for _, pq in slots]))
 
     encoding, canon_kappa, canon_psi_edge = min(map(labeling, _candidate_orders(graph)))
-    # a graph already in canonical form is kept: the cache key holds it anyway
+    # a graph already in canonical form is kept: the memo key holds it anyway
     if encoding != (graph.genera, graph.legs, graph.edges):
         graph = StableGraph(*encoding)
     return StrataTerm(graph, canon_kappa, psi_leg, canon_psi_edge)
 
 
+@lru_cache(maxsize=None)
 def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     """Canonical representative of a decorated stratum, or None when the
     decoration exceeds the dimension of some vertex moduli (the class is 0).
 
     The decoration is given as a StrataTerm holds it, tuples throughout:
-    kappa, per vertex, (index, exponent) pairs with increasing indices >= 1
-    and exponents >= 1; psi_leg, the exponent per leg label 1..n; psi_edge,
-    per edge, the (side 0, side 1) pair of exponents.  Any other shape is a
-    ValueError."""
+    kappa, per vertex, (index, exponent) pairs of ints with increasing
+    indices >= 1 and exponents >= 1; psi_leg, the int exponent per leg label
+    1..n; psi_edge, per edge, the (side 0, side 1) pair of int exponents.
+    Any other shape, or a bool or float anywhere, is a ValueError.
+
+    This function is the memo: the shape check, the dimension filter and
+    the labeling run once per key, and None is memoized like a term.  A
+    refused key memoizes nothing.  A key equal to a memoized one is served
+    its term unchecked, so a bool or float key equal to a memoized int key
+    (True for 1, 1.0 for 1) gets that key's int-valued term."""
     if (len(kappa), len(psi_leg), len(psi_edge)) != \
             (graph.n_vertices, graph.n_legs, graph.n_edges):
         raise ValueError("decoration does not fit the graph")
     for vk in kappa:
-        if vk and (vk[0][0] < 1 or any(x < 1 for _, x in vk)
-                   or any(a >= b for (a, _), (b, _) in zip(vk, vk[1:]))):
+        # each index exceeds the one before it, and the first exceeds 0
+        if any(type(a) is not int or type(x) is not int or x < 1 or a <= before
+               for (before, _), (a, x) in zip(((0, 1),) + vk, vk)):
             raise ValueError(f"kappa monomial {vk!r} is not increasing "
                              "(index, exponent) pairs of positive integers")
-    if any(x < 0 for x in psi_leg) or any(p < 0 or q < 0 for p, q in psi_edge):
-        raise ValueError("negative decoration exponent")
+    check_exponents(psi_leg)
+    check_exponents([x for p, q in psi_edge for x in (p, q)])
     if not _local_dim_ok(graph, kappa, psi_leg, psi_edge):
         return None
     return _canonical_term(graph, kappa, psi_leg, psi_edge)
@@ -250,11 +262,13 @@ class TautClass:
     def monomial(cls, g, n, psi_exps=None, kappas=None, coeff=Fraction(1)):
         """Edgeless class psi1^d1...psin^dn * prod kappa_a^x, from
         {label: d} and {a: x}; zero exponents are dropped, and a nonzero
-        one on a label outside 1..n is a ValueError."""
-        psi_exps = psi_exps or {}
+        one on a label outside 1..n is a ValueError, as is an exponent
+        that check_exponents refuses."""
+        psi_exps, kappas = psi_exps or {}, kappas or {}
+        check_exponents([*psi_exps.values(), *kappas.values()])
         if any(d and not 1 <= i <= n for i, d in psi_exps.items()):
             raise ValueError(f"psi labels {sorted(psi_exps)} outside 1..{n}")
-        kappa = tuple(sorted((a, x) for a, x in (kappas or {}).items() if x))
+        kappa = tuple(sorted((a, x) for a, x in kappas.items() if x))
         psi_leg = tuple(psi_exps.get(i, 0) for i in range(1, n + 1))
         return cls(g, n).add_term(trivial_graph(g, n), (kappa,), psi_leg, (), coeff)
 
@@ -696,12 +710,48 @@ def _push_unstable_vertex(out: TautClass, term: StrataTerm, coeff, v: int,
 # Gluing pushforward
 # ---------------------------------------------------------------------------
 
+def _splice(graph: StableGraph, decoration, v: int, local: StrataTerm) -> tuple:
+    """(graph, kappa, psi_leg, psi_edge) with vertex v of the decorated
+    stratum replaced by the stratum `local` on the moduli of v, whose
+    markings are the attachments of v ranked as in StableGraph.attachments.
+    Local vertex 0 takes index v, the other local vertices and the local
+    edges are appended, and each attachment of v moves to the local vertex
+    of its marking with that marking's psi; every other vertex, leg and edge
+    keeps its index and decoration, and v's own decoration is dropped."""
+    kappa, psi_leg, psi_edge = decoration
+    local_graph = local.graph
+    nv = graph.n_vertices
+    where = (v, *range(nv, nv + local_graph.n_vertices - 1))
+    markings = zip(local_graph.legs, local.psi_leg)   # by rank, in attachment order
+    legs, psi_leg = list(graph.legs), list(psi_leg)
+    for i, u in enumerate(graph.legs):
+        if u == v:
+            w, psi_leg[i] = next(markings)
+            legs[i] = where[w]
+    edges, psi_edge = list(graph.edges), list(psi_edge)
+    for e, ends in enumerate(graph.edges):
+        for s in (0, 1):
+            if ends[s] == v:
+                w, y = next(markings)
+                edges[e] = _put(edges[e], s, where[w])
+                psi_edge[e] = _put(psi_edge[e], s, y)
+    edges.extend((where[a], where[b]) for a, b in local_graph.edges)
+    genera = graph.genera[:v] + local_graph.genera[:1] + graph.genera[v + 1:] \
+        + local_graph.genera[1:]
+    return (StableGraph(genera, tuple(legs), tuple(edges)),
+            _put(kappa, v, local.kappa[0]) + local.kappa[1:], tuple(psi_leg),
+            tuple(psi_edge) + local.psi_edge)
+
+
 def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
     """Assemble per-vertex classes along a stable graph.
 
     vertex_classes[v] lives on the moduli of the v-th vertex; its markings
     1..n(v) correspond to the attachments of v in the order given by
-    StableGraph.attachments (legs by label, then half-edges)."""
+    StableGraph.attachments (legs by label, then half-edges).  Each product
+    of one term per vertex, in the order of itertools.product over the
+    classes' sorted terms, is spliced into the bare ambient graph from the
+    last vertex down (_splice), the coefficients multiplied in vertex order."""
     g, n = ambient.genus, ambient.n_legs
     markings = ambient.attachments()
     if len(vertex_classes) != ambient.n_vertices:
@@ -717,26 +767,8 @@ def gluing_pushforward(ambient: StableGraph, vertex_classes) -> TautClass:
         coeff = combo[0][1]
         for _, c in combo[1:]:
             coeff = coeff * c
-        genera, kappa, edges, psi_edge = [], [], [], []
-        at = {}     # attachment tag -> (glued vertex, psi exponent there)
-        for tags, (term, _) in zip(markings, combo):
-            off = len(genera)
-            genera.extend(term.graph.genera)
-            kappa.extend(term.kappa)
-            for a, b in term.graph.edges:
-                edges.append((off + a, off + b))
-            psi_edge.extend(term.psi_edge)
-            for tag, w, y in zip(tags, term.graph.legs, term.psi_leg):
-                at[tag] = (off + w, y)
-        legs, psi_leg = [], []
-        for lab in range(1, n + 1):
-            w, y = at[("l", lab)]
-            legs.append(w)
-            psi_leg.append(y)
-        for e in range(ambient.n_edges):
-            (a, p), (b, q) = at[("h", e, 0)], at[("h", e, 1)]
-            edges.append((a, b))
-            psi_edge.append((p, q))
-        out.add_term(StableGraph(tuple(genera), tuple(legs), tuple(edges)),
-                     tuple(kappa), tuple(psi_leg), tuple(psi_edge), coeff)
+        stratum = (ambient, *bare(ambient))
+        for v in reversed(range(ambient.n_vertices)):
+            stratum = _splice(stratum[0], stratum[1:], v, combo[v][0])
+        out.add_term(*stratum, coeff)
     return out

@@ -40,6 +40,7 @@ from tautring.relations import (
     _record_hash,
     _solve_for_target,
     _text_hash,
+    _vertex_monomial,
 )
 from tautring.strata import (
     TautClass,
@@ -50,6 +51,8 @@ from tautring.strata import (
 )
 
 from dict_decoration import decorated
+from reference_gluing import offset_map_gluing_pushforward
+from star_census import decorated_strata, star_census
 
 
 def dirr(g, n):
@@ -806,6 +809,49 @@ def test_star_reduce_census_battery(no_elimination_lemma):
         "993599a8d0f85d8070aabc17341e5b0ab18bdd76cd251289c446e62530f2e9fc",
         "b040327d5e5c83975d679999796fde2b5f74ccc69967adbd94273142df0aabbb",
     ]
+
+
+@pytest.mark.parametrize("g,n,count,digest", [
+    (0, 4, 8, "20fa9a074d02c292e001c93aaec463454fde807cd8d2e8c17923c0aa04149763"),
+    (0, 5, 103, "706e2d97aad0dad09a1afd323d26d51872674755adfc5684cc24084e3587f600"),
+    (0, 6, 1658, "e291875bf8c2cc2cea40a876a6dfac6c3933a6ed52ae7d85f6b4e74a56a52072"),
+    (1, 1, 3, "b1b627a5975faa3802952f3843ae826af1cf76291a1b39509b0f7b91c0921d66"),
+    (1, 2, 20, "51f895ef4ef61da97bf78542e482f56e8156fb7bc60c130eafe79a280b9dc30e"),
+    (1, 3, 166, "beb23a4178fea6f209046c6851ce08e041d794cdb5da81268a4e426fea9fe9f3"),
+    (1, 4, 2021, "6fcd75a69b83ff207415fdf028f1c9f2eb70f6f070cabb6102782f4636a1b600"),
+])
+def test_star_census(g, n, count, digest, no_elimination_lemma):
+    # Theorem star on every decorated stratum of codimension >= max(g, 1):
+    # star_census checks property star and the rational-vertex count of
+    # every output term; the count and the digest of the reductions are
+    # those first computed
+    assert star_census(g, n, RelationDatabase()) == (count, digest)
+
+
+def test_rewrite_vertex_matches_frozen_gluing(no_elimination_lemma):
+    # one star step splices the vertex's boundary expression into its
+    # stratum; the frozen route glued that expression at the vertex with
+    # the monomial of every other vertex.  Every rewritable vertex of every
+    # census stratum: loops, parallel edges, legless and positive-genus
+    # vertices among them
+    db = RelationDatabase()
+    checked = 0
+    for g, n in [(0, 5), (0, 6), (1, 2), (1, 3)]:
+        for term in decorated_strata(g, n, max(g, 1)):
+            graph, tags = term.graph, term.graph.attachments()
+            for v, (d, gv) in enumerate(zip(term.vertex_degrees(), graph.genera)):
+                if d <= max(gv - 1, 0):
+                    continue
+                local = boundary_expression(gv, len(tags[v]),
+                                            _vertex_monomial(term, v, tags[v]), db)
+                classes = [local.value if u == v else
+                           TautClass.monomial(gu, len(tags[u]),
+                                              *_vertex_monomial(term, u, tags[u]))
+                           for u, gu in enumerate(graph.genera)]
+                assert relations._rewrite_vertex(term, v, db).to_json() == \
+                    offset_map_gluing_pushforward(graph, classes).to_json(), (term, v)
+                checked += 1
+    assert checked > 1500
 
 
 # -- database -----------------------------------------------------------------

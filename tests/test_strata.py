@@ -27,6 +27,7 @@ from tautring.strata import (
 )
 
 from dict_decoration import decorated
+from reference_gluing import offset_map_gluing_pushforward
 
 
 def psi(g, n, i, c=1):
@@ -126,26 +127,68 @@ def test_canonical_term_takes_the_stored_decoration_form():
 
 
 def test_one_canonical_search_per_new_term(monkeypatch):
-    # canonical_term memoizes its result; each miss makes one labeling pass
-    # over the vertex orderings, which gives both the canonical graph and
-    # the decoration on it, and no other labeling pass runs
-    calls = []
-    orders = graphs._candidate_orders
+    # canonical_term is the memo: each new key is checked and filtered by
+    # dimension once, and each memoized stratum other than None makes one
+    # labeling pass over the vertex orderings, which gives both the
+    # canonical graph and the decoration on it; no other labeling pass runs
+    calls, filtered = [], []
+    orders, dim_ok = graphs._candidate_orders, strata._local_dim_ok
 
     def counting(graph):
         calls.append(graph)
         return orders(graph)
 
+    def filtering(*key):
+        fits = dim_ok(*key)
+        if not fits:
+            filtered.append(key)
+        return fits
+
     monkeypatch.setattr(graphs, "_candidate_orders", counting)
     monkeypatch.setattr(strata, "_candidate_orders", counting)
-    strata._canonical_term.cache_clear()
+    monkeypatch.setattr(strata, "_local_dim_ok", filtering)
+    strata.canonical_term.cache_clear()
     c = psi(2, 2, 1).mul_boundary(("irr",)).mul_boundary(("irr",)) \
         .mul_boundary(("sep", 1, ()))
     c = c + c.forget_pushforward().forget_pullback()
     assert TautClass.from_json(c.to_json()) == c
-    info = strata._canonical_term.cache_info()
-    assert info.hits > 0 and len(calls) == info.misses > 0
+    info = strata.canonical_term.cache_info()
+    assert info.hits > 0 and len(calls) == info.misses - len(filtered) > 0
     assert max(term.graph.h1 for term in c.terms) == 2
+    # an out-of-dimension key is filtered once; asked again, the memo
+    # answers None without the filter
+    over = (trivial_graph(0, 4), ((),), (1, 1, 0, 0), ())
+    before = len(filtered)
+    assert canonical_term(*over) is None and canonical_term(*over) is None
+    assert filtered[before:] == [over]
+    assert strata.canonical_term.cache_info().misses == info.misses + 1
+
+
+def test_non_int_decoration_is_refused_and_memoizes_nothing():
+    # a bool or float exponent or kappa index is a ValueError that leaves
+    # no entry behind, so no later int key is served a term holding True
+    # or 1.0 (which to_json would write as `true` or `1.0`)
+    strata.canonical_term.cache_clear()
+    graph = trivial_graph(0, 4)
+    for kappa, psi_leg in ((((),), (0, 0, 0, True)), (((),), (0, 0, 0, 1.0)),
+                           ((((1, True),),), (0, 0, 0, 0)),
+                           ((((1.0, 1),),), (0, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            canonical_term(graph, kappa, psi_leg, ())
+    loop = stable_graph((0,), (0,), ((0, 0),))
+    with pytest.raises(ValueError):
+        canonical_term(loop, ((),), (0,), ((False, 0),))
+    assert strata.canonical_term.cache_info().currsize == 0
+    for bad in ({4: 1.0}, {4: True}):
+        with pytest.raises(ValueError):
+            TautClass.monomial(0, 4, bad)
+    with pytest.raises(ValueError):
+        TautClass.monomial(0, 4, kappas={1: 1.0})
+    assert TautClass.psi(0, 4, 4).to_json()["terms"][0]["decoration"]["psi_legs"] \
+        == [0, 0, 0, 1]
+    # served, not refused: a key equal to a memoized int key gets its term
+    served = canonical_term(graph, ((),), (0, 0, 0, True), ())
+    assert [type(x) for x in served.psi_leg] == [int] * 4
 
 
 def test_psi_label_outside_the_markings_is_rejected():
@@ -436,10 +479,10 @@ def _reference_gluing_pushforward(ambient, vertex_classes):
     return out
 
 
-def _random_vertex_class(rng, g, n, coefficient):
-    """Three seeded terms on (g, n): strata with at most one edge, random
-    kappa, leg and edge psi decorations, and coefficient(rng) each."""
-    candidates = enumerate_stable_graphs(g, n, 1)
+def _random_vertex_class(rng, g, n, coefficient, max_edges=1):
+    """Three seeded terms on (g, n): strata with at most max_edges edges,
+    random kappa, leg and edge psi decorations, and coefficient(rng) each."""
+    candidates = enumerate_stable_graphs(g, n, max_edges)
     out = TautClass(g, n)
     for _ in range(3):
         graph = rng.choice(candidates)
@@ -484,6 +527,32 @@ def test_glue_matches_hand_indexed_reference_with_polynomial_coefficients():
     glued = gluing_pushforward(ambient, classes)
     assert not glued.is_zero()
     assert glued.to_json() == _reference_gluing_pushforward(ambient, classes).to_json()
+
+
+def test_glue_matches_frozen_offset_map_gluing():
+    # gluing_pushforward splices each vertex's term into the bare ambient
+    # graph; the frozen reference concatenates the vertex graphs at offsets.
+    # The ambient graphs carry loops, parallel edges, legless and
+    # positive-genus vertices, and so do the seeded vertex classes
+    rng = random.Random(29)
+    seen, checked = set(), 0
+    for g, n in [(2, 0), (2, 1), (1, 2), (1, 3), (0, 6)]:
+        for ambient in enumerate_stable_graphs(g, n, 3):
+            if ambient.n_edges == 0:
+                continue
+            tags = ambient.attachments()
+            seen.update(feature for feature, present in (
+                ("loop", any(a == b for a, b in ambient.edges)),
+                ("parallel", len(set(ambient.edges)) < ambient.n_edges),
+                ("legless", any(not any(t[0] == "l" for t in ts) for ts in tags)),
+                ("positive genus", max(ambient.genera) > 0)) if present)
+            classes = [_random_vertex_class(rng, gv, len(ts), _random_fraction, 2)
+                       for gv, ts in zip(ambient.genera, tags)]
+            glued = gluing_pushforward(ambient, classes)
+            assert glued.to_json() == \
+                offset_map_gluing_pushforward(ambient, classes).to_json(), ambient
+            checked += not glued.is_zero()
+    assert seen == {"loop", "parallel", "legless", "positive genus"} and checked > 250
 
 
 # -- forgetful maps -----------------------------------------------------------
