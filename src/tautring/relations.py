@@ -44,6 +44,7 @@ from .strata import (
     _splice,
     boundary_divisor_class,
     check_exponents,
+    check_monomial,
     normalize_divisor,
 )
 
@@ -549,13 +550,9 @@ def boundary_expression(g: int, n: int, monomial, db: RelationDatabase | None = 
         psi, kappa = parse_monomial(monomial)
     else:
         psi, kappa = dict(monomial[0]), dict(monomial[1])
-    check_exponents([*psi.values(), *kappa.values()])
+    check_monomial(n, psi, kappa)
     psi = {i: e for i, e in psi.items() if e}
     kappa = {a: x for a, x in kappa.items() if x}
-    if any(not 1 <= i <= n for i in psi):
-        raise ValueError("psi label outside the marking set")
-    if any(a < 1 for a in kappa):
-        raise ValueError("kappa index must be >= 1")
     key = monomial_key(psi, kappa)
     deg = sum(psi.values()) + sum(a * x for a, x in kappa.items())
     threshold = 1 if g == 0 else (g - 1 if n == 0 else g)

@@ -46,6 +46,7 @@ from .graphs import (
     is_stable_pair,
     relabel_legs,
     separating_spec,
+    shared,
     split_vertex,
     trivial_graph,
     vertex_split_options,
@@ -154,10 +155,11 @@ def _canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
                 tuple([kappa[old] for old in order]), tuple([pq for _, pq in slots]))
 
     encoding, canon_kappa, canon_psi_edge = min(map(labeling, _candidate_orders(graph)))
-    # a graph already in canonical form is kept: the memo key holds it anyway
+    # a graph already in canonical form is kept: the memo key holds it
+    # anyway; a new one, and the canonical decoration, come from the pool
     if encoding != (graph.genera, graph.legs, graph.edges):
-        graph = StableGraph(*encoding)
-    return StrataTerm(graph, canon_kappa, psi_leg, canon_psi_edge)
+        graph = StableGraph(*map(shared, encoding))
+    return StrataTerm(graph, shared(canon_kappa), psi_leg, shared(canon_psi_edge))
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +171,9 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     kappa, per vertex, (index, exponent) pairs of ints with increasing
     indices >= 1 and exponents >= 1; psi_leg, the int exponent per leg label
     1..n; psi_edge, per edge, the (side 0, side 1) pair of int exponents.
-    Any other shape, or a bool or float anywhere, is a ValueError.
+    Any other shape, or a bool or float anywhere (the graph's genera
+    included), is a ValueError.  A new term's canonical graph, kappa and
+    edge-psi tuples come from the graphs module's pool (graphs.shared).
 
     This function is the memo: the shape check, the dimension filter and
     the labeling run once per key, and None is memoized like a term.  A
@@ -179,6 +183,8 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     if (len(kappa), len(psi_leg), len(psi_edge)) != \
             (graph.n_vertices, graph.n_legs, graph.n_edges):
         raise ValueError("decoration does not fit the graph")
+    if any(type(gv) is not int for gv in graph.genera):
+        raise ValueError(f"vertex genera {graph.genera!r} are not ints")
     for vk in kappa:
         # each index exceeds the one before it, and the first exceeds 0
         if any(type(a) is not int or type(x) is not int or x < 1 or a <= before
@@ -196,6 +202,21 @@ def check_exponents(exponents) -> None:
     """ValueError unless every exponent is a non-negative int (not a bool)."""
     if any(type(x) is not int or x < 0 for x in exponents):
         raise ValueError("exponents must be non-negative integers")
+
+
+def check_monomial(n: int, psi_exps: dict, kappas: dict) -> None:
+    """ValueError unless a psi/kappa monomial {label: d}, {a: x} on n
+    markings has int labels and indices, exponents that check_exponents
+    accepts, and each nonzero exponent on a label in 1..n or an index >= 1.
+    A bool or float label would pass for the int it equals (True == 1)."""
+    check_exponents([*psi_exps.values(), *kappas.values()])
+    if any(type(k) is not int for k in itertools.chain(psi_exps, kappas)):
+        raise ValueError(f"psi labels {list(psi_exps)} and kappa indices "
+                         f"{list(kappas)} must be ints")
+    if any(d and not 1 <= i <= n for i, d in psi_exps.items()):
+        raise ValueError(f"psi labels {sorted(psi_exps)} outside 1..{n}")
+    if any(x and a < 1 for a, x in kappas.items()):
+        raise ValueError("kappa index must be >= 1")
 
 
 def bare(graph: StableGraph) -> tuple:
@@ -261,13 +282,10 @@ class TautClass:
     @classmethod
     def monomial(cls, g, n, psi_exps=None, kappas=None, coeff=Fraction(1)):
         """Edgeless class psi1^d1...psin^dn * prod kappa_a^x, from
-        {label: d} and {a: x}; zero exponents are dropped, and a nonzero
-        one on a label outside 1..n is a ValueError, as is an exponent
-        that check_exponents refuses."""
+        {label: d} and {a: x} that check_monomial accepts; zero exponents
+        are dropped."""
         psi_exps, kappas = psi_exps or {}, kappas or {}
-        check_exponents([*psi_exps.values(), *kappas.values()])
-        if any(d and not 1 <= i <= n for i, d in psi_exps.items()):
-            raise ValueError(f"psi labels {sorted(psi_exps)} outside 1..{n}")
+        check_monomial(n, psi_exps, kappas)
         kappa = tuple(sorted((a, x) for a, x in kappas.items() if x))
         psi_leg = tuple(psi_exps.get(i, 0) for i in range(1, n + 1))
         return cls(g, n).add_term(trivial_graph(g, n), (kappa,), psi_leg, (), coeff)
@@ -389,8 +407,8 @@ class TautClass:
     # -- products with codimension-one generators ----------------------------
 
     def mul_psi(self, i: int) -> "TautClass":
-        if not 1 <= i <= self.n:
-            raise ValueError(f"no leg labeled {i}")
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise ValueError(f"no leg labeled {i!r}")
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
             psi_leg = _put(term.psi_leg, i - 1, term.psi_leg[i - 1] + 1)
@@ -398,8 +416,8 @@ class TautClass:
         return out
 
     def mul_kappa(self, a: int) -> "TautClass":
-        if a < 1:
-            raise ValueError("kappa index must be >= 1")
+        if type(a) is not int or a < 1:
+            raise ValueError(f"kappa index {a!r} is not an int >= 1")
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
             for v, vk in enumerate(term.kappa):
@@ -409,7 +427,7 @@ class TautClass:
 
     def mul_monomial(self, psi_exps=None, kappas=None) -> "TautClass":
         psi_exps, kappas = psi_exps or {}, kappas or {}
-        check_exponents([*psi_exps.values(), *kappas.values()])
+        check_monomial(self.n, psi_exps, kappas)
         out = self
         for i, d in psi_exps.items():
             for _ in range(d):

@@ -162,6 +162,43 @@ def test_enumerated_graphs_are_valid_canonical_representatives(g, n, limit):
             assert _revalidates(contracted), (graph, e)
 
 
+def _one_object_per_value(values) -> bool:
+    return len({id(value) for value in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("g,n,limit", [(0, 7, 4), (1, 4, 4), (2, 3, 3),
+                                       (3, 0, 6)])
+def test_enumerated_graphs_share_each_distinct_tuple(g, n, limit):
+    # enumeration takes each graph's tuples from the pool (graphs.shared):
+    # equal genera, legs or edges tuples are one object, and a graph has
+    # slots, not a per-instance dict
+    found = enumerate_stable_graphs(g, n, limit)
+    assert len({graph.genera for graph in found}) < len(found)
+    for field in ("genera", "legs", "edges"):
+        assert _one_object_per_value([getattr(graph, field) for graph in found]), field
+    assert not hasattr(found[0], "__dict__")
+
+
+def test_canonical_term_shares_the_enumerated_graphs_tuples():
+    # a relabeled presentation's canonical graph is built from the pool, so
+    # it holds the enumerated graph's own tuples; so do the canonical kappa
+    # and edge-psi tuples of different terms with equal values
+    rng = random.Random(7)
+    terms = []
+    for graph in enumerate_stable_graphs(2, 2, 3):
+        presented = _relabeled(graph, rng)
+        term = strata.canonical_term(presented, *strata.bare(presented))
+        terms.append(term)
+        if presented == graph:
+            continue
+        assert term.graph == graph
+        assert term.graph.edges is graph.edges and term.graph.legs is graph.legs
+        assert term.graph.genera is graph.genera
+    assert sum(1 for term in terms if term.graph.n_edges) > 30
+    assert _one_object_per_value([term.kappa for term in terms])
+    assert _one_object_per_value([term.psi_edge for term in terms])
+
+
 def _package_caches():
     """Every lru_cache of the package, by qualified name."""
     return {f"{module.__name__}.{name}": fn

@@ -502,6 +502,18 @@ def test_boundary_expression_below_threshold_refused():
         boundary_expression(2, 1, "psi1")
 
 
+@pytest.mark.parametrize("monomial", [({True: 1}, {}), ({2.0: 1}, {}),
+                                      ({1: 1}, {True: 1}), ({1: 1}, {1.0: 1})])
+def test_non_int_label_or_kappa_index_is_refused_before_any_record(tmp_path, monomial):
+    # True == 1 and 2.0 == 2: such a psi label stored three genus-0 records
+    # keyed psiTrue or psi2.0, and such a kappa index was refused only
+    # after the route had written records
+    path = tmp_path / "db.jsonl"
+    with pytest.raises(ValueError, match="must be ints"):
+        boundary_expression(0, 5, monomial, RelationDatabase(str(path)))
+    assert not path.exists()
+
+
 def test_exponents_must_be_non_negative_ints(tmp_path, no_elimination_lemma):
     # a negative exponent would store a record under the key of the
     # monomial with that factor dropped, here psi1*psi2*psi3^2, whose degree

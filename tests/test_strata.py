@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tautring import graphs, strata
 from tautring.algebra import MultiPoly
 from tautring.graphs import (
+    StableGraph,
     enumerate_stable_graphs,
     graph_to_json,
     stable_graph,
@@ -178,6 +179,12 @@ def test_non_int_decoration_is_refused_and_memoizes_nothing():
     loop = stable_graph((0,), (0,), ((0, 0),))
     with pytest.raises(ValueError):
         canonical_term(loop, ((),), (0,), ((False, 0),))
+    # so is a genus of a graph built unchecked: canonical graphs take their
+    # tuples from a pool that holds ints only (graphs.shared)
+    for genus in (True, 1.0):
+        bridge = StableGraph((genus, 0), (0, 1, 1), ((0, 1),))
+        with pytest.raises(ValueError, match="genera"):
+            canonical_term(bridge, *bare(bridge))
     assert strata.canonical_term.cache_info().currsize == 0
     for bad in ({4: 1.0}, {4: True}):
         with pytest.raises(ValueError):
@@ -199,6 +206,27 @@ def test_psi_label_outside_the_markings_is_rejected():
         TautClass.monomial(0, 4, psi_exps={5: 1, 1: 1})
     # a zero exponent names no class, wherever its label
     assert TautClass.monomial(0, 4, psi_exps={5: 0, 1: 1}) == psi(0, 4, 1)
+
+
+@pytest.mark.parametrize("label", [True, 4.0])
+def test_monomial_refuses_a_non_int_psi_label(label):
+    # True == 1 and 4.0 == 4: {True: 1} gave psi1 and {4.0: 1} psi4
+    with pytest.raises(ValueError, match="must be ints"):
+        TautClass.monomial(0, 4, {label: 1})
+
+
+@pytest.mark.parametrize("label", [True, 2.0])
+def test_mul_psi_refuses_a_non_int_label(label):
+    # mul_psi(True) multiplied by psi1, and mul_psi(2.0) raised TypeError
+    with pytest.raises(ValueError, match="no leg labeled"):
+        TautClass.fundamental(0, 4).mul_psi(label)
+
+
+def test_mul_kappa_refuses_a_non_int_index_on_any_class():
+    # on a nonzero class canonical_term refused the (True, 1) pair; the zero
+    # class, which builds no term, returned zero
+    with pytest.raises(ValueError, match="not an int"):
+        TautClass(0, 4).mul_kappa(True)
 
 
 def test_normalize_identifies_isomorphic_presentations():
