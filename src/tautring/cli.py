@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation error (malformed or missing flags and
 an unusable --db or --out path included, found before any computation when
 its directory is missing, or when --out names a directory or a path that
-cannot be written), 2 verification mismatch (a failed internal structural
-check, RelationPipelineError, included), 3 cache integrity failure.
+cannot be written), 2 verification mismatch (RelationPipelineError,
+WeightingSystemError, InterpolationError), 3 cache integrity failure.
 Data goes to --out (or stdout); progress and diagnostics go to stderr only.
 """
 
@@ -17,8 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
+from .algebra import InterpolationError
 from .graphs import InvalidGraphError, enumerate_stable_graphs, graph_to_json
-from .pixton import omega_constant_term, omega_constant_term_from_samples
+from .pixton import (WeightingSystemError, omega_constant_term,
+                     omega_constant_term_from_samples)
 from .relations import (
     CacheConsistencyError,
     CacheIntegrityError,
@@ -232,8 +234,11 @@ def main(argv=None) -> int:
     except (CacheIntegrityError, CacheConsistencyError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except RelationPipelineError as exc:
+    except (RelationPipelineError, WeightingSystemError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except InterpolationError as exc:
+        print(f"verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (InvalidGraphError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -36,7 +36,9 @@ h1, which the factor 1 / r^h1 takes back.  Each window holds 2d + 1 moduli.
 For every scalar, the interpolant through the first window must reproduce
 each sample of the second, which proves it right for any true degree up to
 4d + 1; otherwise the bound is enlarged and that graph alone is sampled
-again.  This is the one retry policy, per sampled graph, for every caller.
+again.  _sampled_constant_terms walks this schedule of window pairs and is
+the one owner of sampling, checking and retrying, per graph, for every
+caller: a --r-samples run hands it a one-pair schedule.
 Every stratum coefficient of the class is a linear combination of the
 scalars, so agreement of all scalars implies agreement of the classes: the
 check is at least as strict as comparing the interpolated classes.
@@ -57,7 +59,6 @@ computed it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -251,24 +252,12 @@ def _windows(r_min: int, max_degree: int) -> list:
     return schedule
 
 
-def _first_passing(schedule, sample):
-    """sample(first, second) at each pair of windows of the schedule in turn
-    until one passes its check; the last pair's failure propagates."""
-    *retries, last = schedule
-    for first, second in retries:
-        try:
-            return sample(first, second)
-        except InterpolationError:
-            pass
-    return sample(*last)
-
-
 def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
     """Constant term in r of the modulus-r class, in every degree up to
     max_degree.  Graphs with cycles are sampled at two disjoint windows of
     2*max_degree + 1 consecutive moduli from minimum_modulus(A) (see the
     module docstring); a graph whose check fails is retried on its own with
-    an enlarged bound, by the one retry policy of _graph_sums."""
+    an enlarged bound, by _sampled_constant_terms."""
     return _graph_sums(g, [(validate_ramification(A), 1)], range(max_degree + 1))
 
 
@@ -311,35 +300,37 @@ def _tree_constant_terms(wmap, orders) -> list:
                      2 ** (sum(js) + len(js))) for js in orders]
 
 
-def _sampled_constant_terms(wmap, orders, lagrange: dict, first, second) -> list:
-    """F_j for every j in orders on a graph with cycles, from its weighting
-    sums at both windows.  Lagrange weights from the first window, at r = 0
-    and at each second-window modulus, serve every scalar: F_j is the first
+def _sampled_constant_terms(wmap, orders, lagrange: dict, schedule) -> list:
+    """F_j for every j in orders on a graph with cycles: the one owner of
+    sampling, checking and retrying.  At each pair of windows of the
+    schedule in turn, Lagrange weights from the first window, at r = 0 and
+    at each second-window modulus, serve every scalar: F_j is the first
     window's interpolant at 0, and that interpolant must reproduce T_j at
-    every second-window modulus.  The weights are folded with 1 / r^h1, so
-    the check runs on the integer sums T_j; lagrange keeps them per
-    (windows, h1) for the caller."""
+    every second-window modulus.  The first pair that passes gives F_j; a
+    mismatch moves on to the next pair, and after the last it raises
+    InterpolationError.  The weights are folded with 1 / r^h1, so the check
+    runs on the integer sums T_j; lagrange keeps them per (windows, h1) for
+    the caller."""
     h1 = wmap[0]
-    key = (tuple(first), tuple(second), h1)
-    if key not in lagrange:
-        lagrange[key] = [_integer_weights(first, at, h1) for at in [0, *second]]
-    (zero_num, zero_den), *checks = lagrange[key]
-    columns = list(zip(*[_weighting_sums(wmap, r, orders) for r in first]))
-    for (num, den), r in zip(checks, second):
-        actual = _weighting_sums(wmap, r, orders)
-        for column, total in zip(columns, actual):
-            if sum(map(operator.mul, num, column)) * r ** h1 != den * total:
-                raise InterpolationError(
-                    "disjoint sample sets disagree; enlarge the degree bound")
-    return [Fraction(sum(map(operator.mul, zero_num, column)),
-                     zero_den * 2 ** (sum(js) + len(js)))
-            for js, column in zip(orders, columns)]
+    for first, second in schedule:
+        key = (tuple(first), tuple(second), h1)
+        if key not in lagrange:
+            lagrange[key] = [_integer_weights(first, at, h1) for at in [0, *second]]
+        (zero_num, zero_den), *checks = lagrange[key]
+        columns = list(zip(*[_weighting_sums(wmap, r, orders) for r in first]))
+        if all(sum(map(operator.mul, num, column)) * r ** h1 == den * total
+               for (num, den), r in zip(checks, second)
+               for column, total in zip(columns, _weighting_sums(wmap, r, orders))):
+            return [Fraction(sum(map(operator.mul, zero_num, column)),
+                             zero_den * 2 ** (sum(js) + len(js)))
+                    for js, column in zip(orders, columns)]
+    raise InterpolationError("disjoint sample sets disagree; enlarge the degree bound")
 
 
 def _interpolated_constant_term(g, A, max_degree, first, second) -> TautClass:
     """The constant-term class in every degree up to max_degree, with every
     graph with cycles sampled at this one pair of windows."""
-    return _graph_sums(g, [(A, 1)], range(max_degree + 1), (first, second))
+    return _graph_sums(g, [(A, 1)], range(max_degree + 1), [(first, second)])
 
 
 def weighted_constant_term(g: int, points, degree: int) -> TautClass:
@@ -353,15 +344,16 @@ def weighted_constant_term(g: int, points, degree: int) -> TautClass:
     return _graph_sums(g, points, range(degree, degree + 1))
 
 
-def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
+def _graph_sums(g: int, points, degrees: range, schedule=None) -> TautClass:
     """sum_p w_p times the part in `degrees` of the constant-term class at
     A_p, over points (A_p, w_p).  F_j is taken once per key (labeled
     skeleton (n_vertices, edges), vertex charges), in a memo local to this
-    call: in closed form on a tree, and on a graph with cycles sampled, for
-    the first graph and point A to reach the key, at the given windows or
-    else on the schedule _windows(minimum_modulus(A), top degree).  Another
-    A with the same charges may have another minimum modulus, but F_j is
-    exact on either schedule, and _add_graph only reads the shared lists.
+    call: in closed form on a tree, and on a graph with cycles by
+    _sampled_constant_terms, for the first graph and point A to reach the
+    key, on the given schedule of window pairs or else on
+    _windows(minimum_modulus(A), top degree).  Another A with the same
+    charges may have another minimum modulus, but F_j is exact on either
+    schedule, and _add_graph only reads the shared lists.
     Trees and cycle graphs never share a key: h1 follows from the skeleton.
     Then each graph's strata are built once, for the (j, k) whose weighted
     sum over the points is nonzero."""
@@ -385,10 +377,9 @@ def _graph_sums(g: int, points, degrees: range, windows=None) -> TautClass:
             if charges not in by_charges:
                 wmap = weighting_map(graph, A)
                 if graph.h1:
-                    schedule = [windows] if windows else \
-                        _windows(minimum_modulus(A), top)
-                    by_charges[charges] = _first_passing(schedule, functools.partial(
-                        _sampled_constant_terms, wmap, orders, lagrange))
+                    by_charges[charges] = _sampled_constant_terms(
+                        wmap, orders, lagrange,
+                        schedule or _windows(minimum_modulus(A), top))
                 else:
                     by_charges[charges] = _tree_constant_terms(wmap, orders)
             scalars.append(by_charges[charges])

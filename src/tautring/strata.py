@@ -171,9 +171,10 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     kappa, per vertex, (index, exponent) pairs of ints with increasing
     indices >= 1 and exponents >= 1; psi_leg, the int exponent per leg label
     1..n; psi_edge, per edge, the (side 0, side 1) pair of int exponents.
-    Any other shape, or a bool or float anywhere (the graph's genera
-    included), is a ValueError.  A new term's canonical graph, kappa and
-    edge-psi tuples come from the graphs module's pool (graphs.shared).
+    Any other shape, or a bool or float anywhere (the graph's genera, leg
+    vertices and edge ends included), is a ValueError.  A new term's
+    canonical graph, kappa and edge-psi tuples come from the graphs
+    module's pool (graphs.shared).
 
     This function is the memo: the shape check, the dimension filter and
     the labeling run once per key, and None is memoized like a term.  A
@@ -183,8 +184,9 @@ def canonical_term(graph: StableGraph, kappa, psi_leg, psi_edge):
     if (len(kappa), len(psi_leg), len(psi_edge)) != \
             (graph.n_vertices, graph.n_legs, graph.n_edges):
         raise ValueError("decoration does not fit the graph")
-    if any(type(gv) is not int for gv in graph.genera):
-        raise ValueError(f"vertex genera {graph.genera!r} are not ints")
+    if any(type(x) is not int
+           for x in itertools.chain(graph.genera, graph.legs, *graph.edges)):
+        raise ValueError(f"genera, leg vertices or edge ends of {graph!r} are not ints")
     for vk in kappa:
         # each index exceeds the one before it, and the first exceeds 0
         if any(type(a) is not int or type(x) is not int or x < 1 or a <= before

@@ -9,6 +9,7 @@ from tautring.algebra import (
     InterpolationError,
     MultiPoly,
     finite_difference_extract,
+    finite_difference_stencil,
     lagrange_interpolate,
     lagrange_weights,
 )
@@ -151,14 +152,17 @@ def test_finite_difference_square_of_sum():
 
 def test_finite_difference_below_top_degree():
     # one forward difference recovers only a top-degree coefficient; a lower
-    # monomial is refused rather than answered wrongly
+    # monomial is refused rather than answered wrongly, and so is a bool,
+    # float or str exponent, which int() would read as a top-degree one
     def f(pt):
         x, y = pt
         return Fraction(2 * x ** 3 + 5 * x * y + x * x + 7)
 
-    for exps in ((1, 1), (1, 0), (0, 0)):
+    for exps in ((1, 1), (1, 0), (0, 0), (2.7, 1), (3.0, 0), (True, 2), ("3", 0)):
         with pytest.raises(AlgebraError):
             finite_difference_extract(f, exps, 3)
+        with pytest.raises(AlgebraError):
+            finite_difference_stencil(exps, 3)
     assert finite_difference_extract(f, (3, 0), 3) == 2
 
 

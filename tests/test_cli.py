@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautring import cli
+from tautring import cli, pixton
 from tautring.cli import main
 from tautring.relations import (CacheIntegrityError, RelationDatabase,
                                 RelationPipelineError, _record_hash, _text_hash,
@@ -121,6 +121,39 @@ def test_omega_rejects_negative_degree(capsys):
         err = capsys.readouterr().err
         assert "degree must be >= 0" in err
         assert "Traceback" not in err
+
+
+def test_failed_sample_check_exits_two_with_one_line(capsys, monkeypatch):
+    # windows {3, 4} and {5, 6} fit lines, but the degree-1 coefficients are
+    # quadratic in r: a certification failure, not an input error; so is a
+    # default schedule whose every pair disagrees
+    base = ["omega", "--genus", "1", "--ramification", "1,-1", "--degree", "1"]
+    progress = "computing the constant-term class for A=(1, -1) up to degree 1"
+    mismatch = "verification mismatch: disjoint sample sets disagree; " \
+        "enlarge the degree bound"
+    assert run(base + ["--r-samples", "3,4,5,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [progress, mismatch]
+    monkeypatch.setattr(pixton, "_windows",
+                        lambda r_min, top: [(range(3, 5), range(5, 7))] * 3)
+    assert run(base) == 2
+    assert capsys.readouterr().err.splitlines() == [progress, mismatch]
+
+
+def test_weighting_system_error_exits_two_with_one_line(capsys, monkeypatch):
+    # an inconsistent weighting system is an internal defect: a mismatch,
+    # not a traceback
+    def failing(graph, A):
+        raise pixton.WeightingSystemError("vertex condition violated")
+
+    monkeypatch.setattr(pixton, "weighting_map", failing)
+    assert run(["omega", "--genus", "1", "--ramification", "1,-1",
+                "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [
+        "internal check failed: vertex condition violated"]
 
 
 def test_malformed_samples_are_named_in_the_message(capsys):

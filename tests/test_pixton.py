@@ -539,26 +539,32 @@ def test_negative_degree_is_refused():
 
 
 def test_failed_check_retries_the_graph_on_the_next_windows(monkeypatch):
-    # the check fails at every first pair of windows of the schedule, so
-    # each graph with cycles must be sampled again at the second pair
+    # the check weights of every first pair of windows of the schedule are
+    # made wrong, so each graph with cycles fails its check there and must
+    # be sampled again at the second pair
     g, d = 1, 2
     points = [((2, -1, -1), 1), ((4, -1, -3), -2)]
     expected_class = omega_constant_term(g, points[0][0], d)
     expected_sum = pixton.weighted_constant_term(g, points, d)
     schedules = [pixton._windows(minimum_modulus(A), d) for A, _ in points]
-    first_pairs = {tuple(map(tuple, schedule[0])) for schedule in schedules}
-    second_pairs = {tuple(map(tuple, schedule[1])) for schedule in schedules}
-    original = pixton._sampled_constant_terms
+    first_windows = {tuple(schedule[0][0]) for schedule in schedules}
+    second_moduli = {r for schedule in schedules for window in schedule[1]
+                     for r in window}
+    integer_weights, weighting_sums = pixton._integer_weights, pixton._weighting_sums
     sampled = set()
 
-    def failing_first(wmap, orders, lagrange, first, second):
-        pair = (tuple(first), tuple(second))
-        sampled.add(pair)
-        if pair in first_pairs:
-            raise InterpolationError("the first windows are made to disagree")
-        return original(wmap, orders, lagrange, first, second)
+    def wrong_checks(first, at, h1):
+        num, den = integer_weights(first, at, h1)
+        if at != 0 and tuple(first) in first_windows:
+            num = [n + 1 for n in num]
+        return num, den
 
-    monkeypatch.setattr(pixton, "_sampled_constant_terms", failing_first)
+    def recorded(wmap, r, orders):
+        sampled.add(r)
+        return weighting_sums(wmap, r, orders)
+
+    monkeypatch.setattr(pixton, "_integer_weights", wrong_checks)
+    monkeypatch.setattr(pixton, "_weighting_sums", recorded)
     assert omega_constant_term(g, points[0][0], d) == expected_class
     assert pixton.weighted_constant_term(g, points, d) == expected_sum
-    assert second_pairs <= sampled
+    assert second_moduli <= sampled

@@ -179,12 +179,16 @@ def test_non_int_decoration_is_refused_and_memoizes_nothing():
     loop = stable_graph((0,), (0,), ((0, 0),))
     with pytest.raises(ValueError):
         canonical_term(loop, ((),), (0,), ((False, 0),))
-    # so is a genus of a graph built unchecked: canonical graphs take their
-    # tuples from a pool that holds ints only (graphs.shared)
-    for genus in (True, 1.0):
-        bridge = StableGraph((genus, 0), (0, 1, 1), ((0, 1),))
-        with pytest.raises(ValueError, match="genera"):
-            canonical_term(bridge, *bare(bridge))
+    # so is a genus, leg vertex or edge end of a graph built unchecked:
+    # canonical graphs take their tuples from a pool that holds ints only
+    # (graphs.shared), and a graph already in canonical form is kept as built
+    for zero, one in ((False, True), (0.0, 1.0)):
+        for built in (StableGraph((one, 0), (0, 1, 1), ((0, 1),)),
+                      StableGraph((0,), (zero,) * 3, ()),
+                      StableGraph((0, 0), (0, 0, one, 1), ((0, 1),)),
+                      StableGraph((0, 0), (0, 0, 1, 1), ((zero, 1),))):
+            with pytest.raises(ValueError, match="genera"):
+                canonical_term(built, *bare(built))
     assert strata.canonical_term.cache_info().currsize == 0
     for bad in ({4: 1.0}, {4: True}):
         with pytest.raises(ValueError):
