@@ -261,11 +261,13 @@ def finite_difference_stencil(monomial: Sequence[int], total_degree: int) -> lis
     a top-degree monomial m in a polynomial f of total degree at most
     total_degree: every other monomial of degree at most total_degree is
     annihilated by Delta^m.  A list of (offsets, weight), one per point of
-    the box prod_i [0, m_i].  A bool or float exponent is an AlgebraError,
-    not the int it truncates or compares equal to."""
+    the box prod_i [0, m_i].  A bool or float exponent or total degree is an
+    AlgebraError, not the int it truncates or compares equal to."""
     monomial = tuple(monomial)
     if any(type(m) is not int or m < 0 for m in monomial):
         raise AlgebraError(f"monomial exponents {monomial} must be non-negative ints")
+    if type(total_degree) is not int:
+        raise AlgebraError(f"total degree {total_degree!r} must be an int")
     if sum(monomial) != total_degree:
         raise AlgebraError("only a monomial of the declared total degree can be "
                            "extracted by a single forward difference")

@@ -440,10 +440,12 @@ def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
 
 
 def relabel_legs(graph: StableGraph, perm: dict) -> StableGraph:
-    """Relabel legs by a permutation {old label: new label}."""
-    if sorted(perm) != list(range(1, graph.n_legs + 1)) or \
-            sorted(perm.values()) != list(range(1, graph.n_legs + 1)):
-        raise InvalidGraphError("leg relabeling is not a permutation of 1..n")
+    """Relabel legs by a permutation {old label: new label}.  A bool or
+    float label is refused, not read as the int it equals."""
+    labels = list(range(1, graph.n_legs + 1))
+    if any(type(label) is not int for label in itertools.chain(perm, perm.values())) \
+            or sorted(perm) != labels or sorted(perm.values()) != labels:
+        raise InvalidGraphError("leg relabeling is not a permutation of the int labels 1..n")
     legs = [0] * graph.n_legs
     for old, new in perm.items():
         legs[new - 1] = graph.legs[old - 1]

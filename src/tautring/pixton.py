@@ -80,6 +80,15 @@ def validate_ramification(A) -> tuple:
     return A
 
 
+def _require_int(value, least: int, name: str) -> None:
+    """A degree or modulus must be an int of at least `least`: a bool or
+    float is refused, not read as the int it equals."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def weighting_map(graph: StableGraph, A) -> tuple:
     """The weightings modulo r of the graph, for every r, as one affine map
     (h1, rows): free residues x_0..x_{h1-1} sit on the edges off a spanning
@@ -216,8 +225,8 @@ def _weighting_sums(wmap, r: int, orders) -> list:
 def omega_r(g: int, A, r: int, max_degree: int) -> TautClass:
     """The modulus-r class, truncated to total degree max_degree."""
     A = validate_ramification(A)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    _require_int(r, 1, "modulus")
+    _require_int(max_degree, 0, "max_degree")
     out = TautClass(g, len(A))
     points = [(1, _leg_powers(A, max_degree))]
     for graph, aut in graph_classes(g, len(A), max_degree):
@@ -258,6 +267,7 @@ def omega_constant_term(g: int, A, max_degree: int) -> TautClass:
     2*max_degree + 1 consecutive moduli from minimum_modulus(A) (see the
     module docstring); a graph whose check fails is retried on its own with
     an enlarged bound, by _sampled_constant_terms."""
+    _require_int(max_degree, 0, "degree")
     return _graph_sums(g, [(validate_ramification(A), 1)], range(max_degree + 1))
 
 
@@ -266,6 +276,7 @@ def omega_constant_term_from_samples(g: int, A, max_degree: int,
     """Constant term using caller-provided moduli: an even number of distinct
     int moduli, none below minimum_modulus(A), split in half into the two
     consistency windows."""
+    _require_int(max_degree, 0, "degree")
     A = validate_ramification(A)
     r_samples = list(r_samples)
     if (any(type(r) is not int for r in r_samples) or len(r_samples) < 2
@@ -337,6 +348,7 @@ def weighted_constant_term(g: int, points, degree: int) -> TautClass:
     """sum_p w_p times the degree-`degree` part of
     omega_constant_term(g, A_p, degree), for points (A_p, w_p) with A_p of
     one common length, without building a class per point."""
+    _require_int(degree, 0, "degree")
     points = [(validate_ramification(A), weight) for A, weight in points]
     if len({len(A) for A, _ in points}) != 1:
         raise ValueError("points must be a nonempty list of ramification "
@@ -358,8 +370,6 @@ def _graph_sums(g: int, points, degrees: range, schedule=None) -> TautClass:
     Then each graph's strata are built once, for the (j, k) whose weighted
     sum over the points is nonzero."""
     top = degrees.stop - 1
-    if top < 0:
-        raise ValueError("degree must be >= 0")
     n = len(points[0][0])
     legs = [(weight, _leg_powers(A, top)) for A, weight in points]
     out = TautClass(g, n)

@@ -4,7 +4,6 @@ Each test prints a single PASS line on success; run with `pytest -s
 tests/test_acceptance.py` to see the report.
 """
 
-import itertools
 from fractions import Fraction
 
 from tautring.algebra import MultiPoly, lagrange_interpolate

@@ -163,6 +163,10 @@ def test_finite_difference_below_top_degree():
             finite_difference_extract(f, exps, 3)
         with pytest.raises(AlgebraError):
             finite_difference_stencil(exps, 3)
+    # so is a float or bool total degree, which equals the exponents' sum
+    for exps, degree in (((1, 1), 2.0), ((1, 0), True)):
+        with pytest.raises(AlgebraError):
+            finite_difference_stencil(exps, degree)
     assert finite_difference_extract(f, (3, 0), 3) == 2
 
 

@@ -10,8 +10,8 @@ import pytest
 from tautring import cli, pixton
 from tautring.cli import main
 from tautring.relations import (CacheIntegrityError, RelationDatabase,
-                                RelationPipelineError, _record_hash, _text_hash,
-                                psi_boundary_lemma)
+                                RelationPipelineError, _canonical, _record_hash,
+                                _text_hash, psi_boundary_lemma)
 from tautring.strata import TautClass, boundary_divisor_class
 
 
@@ -329,7 +329,7 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
     for coeff in ({"vars": ["a1"], "poly": "1*a1"}, 1):
         value = boundary_divisor_class(0, 5, ("sep", 0, (1, 2))).to_json()
         value["terms"][0]["coeff"] = coeff
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        text = _canonical(value)
         record = {"v": 2, "key": key, "provenance": ["hand-made"],
                   "sha256": _text_hash(key, ["hand-made"], text), "value": text}
         db.write_text(json.dumps(record) + "\n")
@@ -342,8 +342,7 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
             "decoration": {"kappa": [{}, {}], "psi_legs": [0, 0],
                            "psi_edges": [[0, 0], [0, 0]]},
             "coeff": "1"}
-    text = json.dumps({"g": 2, "n": 2, "terms": [term]}, sort_keys=True,
-                      separators=(",", ":"))
+    text = _canonical({"g": 2, "n": 2, "terms": [term]})
     record = {"v": 2, "key": key, "provenance": ["hand-made"],
               "sha256": _text_hash(key, ["hand-made"], text), "value": text}
     db.write_text(json.dumps(record) + "\n")
@@ -368,8 +367,7 @@ def test_corrupt_cache_exits_three(tmp_path, capsys):
     for field, bad in (("g", 0.0), ("g", False), ("n", 4.0), ("monomial", 1)):
         assert alone(v2({**key, field: bad}, ["hand-made"], text)) == 3, (field, bad)
     for field, bad in (("g", 0.0), ("g", False), ("n", 4.0), ("n", True)):
-        other = json.dumps({**json.loads(text), field: bad}, sort_keys=True,
-                           separators=(",", ":"))
+        other = _canonical({**json.loads(text), field: bad})
         db.write_text(json.dumps(v2(key, ["hand-made"], other)) + "\n")
         assert run(argv) == 3, (field, bad)
 

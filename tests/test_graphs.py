@@ -465,6 +465,16 @@ def test_relabel_legs():
     assert moved.canonical_key() == d34.canonical_key()
 
 
+@pytest.mark.parametrize("perm", [{True: 2, 2: 1, 3: 3, 4: 4}, {1.0: 2, 2: 1, 3: 3, 4: 4},
+                                  {1: 2.0, 2: 1, 3: 3, 4: 4}])
+def test_relabel_legs_refuses_non_int_labels(perm):
+    # a bool label was read as 1, and a float one raised TypeError
+    with pytest.raises(InvalidGraphError):
+        relabel_legs(stable_graph((0, 0), (0, 0, 1, 1), ((0, 1),)), perm)
+    with pytest.raises(InvalidGraphError):
+        strata.TautClass.psi(0, 4, 1).relabel_legs(perm)
+
+
 def test_graph_json_round_trip():
     for graph in enumerate_stable_graphs(1, 2, 2):
         data = graph_to_json(graph)

@@ -538,6 +538,17 @@ def test_negative_degree_is_refused():
         pixton.weighted_constant_term(1, [((0,), 1)], -1)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0, 5.0])
+def test_non_int_degree_or_modulus_is_refused(bad):
+    # a bool was read as 1, and a float raised TypeError
+    for f, args in ((omega_constant_term, (1, (0,), bad)),
+                    (omega_constant_term_from_samples, (1, (0,), bad, [3, 4])),
+                    (pixton.weighted_constant_term, (1, [((0,), 1)], bad)),
+                    (omega_r, (1, (0,), bad, 1)), (omega_r, (1, (0,), 5, bad))):
+        with pytest.raises(ValueError, match="must be an int"):
+            f(*args)
+
+
 def test_failed_check_retries_the_graph_on_the_next_windows(monkeypatch):
     # the check weights of every first pair of windows of the schedule are
     # made wrong, so each graph with cycles fails its check there and must

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import math
-import pathlib
 import shutil
 import tempfile
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tautring import relations
 from tautring.algebra import MultiPoly
 from tautring.graphs import enumerate_stable_graphs, stable_graph, trivial_graph
-from tautring.pixton import omega_constant_term, validate_ramification
+from tautring.pixton import omega_constant_term
 from tautring.relations import (
     BoundaryExpression,
     CacheConsistencyError,
@@ -36,6 +35,7 @@ from tautring.relations import (
     theta_generators,
     theta_power_relation,
     trr_report,
+    _canonical,
     _formal_monomial_pullback,
     _record_hash,
     _solve_for_target,
@@ -47,9 +47,9 @@ from tautring.strata import (
     _kappa_splits,
     bare,
     boundary_divisor_class,
-    gluing_pushforward,
 )
 
+from ci_checks import GENUS_TWO_RECORDS, count_coefficients, digest, genus_two_checks
 from dict_decoration import decorated
 from reference_gluing import offset_map_gluing_pushforward
 from star_census import decorated_strata, star_census
@@ -366,10 +366,8 @@ def test_psi_boundary_lemma_genus_one():
 def test_psi_boundary_lemma_genus_one_golden_digest():
     # values and provenance, bit for bit as first computed
     results = psi_boundary_lemma(1)
-    blob = json.dumps({key: [be.value.to_json(), be.provenance]
-                       for key, be in results.items()},
-                      sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == \
+    assert digest({key: [be.value.to_json(), be.provenance]
+                   for key, be in results.items()}) == \
         "f5b461b1449032a0ea9cd1840bee1be9afffb60f4927fb728b774a0b43368364"
 
 
@@ -392,14 +390,7 @@ def test_psi_boundary_lemma_substitution_is_formal_zero():
 @pytest.fixture
 def coefficient_calls(monkeypatch):
     """The monomials of every dr_relation_coefficient call made by relations."""
-    calls = []
-    inner = relations.dr_relation_coefficient
-
-    def counting(g, a_monomial, *args, **kwargs):
-        calls.append(tuple(a_monomial))
-        return inner(g, a_monomial, *args, **kwargs)
-    monkeypatch.setattr(relations, "dr_relation_coefficient", counting)
-    return calls
+    return count_coefficients(monkeypatch.setattr)
 
 
 GENUS_ONE_LEMMA_SHA256 = \
@@ -575,8 +566,7 @@ def test_genus_one_pullback_route_golden_digest(no_elimination_lemma):
     # target with kappa1*psi_n and psi_n^2 open; value and provenance, bit
     # for bit as first computed
     be = boundary_expression(1, 3, "kappa1^2")
-    blob = json.dumps(be.to_json(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == \
+    assert digest(be.to_json()) == \
         "53cb6c1c71a1eda48d221477f5a3b686f1d505da1afe02c8998a629aaff8d301"
 
 
@@ -633,36 +623,6 @@ def test_pushforward_route_agrees_with_the_base_system(tmp_path, coefficient_cal
 
 # -- genus-2 golden records ---------------------------------------------------
 
-# kappa1 on the unmarked space, psi1^2, kappa2, psi1*kappa1 on the
-# one-marked space and psi1^2, psi1*psi2 on the two-marked space, as the
-# full elimination writes them (v2 lines)
-GENUS_TWO_RECORDS = pathlib.Path(__file__).parent / "data" / "genus2_records.jsonl"
-GENUS_TWO_SHA256 = {
-    (2, 0, "kappa1"): "92d0abf48dcf340d40bd05271f30b9ead26a3a1035d0d5867518449f21c03649",
-    (2, 1, "psi1^2"): "f63c0b53503e1bc5595da8b6c1ecb4ff10e84dc7f7b529c9ec3f16c9e83e2bbf",
-    (2, 1, "kappa2"): "2cfb6acc38e52db7447812266b018d931858ab224d7a45eac211c08437c54d76",
-    (2, 1, "psi1*kappa1"):
-        "f48e7ac094e8fdbdf2faef388c2422cea216da184fce57fa83f2572ef0dd865c",
-    (2, 2, "psi1^2"): "5b8ae3a2438acba91d920ccfb571a1c449304fddaf5076412223661ece818345",
-    (2, 2, "psi1*psi2"): "4474ddc5731d54ee1aea3117306370b8b743bb89982298248f7e7bca3173dc76",
-}
-
-# the star reductions of psi1^2, kappa2, psi1*kappa1 on the one-marked and of
-# psi1^2, psi1*psi2 on the two-marked space: (term count, SHA-256)
-GENUS_TWO_STAR_SHA256 = {
-    (1, "psi1^2"):
-        (5, "2df42cbacfaccf0e074f0ea9d75debb5da505c828a8b2310b4851932d5c877df"),
-    (1, "kappa2"):
-        (5, "797f1d18fb0cb03ad64c41e479bfa0e61cad5bdda3bf78f7b00d9879e5e3a5d7"),
-    (1, "psi1*kappa1"):
-        (5, "efe25a51362d467fdd6b7fae8e078fa9ff450ac7126bfd78af2e3e815e222830"),
-    (2, "psi1^2"):
-        (10, "f45b894395c663a17a8cc6f893ebe8e6d3189ebb5850ea4edd8ef6fd25c153f2"),
-    (2, "psi1*psi2"):
-        (15, "893d19dd38b7651ac0c4e352ff03e9f98bd50a529581c608b6b5051a860745f3"),
-}
-
-
 def _golden_genus_two(tmp_path):
     # a copy: star reduction appends the genus-1 records it asks for
     path = tmp_path / "genus2.jsonl"
@@ -671,28 +631,9 @@ def _golden_genus_two(tmp_path):
 
 
 def test_genus_two_golden_records(tmp_path, coefficient_calls):
-    db = _golden_genus_two(tmp_path)
-    digests = {}
-    for key in GENUS_TWO_SHA256:
-        blob = json.dumps(db.get(*key).to_json(), sort_keys=True, separators=(",", ":"))
-        digests[key] = hashlib.sha256(blob.encode()).hexdigest()
-    assert digests == GENUS_TWO_SHA256
-    # Mumford (1983): kappa1 = 12 lambda1 - delta, with
-    # 10 lambda1 = delta_irr + 2 delta_1
-    mumford = (dirr(2, 0) * Fraction(1, 5)
-               + boundary_divisor_class(2, 0, ("sep", 1, ())) * Fraction(7, 5))
-    assert boundary_expression(2, 0, "kappa1", db).value == mumford
-    # their strata carry loops and parallel edges, whose decorations the
-    # canonical labeling flips and permutes
-    for (n, key), (size, recorded) in GENUS_TWO_STAR_SHA256.items():
-        reduced = theorem_star_reduce(monomial_class(2, n, key), db)
-        blob = json.dumps(reduced.to_json(), sort_keys=True, separators=(",", ":"))
-        assert len(reduced.terms) == size, key
-        assert hashlib.sha256(blob.encode()).hexdigest() == recorded, key
-        assert all(has_property_star(t) for t in reduced.terms), key
-    # one genus-1 coefficient per genus-1 record, kappa1 asked first: every
-    # genus-2 coefficient is read
-    assert coefficient_calls == [(1, 1, 1, 1), (2, 1, 1, 0)]
+    # the checks of the genus2 CI job, on the records it recomputes: every
+    # genus-2 coefficient is read, and kappa1 is asked first at genus 1
+    assert list(genus_two_checks(_golden_genus_two(tmp_path), coefficient_calls, 0)) == []
 
 
 def _assert_memory_matches_file(db):
@@ -809,8 +750,7 @@ def test_star_reduce_census_battery(no_elimination_lemma):
             k = term.degree
             rational = sum(1 for gv in term.graph.genera if gv == 0)
             assert rational >= k - g + 1, (c, term)
-        blob = json.dumps(reduced.to_json(), sort_keys=True, separators=(",", ":"))
-        digests.append(hashlib.sha256(blob.encode()).hexdigest())
+        digests.append(digest(reduced.to_json()))
     # the reduced values, bit for bit as first computed
     assert digests == [
         "60f7933ee06c13b8a00b48af0fb49981054b3227bb0a0e90fa31276791de2675",
@@ -967,7 +907,7 @@ def test_database_rejects_one_key_with_two_values(tmp_path):
     other = copy.deepcopy(value)
     for term in other["terms"]:
         term["coeff"] = "7"
-    other_text = json.dumps(other, sort_keys=True, separators=(",", ":"))
+    other_text = _canonical(other)
     rehashed = {**record, "value": other_text,
                 "sha256": _text_hash(record["key"], record["provenance"], other_text)}
     key = (0, 4, "psi1")
@@ -1032,7 +972,7 @@ def test_database_open_decodes_nothing(tmp_path, monkeypatch):
     decode = BoundaryExpression.from_json
     calls = []
 
-    def counting(data):
+    def decoding(data):
         calls.append(data)
         return decode(data)
 
@@ -1050,7 +990,7 @@ def test_database_open_decodes_nothing(tmp_path, monkeypatch):
             return "terms" in obj or any(map(holds_class, obj.values()))
         return isinstance(obj, list) and any(map(holds_class, obj))
 
-    monkeypatch.setattr(BoundaryExpression, "from_json", staticmethod(counting))
+    monkeypatch.setattr(BoundaryExpression, "from_json", staticmethod(decoding))
     monkeypatch.setattr(json, "dumps", serializing)
     db = RelationDatabase(str(path))
     monkeypatch.setattr(json, "dumps", dumps)

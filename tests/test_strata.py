@@ -1,7 +1,4 @@
-import hashlib
 import itertools
-import json
-import math
 import random
 from fractions import Fraction
 
@@ -27,6 +24,7 @@ from tautring.strata import (
     normalize_divisor,
 )
 
+from ci_checks import digest
 from dict_decoration import decorated
 from reference_gluing import offset_map_gluing_pushforward
 
@@ -135,7 +133,7 @@ def test_one_canonical_search_per_new_term(monkeypatch):
     calls, filtered = [], []
     orders, dim_ok = graphs._candidate_orders, strata._local_dim_ok
 
-    def counting(graph):
+    def ordering(graph):
         calls.append(graph)
         return orders(graph)
 
@@ -145,8 +143,8 @@ def test_one_canonical_search_per_new_term(monkeypatch):
             filtered.append(key)
         return fits
 
-    monkeypatch.setattr(graphs, "_candidate_orders", counting)
-    monkeypatch.setattr(strata, "_candidate_orders", counting)
+    monkeypatch.setattr(graphs, "_candidate_orders", ordering)
+    monkeypatch.setattr(strata, "_candidate_orders", ordering)
     monkeypatch.setattr(strata, "_local_dim_ok", filtering)
     strata.canonical_term.cache_clear()
     c = psi(2, 2, 1).mul_boundary(("irr",)).mul_boundary(("irr",)) \
@@ -1131,9 +1129,7 @@ def test_surgery_golden_battery():
     digests = {}
     for name, classes in results.items():
         assert any(not c.is_zero() for c in classes), name
-        blob = json.dumps([c.to_json() for c in classes], sort_keys=True,
-                          separators=(",", ":"))
-        digests[name] = hashlib.sha256(blob.encode()).hexdigest()
+        digests[name] = digest([c.to_json() for c in classes])
     assert digests == _GOLDEN_SURGERY_DIGESTS
 
 
