@@ -403,8 +403,8 @@ def graph_classes(g: int, n: int, max_edges: int):
     of (graph, automorphism count) pairs, found by one search per class."""
     if not is_stable_pair(g, n):
         raise InvalidGraphError(f"(g, n) = ({g}, {n}) is not a stable pair")
-    if max_edges < 0:
-        raise InvalidGraphError("max_edges must be non-negative")
+    if type(max_edges) is not int or max_edges < 0:
+        raise InvalidGraphError(f"max_edges must be a non-negative int, not {max_edges!r}")
     return zip(*_enumerate_cached(g, n, min(max_edges, 3 * g - 3 + n)))
 
 
@@ -440,16 +440,20 @@ def _enumerate_cached(g: int, n: int, limit: int) -> tuple:
 
 
 def relabel_legs(graph: StableGraph, perm: dict) -> StableGraph:
-    """Relabel legs by a permutation {old label: new label}.  A bool or
-    float label is refused, not read as the int it equals."""
-    labels = list(range(1, graph.n_legs + 1))
+    """Relabel legs by a permutation {old label: new label}."""
+    sources = _leg_sources(graph.n_legs, perm)
+    return StableGraph(graph.genera, tuple(graph.legs[i] for i in sources), graph.edges)
+
+
+def _leg_sources(n: int, perm: dict) -> list:
+    """Per new label of a permutation {old label: new label} of 1..n, the
+    index of its old label.  A bool or float label is refused, not read as
+    the int it equals."""
+    labels = list(range(1, n + 1))
     if any(type(label) is not int for label in itertools.chain(perm, perm.values())) \
             or sorted(perm) != labels or sorted(perm.values()) != labels:
         raise InvalidGraphError("leg relabeling is not a permutation of the int labels 1..n")
-    legs = [0] * graph.n_legs
-    for old, new in perm.items():
-        legs[new - 1] = graph.legs[old - 1]
-    return StableGraph(graph.genera, tuple(legs), graph.edges)
+    return [old - 1 for old in sorted(perm, key=perm.get)]
 
 
 # ---------------------------------------------------------------------------

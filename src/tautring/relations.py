@@ -1,4 +1,5 @@
-"""Relation pipelines: theta-divisor powers, double-ramification relation
+"""Relation pipelines: theta-divisor powers, each factor one call of
+strata.mul_divisor_sum (the one divisor product), double-ramification relation
 coefficients, the descending Gaussian elimination producing boundary
 expressions for psi-monomials, the general boundary-expression recursion, and
 the property-star reduction, backed by a persistent relation database.
@@ -45,6 +46,7 @@ from .strata import (
     boundary_divisor_class,
     check_exponents,
     check_monomial,
+    mul_divisor_sum,
     normalize_divisor,
 )
 
@@ -105,14 +107,6 @@ def theta_generators(g: int, n: int, A=None):
 def theta_divisor(g: int, n: int, A=None) -> TautClass:
     """Pullback of the theta divisor along the Abel-Jacobi section."""
     return mul_divisor_sum(TautClass.fundamental(g, n), theta_generators(g, n, A))
-
-
-def mul_divisor_sum(c: TautClass, generators) -> TautClass:
-    out = TautClass(c.g, c.n)
-    for key, coeff in generators:
-        piece = c.mul_psi(key[1]) if key[0] == "psi" else c.mul_boundary(key)
-        out._add_in_place(piece * coeff)
-    return out
 
 
 def theta_power_relation(g: int, n: int, A=None) -> TautClass:

@@ -23,7 +23,9 @@ both use it.
 
 Products are supported against the codimension-one generators (psi, kappa and
 boundary divisors); that is exactly what the theta-power and coefficient
-extraction pipelines need.
+extraction pipelines need.  mul_divisor_sum is the one divisor product: one
+pass over a class's terms multiplies by a sum of psi classes and boundary
+divisors, and TautClass.mul_boundary is its one-divisor case.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .algebra import MultiPoly
 from .graphs import (
     StableGraph,
     _candidate_orders,
+    _leg_sources,
     _positions,
     add_loop,
     contract_edge,
@@ -44,12 +47,11 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     is_stable_pair,
-    relabel_legs,
+    one_edge_degenerations,
     separating_spec,
     shared,
     split_vertex,
     trivial_graph,
-    vertex_split_options,
 )
 
 
@@ -397,13 +399,15 @@ class TautClass:
                          {t: c for t, c in self.terms.items() if keep(t)})
 
     def relabel_legs(self, perm: dict) -> "TautClass":
+        """Relabel legs by a permutation {old label: new label}, checked once."""
+        sources = _leg_sources(self.n, perm)
         out = TautClass(self.g, self.n)
         for term, coeff in self.terms.items():
-            graph = relabel_legs(term.graph, perm)
-            psi_leg = [0] * self.n
-            for old, new in perm.items():
-                psi_leg[new - 1] = term.psi_leg[old - 1]
-            out.add_term(graph, term.kappa, tuple(psi_leg), term.psi_edge, coeff)
+            graph = term.graph
+            out.add_term(StableGraph(graph.genera, tuple(graph.legs[i] for i in sources),
+                                     graph.edges),
+                         term.kappa, tuple(term.psi_leg[i] for i in sources),
+                         term.psi_edge, coeff)
         return out
 
     # -- products with codimension-one generators ----------------------------
@@ -440,50 +444,12 @@ class TautClass:
         return out
 
     def mul_boundary(self, divisor) -> "TautClass":
-        """Multiply by a boundary divisor class, excess intersection included.
-
-        divisor is ("irr",) or ("sep", h, legs); the unstable conventions
-        delta_0^{i} = -psi_i and delta_0^{} = 0 are applied before dispatch.
-        """
-        kind = normalize_divisor(self.g, self.n, divisor)
-        if kind[0] == "zero":
-            return TautClass(self.g, self.n)
-        if kind[0] == "psi":
-            return -self.mul_psi(kind[1])
-        out = TautClass(self.g, self.n)
-        half = Fraction(1, 2)
-        for term, coeff in self.terms.items():
-            graph = term.graph
-            # excess: edges already sitting on the divisor contribute
-            # -psi' - psi'' at the node
-            for e, (p, q) in enumerate(term.psi_edge):
-                if edge_profile(graph, e) != kind:
-                    continue
-                for pair in ((p + 1, q), (p, q + 1)):
-                    out.add_term(graph, term.kappa, term.psi_leg,
-                                 _put(term.psi_edge, e, pair), -coeff)
-            # degenerations: per vertex over labeled local boundary divisors
-            # (separating splits with weight 1, a local loop with weight 1/2)
-            # so that multiplicity is the honest intersection multiplicity;
-            # the new edge comes last, and a split's new vertex too
-            psi_edge = term.psi_edge + ((0, 0),)
-            for v, tags in enumerate(graph.attachments()):
-                if kind == ("irr",) and graph.genera[v] >= 1:
-                    degen, _ = add_loop(graph, v)
-                    out.add_term(degen, term.kappa, term.psi_leg, psi_edge,
-                                 coeff * half)
-                for g1, moved_tags in vertex_split_options(graph.genera[v], tags):
-                    degen, new_e = split_vertex(graph, v, g1, moved_tags)
-                    if edge_profile(degen, new_e) != kind:
-                        continue
-                    # an attachment-free symmetric split is generically 2:1
-                    # onto its divisor, like the loop
-                    weight = half if (not tags and 2 * g1 == graph.genera[v]) \
-                        else Fraction(1)
-                    for kept, moved, mult in _kappa_splits(term.kappa[v]):
-                        out.add_term(degen, _put(term.kappa, v, kept) + (moved,),
-                                     term.psi_leg, psi_edge, coeff * weight * mult)
-        return out
+        """Multiply by a boundary divisor ("irr",) or ("sep", h, legs), excess
+        intersection included, with delta_0^{i} = -psi_i and delta_0^{} = 0:
+        mul_divisor_sum's one-divisor case."""
+        if divisor[0] == "psi":
+            raise ValueError(f"unknown divisor {divisor!r}")
+        return mul_divisor_sum(self, [(divisor, Fraction(1))])
 
     # -- forgetful maps ------------------------------------------------------
 
@@ -604,11 +570,13 @@ def normalize_divisor(g: int, n: int, divisor):
         return ("irr",)
     if divisor[0] != "sep":
         raise ValueError(f"unknown divisor {divisor!r}")
-    h, legs = divisor[1], frozenset(divisor[2])
-    if not 0 <= h <= g:
-        raise ValueError("separating genus out of range")
-    if not legs <= set(range(1, n + 1)):
-        raise ValueError("divisor legs outside the marking set")
+    h, legs = divisor[1], tuple(divisor[2])
+    if type(h) is not int or not 0 <= h <= g:
+        raise ValueError(f"separating genus {h!r} is not an int in 0..{g}")
+    if any(type(lab) is not int or not 1 <= lab <= n for lab in legs) \
+            or len(set(legs)) != len(legs):
+        raise ValueError(f"divisor legs {legs!r} are not distinct int labels in 1..{n}")
+    legs = frozenset(legs)
     for hh, part in ((h, legs), (g - h, frozenset(range(1, n + 1)) - legs)):
         if hh == 0 and len(part) == 0:
             return ("zero",)
@@ -633,6 +601,50 @@ def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
     # an attachment-free symmetric split has the automorphism swapping its sides
     weight = Fraction(1, 2) if n == 0 and 2 * h == g else Fraction(1)
     return TautClass(g, n).add_term(graph, *bare(graph), weight)
+
+
+def mul_divisor_sum(c: TautClass, generators) -> TautClass:
+    """c times the sum of coeff * generator over (generator, coeff) pairs, in
+    one pass over c's terms: the one divisor product.  A generator is
+    ("psi", i) for +psi_i or a divisor of normalize_divisor; repeated ones add
+    up.  A term's edge on a divisor gives the excess -psi' - psi'' at its
+    node, and a one-edge degeneration on a divisor gives its stratum; a loop,
+    or an attachment-free symmetric split, is 2:1 onto its divisor: weight 1/2."""
+    psis, divisors = {}, {}
+    for key, coeff in generators:
+        if key[0] == "psi":
+            check_monomial(c.n, {key[1]: 1}, {})
+        else:
+            key = normalize_divisor(c.g, c.n, key)
+            coeff = -coeff if key[0] == "psi" else coeff
+        if key[0] != "zero":
+            acc = psis if key[0] == "psi" else divisors
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    out, half = TautClass(c.g, c.n), Fraction(1, 2)
+    for term, coeff in c.terms.items():
+        graph, kappa, psi_leg, psi_edge = term.graph, term.kappa, term.psi_leg, term.psi_edge
+        for (_, i), a in psis.items():
+            out.add_term(graph, kappa, _put(psi_leg, i - 1, psi_leg[i - 1] + 1), psi_edge,
+                         a * coeff)
+        if not divisors:
+            continue
+        for e, ((x, y), (p, q)) in enumerate(zip(graph.edges, psi_edge)):
+            a = divisors.get(("irr",) if x == y else edge_profile(graph, e))
+            for pair in ((p + 1, q), (p, q + 1)) if a is not None else ():
+                out.add_term(graph, kappa, psi_leg, _put(psi_edge, e, pair), -a * coeff)
+        grown = psi_edge + ((0, 0),)  # the new edge comes last, a split's new vertex too
+        for degen, e in one_edge_degenerations(graph):
+            v, w = degen.edges[e]
+            a = divisors.get(("irr",) if v == w else edge_profile(degen, e))
+            if a is not None and v == w:
+                out.add_term(degen, kappa, psi_leg, grown, a * half * coeff)
+            elif a is not None:
+                # only the trivial graph of an unmarked space has an attachment-free vertex
+                weight = half if not (graph.edges or c.n) and 2 * degen.genera[v] == c.g else 1
+                for kept, moved, mult in _kappa_splits(kappa[v]):
+                    out.add_term(degen, _put(kappa, v, kept) + (moved,), psi_leg, grown,
+                                 a * (weight * mult) * coeff)
+    return out
 
 
 def _kappa_splits(vertex_kappa):

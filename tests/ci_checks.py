@@ -85,6 +85,11 @@ DR_COEFFICIENT_SHA256 = {
     (1, 1, 1, 1, 1, 1): "3831b47bd34ddf39355ea1b77bebcea0c357f0270ef67ea8c13398e81934ca10",
 }
 
+# Hain's formula: on compact type Pixton's class is exp(theta_A), and theta^3 is
+# homogeneous of degree 6 in A, so at A = (1, 0, 0, 0, 0, 0, -1) it is the compact-type
+# part of the a1^6 coefficient: theta^3's term count and SHA-256
+THETA_CUBED = (11452, "20fe84affea761ee018472d132e12122de6b265db1820b92d8f0d3437ab4f109")
+
 # (g, n): the number of strata and SHA-256 of the census lines
 STAR_CENSUS = {
     (2, 0): (25, "6f6f77b710ccd1084bee9332ac09ccecd07fa69a9ec6b5fb3dd465fb00e2fe80"),
@@ -133,8 +138,26 @@ def dr_coefficients():
               f"peak RSS {peak_mb:.1f} MB, sha256 {sha}")
         if sha != recorded:
             yield f"the {monomial} coefficient differs from its recorded digest"
+        if monomial == (6, 0, 0, 0, 0, 0):
+            yield from hain_theta_cubed(coefficient)
+            peak_mb = peak_rss_mb()
         if peak_mb >= 200:
             yield f"peak RSS {peak_mb:.1f} MB is not below 200 MB"
+
+
+def hain_theta_cubed(coefficient):
+    """theta^3 on (2, 7) at A = (1, 0, 0, 0, 0, 0, -1), from divisor products
+    alone, against THETA_CUBED and the a1^6 coefficient's compact-type part."""
+    start = time.perf_counter()
+    theta = relations.theta_power_relation(2, 7, (1, 0, 0, 0, 0, 0, -1))
+    wall_s = time.perf_counter() - start
+    sha = digest(theta.to_json())
+    print(f"theta^3 on (2, 7) at A = (1, 0, 0, 0, 0, 0, -1): {len(theta.terms)} terms in "
+          f"{wall_s:.1f} s, peak RSS {peak_rss_mb():.1f} MB, sha256 {sha}")
+    if (len(theta.terms), sha) != THETA_CUBED:
+        yield "theta^3 on (2, 7) differs from its recorded digest"
+    if coefficient.restrict("compact-type") != theta:
+        yield "the compact-type part of the a1^6 coefficient is not theta^3 (Hain's formula)"
 
 
 def psi1_squared():

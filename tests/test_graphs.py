@@ -466,13 +466,28 @@ def test_relabel_legs():
 
 
 @pytest.mark.parametrize("perm", [{True: 2, 2: 1, 3: 3, 4: 4}, {1.0: 2, 2: 1, 3: 3, 4: 4},
-                                  {1: 2.0, 2: 1, 3: 3, 4: 4}])
+                                  {1: 2.0, 2: 1, 3: 3, 4: 4}, {1.0: 5, "x": 2}])
 def test_relabel_legs_refuses_non_int_labels(perm):
-    # a bool label was read as 1, and a float one raised TypeError
+    # a bool label was read as 1, and a float one raised TypeError; a zero
+    # class, whose terms checked the permutation, took any mapping
     with pytest.raises(InvalidGraphError):
         relabel_legs(stable_graph((0, 0), (0, 0, 1, 1), ((0, 1),)), perm)
-    with pytest.raises(InvalidGraphError):
-        strata.TautClass.psi(0, 4, 1).relabel_legs(perm)
+    for c in (strata.TautClass.psi(0, 4, 1), strata.TautClass(0, 4)):
+        with pytest.raises(InvalidGraphError):
+            c.relabel_legs(perm)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda bad: list(pixton.enumerate_weightings(
+        pixton.weighting_map(stable_graph((0,), (0,), ((0, 0),)), (0,)), bad)), ValueError,
+        id="enumerate_weightings"),
+    pytest.param(lambda bad: graph_classes(0, 5, bad), InvalidGraphError, id="graph_classes")])
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0])
+def test_int_arguments_refuse_bools_and_floats(call, error, bad):
+    # a bool ran as 1 (graph_classes under the cache key of 1), and a float
+    # raised TypeError from range
+    with pytest.raises(error, match="int"):
+        call(bad)
 
 
 def test_graph_json_round_trip():

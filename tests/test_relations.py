@@ -326,6 +326,16 @@ def test_dr_compact_type_restriction_is_theta_power():
         assert lhs == rhs, (g, n, A)
 
 
+@pytest.mark.parametrize("g, n, A, terms, sha", [
+    (2, 5, (2, 1, -2, 1, -2), 2569,
+     "7d2c3bb845557d21cfca8648e8afb88fbde3ab4f536801356a345cb27f4821ea"),
+    (1, 5, None, 297, "6930ec229c35fdd3d571d793190e05a25d3a9378c65c5306f94ea7d7419c5939")])
+def test_theta_power_digest(g, n, A, terms, sha):
+    # an integer and a symbolic theta power: each factor is one mul_divisor_sum
+    power = theta_power_relation(g, n, A)
+    assert (len(power.terms), digest(power.to_json())) == (terms, sha)
+
+
 def test_theta_route_agrees_with_full_pipeline():
     # the compact-type route: square the symbolic theta pullback on the
     # 5-marked space, multiply by psi2 psi3 psi4, push down, and read the

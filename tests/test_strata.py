@@ -21,6 +21,7 @@ from tautring.strata import (
     boundary_divisor_class,
     canonical_term,
     gluing_pushforward,
+    mul_divisor_sum,
     normalize_divisor,
 )
 
@@ -295,8 +296,21 @@ def test_divisor_double_description_same_class():
     assert a == b
 
 
+@pytest.mark.parametrize("g, n, divisor", [
+    (1, 2, ("sep", True, (1,))), (0, 5, ("sep", 0.0, (1, 2))), (0, 5, ("sep", 0, (1.0, 2))),
+    (0, 5, ("sep", 0, (True, 2))), (0, 5, ("sep", 0, (1, 1)))])
+def test_divisor_spec_refuses_bools_floats_and_repeated_legs(g, n, divisor):
+    # each was read as the int spec it equals, a repeated leg as one leg
+    with pytest.raises(ValueError):
+        normalize_divisor(g, n, divisor)
+    with pytest.raises(ValueError):
+        boundary_divisor_class(g, n, divisor)
+    with pytest.raises(ValueError):
+        TautClass.fundamental(g, n).mul_boundary(divisor)
+
+
 def test_divisor_class_is_the_product_with_the_fundamental_class():
-    # the hand-built divisor and the degeneration loop of mul_boundary agree,
+    # the hand-built divisor and mul_divisor_sum's degeneration loop agree,
     # including the attachment-free symmetric split, which is 2:1 onto its
     # divisor: on the unmarked genus-2 space it has coefficient 1/2
     for g in range(4):
@@ -1023,6 +1037,29 @@ def test_boundary_products_commute_property(case):
     d1 = ("irr",) if c.g >= 1 else ("sep", 0, (1, 2))
     d2 = ("sep", 0, tuple(sorted({i, c.n})))
     assert c.mul_boundary(d1).mul_boundary(d2) == c.mul_boundary(d2).mul_boundary(d1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_classes(slack=1), st.data())
+def test_divisor_sum_is_the_sum_of_its_one_divisor_products_property(case, data):
+    # psi generators, delta_irr, separating divisors given by their
+    # complement side, specs that normalize to psi or to zero, and a
+    # repeated divisor, each generator with a coefficient of its own
+    c, _, i = case
+    legs = range(1, c.n + 1)
+    sides = [(h, P) for h in range(c.g + 1) for k in range(c.n + 1)
+             for P in itertools.combinations(legs, k)]
+    specs = [("psi", i), ("irr",), ("sep", 0, (i,)), ("sep", c.g, tuple(legs)), ("psi", c.n)]
+    drawn = data.draw(st.lists(st.sampled_from(sides), min_size=1, max_size=4))
+    for h, P in drawn:
+        specs.append(("sep", c.g - h, tuple(lab for lab in legs if lab not in P)))
+    specs.append(("sep",) + drawn[-1])
+    gens = [(spec, Fraction(k + 2, 3)) for k, spec in enumerate(specs)]
+    expected = TautClass(c.g, c.n)
+    for spec, coeff in gens:
+        product = c.mul_psi(spec[1]) if spec[0] == "psi" else c.mul_boundary(spec)
+        expected = expected + product * coeff
+    assert mul_divisor_sum(c, gens) == expected
 
 
 # -- golden surgery battery -----------------------------------------------------
