@@ -131,12 +131,13 @@ def weighting_map(graph: StableGraph, A) -> tuple:
 
 
 def enumerate_weightings(wmap, r: int):
-    """All r**h1 weightings modulo r of a weighting_map, as the tuples of
-    residues w(e, 0) on the edges' side 0."""
+    """All r**h1 weightings modulo r of a weighting_map, as an iterator over
+    the tuples of residues w(e, 0) on the edges' side 0.  The modulus is
+    checked at the call, not at the first weighting."""
     _require_int(r, 1, "modulus")
     h1, rows = wmap
-    for x in itertools.product(range(r), repeat=h1):
-        yield tuple((c + sum(s * x[k] for k, s in terms)) % r for c, terms in rows)
+    return (tuple((c + sum(s * x[k] for k, s in terms)) % r for c, terms in rows)
+            for x in itertools.product(range(r), repeat=h1))
 
 
 def _edge_orders(graph: StableGraph, max_degree: int) -> tuple:

@@ -1,6 +1,7 @@
 """Relation pipelines: theta-divisor powers, each factor one call of
-strata.mul_divisor_sum (the one divisor product), double-ramification relation
-coefficients, the descending Gaussian elimination producing boundary
+strata.mul_divisor_sum (the one divisor product) on the generators that
+theta_generators sums through strata._generator_sums, double-ramification
+relation coefficients, the descending Gaussian elimination producing boundary
 expressions for psi-monomials, the general boundary-expression recursion, and
 the property-star reduction, backed by a persistent relation database.
 
@@ -42,12 +43,12 @@ from .pixton import validate_ramification, weighted_constant_term
 from .strata import (
     StrataTerm,
     TautClass,
+    _generator_sums,
     _splice,
     boundary_divisor_class,
     check_exponents,
     check_monomial,
     mul_divisor_sum,
-    normalize_divisor,
 )
 
 
@@ -71,10 +72,11 @@ class CacheConsistencyError(RuntimeError):
 def theta_generators(g: int, n: int, A=None):
     """The theta pullback as a list of (generator, coefficient) pairs.
 
-    Generators are ('psi', i) or canonical separating divisors; coefficients
-    are Fractions for an integer ramification vector A, or polynomials in
-    a1..an when A is None.  The (h, P) <-> (g-h, complement) double count of
-    the defining sum is merged here term by term.
+    Generators are ('psi', i) or canonical separating divisors, the psi part
+    first; coefficients are Fractions for an integer ramification vector A,
+    or polynomials in a1..an when A is None.  strata._generator_sums merges
+    the (h, P) <-> (g-h, complement) double count of the defining sum and
+    turns its unstable divisors into psi classes.
     """
     if A is not None:
         A = validate_ramification(A)
@@ -86,22 +88,14 @@ def theta_generators(g: int, n: int, A=None):
         a = [MultiPoly.variable(variables, v) for v in variables]
         zero = MultiPoly(variables)
 
-    acc: dict = {}
+    terms = []
     for h in range(g + 1):
         for size in range(n + 1):
             for P in itertools.combinations(range(1, n + 1), size):
                 lin = sum((a[i - 1] for i in P), zero)
-                coeff = lin * lin * Fraction(-1, 4)
-                kind = normalize_divisor(g, n, ("sep", h, P))
-                if kind[0] == "zero":
-                    continue
-                if kind[0] == "psi":
-                    key = ("psi", kind[1])
-                    coeff = -coeff
-                else:
-                    key = kind
-                acc[key] = acc.get(key, zero) + coeff
-    return [(key, coeff) for key, coeff in acc.items() if coeff != 0]
+                terms.append((("sep", h, P), lin * lin * Fraction(-1, 4)))
+    return [(key, coeff) for part in _generator_sums(g, n, terms)
+            for key, coeff in part.items() if coeff != 0]
 
 
 def theta_divisor(g: int, n: int, A=None) -> TautClass:
@@ -918,16 +912,14 @@ def trr_report(n: int, i: int = 1, db: RelationDatabase | None = None) -> dict:
     two-point-fixing form is included as the consistent variant."""
     db = db or RelationDatabase()
     derived = boundary_expression(0, n, ({i: 1}, {}), db).value
-    literal = TautClass(0, n)
-    for I in itertools.combinations(range(1, n + 1), n - 2):
-        if i in I:
-            literal._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
+    literal = mul_divisor_sum(TautClass.fundamental(0, n), [
+        (("sep", 0, I), Fraction(1))
+        for I in itertools.combinations(range(1, n + 1), n - 2) if i in I])
     j, k = [x for x in range(1, n + 1) if x != i][:2]
-    fixed = TautClass(0, n)
-    for size in range(2, n - 1):
-        for I in itertools.combinations(range(1, n + 1), size):
-            if i in I and j not in I and k not in I:
-                fixed._add_in_place(boundary_divisor_class(0, n, ("sep", 0, I)))
+    fixed = mul_divisor_sum(TautClass.fundamental(0, n), [
+        (("sep", 0, I), Fraction(1)) for size in range(2, n - 1)
+        for I in itertools.combinations(range(1, n + 1), size)
+        if i in I and j not in I and k not in I])
     return {
         "derived": derived,
         "literal_recursion": literal,

@@ -25,7 +25,10 @@ Products are supported against the codimension-one generators (psi, kappa and
 boundary divisors); that is exactly what the theta-power and coefficient
 extraction pipelines need.  mul_divisor_sum is the one divisor product: one
 pass over a class's terms multiplies by a sum of psi classes and boundary
-divisors, and TautClass.mul_boundary is its one-divisor case.
+divisors, and it alone builds a divisor stratum and applies the 1/2 weight of
+a divisor whose stratum covers it 2:1.  TautClass.mul_psi,
+TautClass.mul_boundary and boundary_divisor_class are its one-generator
+cases, and _generator_sums is the one normalization of a generator sum.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .graphs import (
     _candidate_orders,
     _leg_sources,
     _positions,
-    add_loop,
     contract_edge,
     edge_profile,
     graph_from_json,
@@ -223,6 +225,13 @@ def check_monomial(n: int, psi_exps: dict, kappas: dict) -> None:
         raise ValueError("kappa index must be >= 1")
 
 
+def _check_exact(scalar) -> None:
+    """ValueError unless a scalar or coefficient is exact: an int (not a
+    bool), a Fraction or a MultiPoly.  A float would make an inexact class."""
+    if not (type(scalar) is int or isinstance(scalar, (Fraction, MultiPoly))):
+        raise ValueError(f"scalar {scalar!r} is not an int, Fraction or MultiPoly")
+
+
 def bare(graph: StableGraph) -> tuple:
     """The empty decoration of a graph: (kappa, psi_leg, psi_edge)."""
     return ((),) * graph.n_vertices, (0,) * graph.n_legs, ((0, 0),) * graph.n_edges
@@ -290,6 +299,7 @@ class TautClass:
         are dropped."""
         psi_exps, kappas = psi_exps or {}, kappas or {}
         check_monomial(n, psi_exps, kappas)
+        _check_exact(coeff)
         kappa = tuple(sorted((a, x) for a, x in kappas.items() if x))
         psi_leg = tuple(psi_exps.get(i, 0) for i in range(1, n + 1))
         return cls(g, n).add_term(trivial_graph(g, n), (kappa,), psi_leg, (), coeff)
@@ -341,6 +351,7 @@ class TautClass:
         return self + (-other)
 
     def __mul__(self, scalar):
+        _check_exact(scalar)
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         return TautClass(self.g, self.n,
@@ -413,13 +424,10 @@ class TautClass:
     # -- products with codimension-one generators ----------------------------
 
     def mul_psi(self, i: int) -> "TautClass":
+        """Multiply by psi_i: mul_divisor_sum's one-psi case."""
         if type(i) is not int or not 1 <= i <= self.n:
             raise ValueError(f"no leg labeled {i!r}")
-        out = TautClass(self.g, self.n)
-        for term, coeff in self.terms.items():
-            psi_leg = _put(term.psi_leg, i - 1, term.psi_leg[i - 1] + 1)
-            out.add_term(term.graph, term.kappa, psi_leg, term.psi_edge, coeff)
-        return out
+        return mul_divisor_sum(self, [(("psi", i), Fraction(1))])
 
     def mul_kappa(self, a: int) -> "TautClass":
         if type(a) is not int or a < 1:
@@ -562,13 +570,12 @@ def decode_coeff(data) -> Fraction:
 def normalize_divisor(g: int, n: int, divisor):
     """Resolve a boundary divisor through the unstable conventions.
 
-    Returns ('irr',), ('sep', h, legs), ('psi', i) standing for -psi_i, or
-    ('zero',)."""
-    if divisor[0] == "irr":
-        if g < 1:
-            return ("zero",)
-        return ("irr",)
-    if divisor[0] != "sep":
+    A divisor is exactly ('irr',) or ('sep', h, legs); anything else is a
+    ValueError.  Returns ('irr',), ('sep', h, legs), ('psi', i) standing for
+    -psi_i, or ('zero',)."""
+    if len(divisor) == 1 and divisor[0] == "irr":
+        return ("irr",) if g >= 1 else ("zero",)
+    if len(divisor) != 3 or divisor[0] != "sep":
         raise ValueError(f"unknown divisor {divisor!r}")
     h, legs = divisor[1], tuple(divisor[2])
     if type(h) is not int or not 0 <= h <= g:
@@ -586,40 +593,40 @@ def normalize_divisor(g: int, n: int, divisor):
 
 
 def boundary_divisor_class(g: int, n: int, divisor) -> TautClass:
-    """The divisor as a tautological class (reduced boundary class)."""
-    kind = normalize_divisor(g, n, divisor)
-    if kind[0] == "zero":
-        return TautClass(g, n)
-    if kind[0] == "psi":
-        return -TautClass.psi(g, n, kind[1])
-    if kind[0] == "irr":
-        graph, _ = add_loop(trivial_graph(g, n), 0)
-        return TautClass(g, n).add_term(graph, *bare(graph), Fraction(1, 2))
-    _, h, legs = kind
-    moved = [("l", lab) for lab in range(1, n + 1) if lab not in legs]
-    graph, _ = split_vertex(trivial_graph(g, n), 0, h, moved)
-    # an attachment-free symmetric split has the automorphism swapping its sides
-    weight = Fraction(1, 2) if n == 0 and 2 * h == g else Fraction(1)
-    return TautClass(g, n).add_term(graph, *bare(graph), weight)
+    """The divisor as a tautological class (reduced boundary class):
+    mul_divisor_sum's one-divisor case on the fundamental class."""
+    return TautClass.fundamental(g, n).mul_boundary(divisor)
+
+
+def _generator_sums(g: int, n: int, generators) -> tuple:
+    """(psis, divisors) for the sum of coeff * generator over (generator,
+    coeff) pairs on the (g, n) space, keyed ("psi", i) for +psi_i and by the
+    stable divisors of normalize_divisor: a divisor equal to -psi_i moves to
+    the psi part with its sign, a zero one is dropped, and repeated ones add
+    up.  Each coefficient must pass _check_exact."""
+    psis, divisors = {}, {}
+    for key, coeff in generators:
+        _check_exact(coeff)
+        if key[0] == "psi" and len(key) == 2:
+            check_monomial(n, {key[1]: 1}, {})
+        else:
+            key = normalize_divisor(g, n, key)
+            coeff = -coeff if key[0] == "psi" else coeff
+        if key[0] != "zero":
+            acc = psis if key[0] == "psi" else divisors
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    return psis, divisors
 
 
 def mul_divisor_sum(c: TautClass, generators) -> TautClass:
     """c times the sum of coeff * generator over (generator, coeff) pairs, in
     one pass over c's terms: the one divisor product.  A generator is
-    ("psi", i) for +psi_i or a divisor of normalize_divisor; repeated ones add
-    up.  A term's edge on a divisor gives the excess -psi' - psi'' at its
-    node, and a one-edge degeneration on a divisor gives its stratum; a loop,
-    or an attachment-free symmetric split, is 2:1 onto its divisor: weight 1/2."""
-    psis, divisors = {}, {}
-    for key, coeff in generators:
-        if key[0] == "psi":
-            check_monomial(c.n, {key[1]: 1}, {})
-        else:
-            key = normalize_divisor(c.g, c.n, key)
-            coeff = -coeff if key[0] == "psi" else coeff
-        if key[0] != "zero":
-            acc = psis if key[0] == "psi" else divisors
-            acc[key] = acc[key] + coeff if key in acc else coeff
+    ("psi", i) for +psi_i or a divisor of normalize_divisor, summed by
+    _generator_sums.  A term's edge on a divisor gives the excess
+    -psi' - psi'' at its node, and a one-edge degeneration on a divisor gives
+    its stratum; a loop, or an attachment-free symmetric split, is 2:1 onto
+    its divisor: weight 1/2."""
+    psis, divisors = _generator_sums(c.g, c.n, generators)
     out, half = TautClass(c.g, c.n), Fraction(1, 2)
     for term, coeff in c.terms.items():
         graph, kappa, psi_leg, psi_edge = term.graph, term.kappa, term.psi_leg, term.psi_edge

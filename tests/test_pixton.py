@@ -59,6 +59,14 @@ def test_tree_has_unique_weighting():
         assert len(list(enumerate_weightings(weighting_map(tree, (1, -1)), r))) == 1
 
 
+@pytest.mark.parametrize("r", [True, 2.0, 0])
+def test_enumerate_weightings_checks_its_modulus_at_the_call(r):
+    # as a generator it raised only at the first next(), far from the call
+    loop = weighting_map(stable_graph((0,), (0,), ((0, 0),)), (0,))
+    with pytest.raises(ValueError, match="modulus"):
+        enumerate_weightings(loop, r)
+
+
 def test_loop_weightings_indexed_by_half_edge_value():
     loop = stable_graph((0,), (0,), ((0, 0),))
     ws = list(enumerate_weightings(weighting_map(loop, (0,)), 5))

@@ -27,6 +27,7 @@ from tautring.strata import (
 
 from ci_checks import digest
 from dict_decoration import decorated
+from reference_divisor import hand_built_divisor_class
 from reference_gluing import offset_map_gluing_pushforward
 
 
@@ -310,22 +311,57 @@ def test_divisor_spec_refuses_bools_floats_and_repeated_legs(g, n, divisor):
 
 
 def test_divisor_class_is_the_product_with_the_fundamental_class():
-    # the hand-built divisor and mul_divisor_sum's degeneration loop agree,
-    # including the attachment-free symmetric split, which is 2:1 onto its
-    # divisor: on the unmarked genus-2 space it has coefficient 1/2
-    for g in range(4):
-        for n in range(5):
-            if 2 * g - 2 + n <= 0:
-                continue
-            divisors = [("irr",)] + [
-                ("sep", h, P) for h in range(g + 1) for size in range(n + 1)
-                for P in itertools.combinations(range(1, n + 1), size)]
-            base = TautClass.fundamental(g, n)
-            for d in divisors:
-                assert boundary_divisor_class(g, n, d) == base.mul_boundary(d), \
-                    (g, n, d)
+    # boundary_divisor_class, the product of the fundamental class with the
+    # divisor, writes the bytes of the hand-built divisor class on every
+    # divisor spec, including the loop and the attachment-free symmetric
+    # split (unmarked genus 2 and 4), each 2:1 onto its divisor: weight 1/2
+    spaces = [(0, n) for n in range(3, 9)] + [(1, n) for n in range(1, 6)] \
+        + [(2, n) for n in range(5)] + [(3, n) for n in range(5)] + [(4, 0), (4, 1)]
+    for g, n in spaces:
+        divisors = [("irr",)] + [
+            ("sep", h, P) for h in range(g + 1) for size in range(n + 1)
+            for P in itertools.combinations(range(1, n + 1), size)]
+        for d in divisors:
+            assert boundary_divisor_class(g, n, d).to_json() == \
+                hand_built_divisor_class(g, n, d).to_json(), (g, n, d)
     symmetric = boundary_divisor_class(2, 0, ("sep", 1, ()))
     assert list(symmetric.terms.values()) == [Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("divisor", [
+    ("irr", "junk"), ("sep", 0, (1, 2), "extra"), ("sep", 0), ("sep",), ("psi", 1, 2)])
+def test_divisor_spec_refuses_a_malformed_spec(divisor):
+    # normalize_divisor read only the first elements: ("irr", "junk") was
+    # ("irr",), the extra entry was ignored, and ("sep", 0) raised IndexError
+    if divisor[0] != "psi":
+        with pytest.raises(ValueError, match="unknown divisor"):
+            normalize_divisor(0, 5, divisor)
+        with pytest.raises(ValueError, match="unknown divisor"):
+            boundary_divisor_class(0, 5, divisor)
+    with pytest.raises(ValueError, match="unknown divisor"):
+        mul_divisor_sum(TautClass.fundamental(0, 5), [(divisor, Fraction(1))])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: TautClass.fundamental(0, 4) * 0.1, id="mul"),
+    pytest.param(lambda: 0.1 * TautClass.fundamental(0, 4), id="rmul"),
+    pytest.param(lambda: TautClass.fundamental(0, 4) * True, id="mul-bool"),
+    pytest.param(lambda: TautClass.monomial(0, 4, {1: 1}, coeff=0.1), id="monomial"),
+    pytest.param(lambda: mul_divisor_sum(TautClass.fundamental(0, 5),
+                                         [(("sep", 0, (1, 2)), 0.1)]), id="divisor-sum")])
+def test_float_and_bool_scalars_are_refused(make):
+    # each kept the float, and True was read as 1: fundamental(0, 4) * 0.1
+    # wrote the coefficient "3602879701896397/36028797018963968"
+    with pytest.raises(ValueError, match="not an int, Fraction or MultiPoly"):
+        make()
+
+
+def test_exact_scalars_are_accepted():
+    for scalar in (3, Fraction(1, 3), MultiPoly.variable(("a1",), "a1")):
+        for c in (TautClass.fundamental(0, 4) * scalar,
+                  TautClass.monomial(0, 4, {1: 1}, coeff=scalar),
+                  mul_divisor_sum(TautClass.fundamental(0, 5), [(("sep", 0, (1, 2)), scalar)])):
+            assert list(c.terms.values()) == [scalar]
 
 
 def test_boundary_product_empty_intersection():
